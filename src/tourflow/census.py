@@ -14,6 +14,7 @@ the ensemble mean and population standard deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -114,6 +115,27 @@ def triad_census(graph: GraphLike) -> TriadCensus:
     return TriadCensus(n, counts)
 
 
+def _edge_slots(graph: GraphLike, swaps_per_edge: int) -> tuple[list[int], list[int]]:
+    """Node indices (sources, destinations) of the sorted edges, for rewiring.
+
+    Each slot keeps its source for good; a swap exchanges the
+    destinations of two slots.
+    """
+    if len(graph.edges) < 2:
+        raise ValueError(f"rewiring needs >= 2 edges, got {len(graph.edges)}")
+    if swaps_per_edge < 1:
+        raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
+    index = node_index(graph)
+    pairs = sorted(graph.edges)
+    return [index[o] for o, _ in pairs], [index[d] for _, d in pairs]
+
+
+def _binary_graph(graph: GraphLike, src: list[int], dst: list[int]) -> MobilityGraph:
+    codes = graph.nodes
+    edges = {(codes[a], codes[b]): 1 for a, b in zip(src, dst)}
+    return MobilityGraph(graph.nodes, edges, graph.label)
+
+
 def rewire(graph: GraphLike, seed: int, swaps_per_edge: int = 100) -> MobilityGraph:
     """Degree-preserving randomisation by directed double-edge swaps.
 
@@ -124,15 +146,8 @@ def rewire(graph: GraphLike, seed: int, swaps_per_edge: int = 100) -> MobilityGr
     every accepted swap.  Weights are discarded; the result is a binary
     graph with unit weights.
     """
-    if len(graph.edges) < 2:
-        raise ValueError(f"rewiring needs >= 2 edges, got {len(graph.edges)}")
-    if swaps_per_edge < 1:
-        raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
+    src, dst = _edge_slots(graph, swaps_per_edge)
     n = len(graph.nodes)
-    index = node_index(graph)
-    pairs = sorted(graph.edges)
-    src = [index[o] for o, _ in pairs]
-    dst = [index[d] for _, d in pairs]
     present = {a * n + b for a, b in zip(src, dst)}
     edge_count = len(src)
     rng = np.random.default_rng(seed)
@@ -159,9 +174,102 @@ def rewire(graph: GraphLike, seed: int, swaps_per_edge: int = 100) -> MobilityGr
             present.add(second)
             dst[i] = d
             dst[j] = b
-    codes = graph.nodes
-    edges = {(codes[a], codes[b]): 1 for a, b in zip(src, dst)}
-    return MobilityGraph(graph.nodes, edges, graph.label)
+    return _binary_graph(graph, src, dst)
+
+
+# Chains advance in lockstep (_rewire_chains) in blocks of at most
+# _CHAIN_BLOCK chains, and of no more than fit a presence bitmap of
+# _BITMAP_BYTES (n * n bytes per chain); each chain draws _STEP_WINDOW
+# swap steps at a time.  These bound the kernel's memory, whatever the
+# ensemble size.  Where a block would hold fewer than
+# BATCH_MIN_ENSEMBLE chains, rewire runs once per sample instead: the
+# two break even at about 16 chains (100 swaps per edge, 117-node
+# Top-k graphs, 2-vCPU Xeon host).
+BATCH_MIN_ENSEMBLE = 16
+_CHAIN_BLOCK = 128
+_BITMAP_BYTES = 1 << 20
+_STEP_WINDOW = 256
+
+
+def _rewire_chains(
+    graph: GraphLike, seeds: list[int], swaps_per_edge: int
+) -> Iterator[MobilityGraph]:
+    """``rewire(graph, seed, swaps_per_edge)`` for each seed, in order.
+
+    All chains advance together, one swap step per Python iteration, on
+    numpy arrays.  Chain c owns ``dst[c*E:(c+1)*E]`` and the presence
+    bitmap ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked
+    present so that a proposed self-loop fails the duplicate test.
+    Every chain draws from its own generator, in windows of
+    ``_STEP_WINDOW`` steps; windowed ``integers`` draws concatenate to
+    the one-shot draw, so each sample is bit-identical to ``rewire``'s.
+    The samples are built lazily, once every chain has finished.
+    """
+    src, dst0 = _edge_slots(graph, swaps_per_edge)
+    n = len(graph.nodes)
+    edge_count = len(src)
+    chains = len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    src_index = np.array(src, dtype=np.intp)
+    node_base = np.arange(chains, dtype=np.intp) * (n * n)
+    edge_base2 = np.tile(np.arange(chains, dtype=np.intp) * edge_count, 2)
+    node_base2 = np.tile(node_base, 2)
+    flip = np.roll(np.arange(2 * chains), chains)
+    dst = np.tile(np.array(dst0, dtype=np.intp), chains)
+    present = np.zeros(chains * n * n, dtype=bool)
+    present[(node_base[:, None] + src_index * n + dst.reshape(chains, edge_count)).ravel()] = True
+    present[(node_base[:, None] + np.arange(n) * (n + 1)).ravel()] = True
+    remaining = edge_count * swaps_per_edge
+    while remaining > 0:
+        take = min(remaining, _STEP_WINDOW)
+        remaining -= take
+        draws = np.empty((chains, 2 * take), dtype=np.intp)
+        for chain, rng in enumerate(rngs):
+            draws[chain] = rng.integers(0, edge_count, size=2 * take)
+        # Row t holds the first slot that step t draws in every chain, then the second.
+        slots = draws.reshape(chains, take, 2).transpose(1, 2, 0).reshape(take, 2 * chains)
+        del draws  # before rows is allocated, so a window holds two arrays at most
+        rows = src_index[slots]
+        rows *= n
+        rows += node_base2
+        slots += edge_base2
+        for slot, row in zip(slots, rows):
+            ends = dst[slot]  # [b, d] of the picked arcs a->b, c->d
+            swapped = ends[flip]  # [d, b]
+            proposed = row + swapped  # [a->d, c->b]
+            taken = present[proposed]
+            rejected = taken | taken[flip]
+            # A rejected chain writes back the values it read.
+            present[row + ends] = rejected
+            present[proposed] = taken == rejected
+            dst[slot] = np.where(rejected, ends, swapped)
+    for chain_dst in dst.reshape(chains, edge_count):
+        yield _binary_graph(graph, src, chain_dst.tolist())
+
+
+def _null_samples(
+    graph: GraphLike, ensemble_size: int, seed: int, swaps_per_edge: int
+) -> Iterator[MobilityGraph]:
+    """The ensemble's rewired samples in order; sample i uses ``derive_seed(seed, i)``."""
+    n = len(graph.nodes)
+    per_block = min(_CHAIN_BLOCK, _BITMAP_BYTES // (n * n), ensemble_size)
+    if per_block < BATCH_MIN_ENSEMBLE:
+        for i in range(ensemble_size):
+            yield rewire(graph, derive_seed(seed, i), swaps_per_edge)
+        return
+    # The kernel is exact only while Generator.integers, called window by
+    # window, yields the same stream as one call, which numpy does not
+    # promise across releases; sample 0 is drawn by rewire as well, and a
+    # mismatch stops the run.
+    reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
+    blocks = -(-ensemble_size // per_block)
+    bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        seeds = [derive_seed(seed, i) for i in range(lo, hi)]
+        for i, sample in enumerate(_rewire_chains(graph, seeds, swaps_per_edge), start=lo):
+            if i == 0 and sample.edges != reference:
+                raise RuntimeError("batched rewiring diverged from rewire on sample 0")
+            yield sample
 
 
 @dataclass(frozen=True)
@@ -217,16 +325,17 @@ def motif_zscores(
     """z-scores of connected triad counts against rewired null graphs.
 
     Sample i is rewired with the seed derived from ``(seed, i)``, so the
-    ensemble is reproducible and insensitive to evaluation order.  The
-    standard deviation is the population one (ddof 0); classes with zero
-    spread get z = None.
+    ensemble is reproducible and insensitive to evaluation order.  Large
+    ensembles advance their chains in lockstep on numpy arrays; every
+    sample is still bit-identical to ``rewire(graph, derive_seed(seed,
+    i), swaps_per_edge)``.  The standard deviation is the population one
+    (ddof 0); classes with zero spread get z = None.
     """
     if ensemble_size < 2:
         raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
     real_census = triad_census(graph)
     samples = np.empty((ensemble_size, len(CONNECTED_TRIADS)), dtype=np.float64)
-    for i in range(ensemble_size):
-        shuffled = rewire(graph, derive_seed(seed, i), swaps_per_edge)
+    for i, shuffled in enumerate(_null_samples(graph, ensemble_size, seed, swaps_per_edge)):
         counts = triad_census(shuffled).counts
         samples[i] = [counts[name] for name in CONNECTED_TRIADS]
     means = samples.mean(axis=0)

@@ -200,6 +200,10 @@ def _build_one(config: RunConfig, name: str) -> tuple[MobilityGraph, dict] | Non
         table = parse_checkins(checkins, fmt=fmt, strict=config.strict)
         homes = infer_homes(table)
         kept = filter_countries(table, config.checkin_threshold)
+        if not kept:
+            raise ValueError(
+                f"dataset {name}: no country has more than checkin_threshold="
+                f"{config.checkin_threshold} check-ins, so the graph would be empty")
         graph = build_mobility_graph(table, homes, kept, label=label)
         stats = {
             "source": checkins,
@@ -220,23 +224,26 @@ def _build_one(config: RunConfig, name: str) -> tuple[MobilityGraph, dict] | Non
 
 
 def cmd_build(config: RunConfig) -> int:
-    """Build mobility graphs for the configured datasets."""
-    bundle = _Bundle(Path(config.output_dir))
-    dataset_stats: dict[str, dict] = {}
-    built_any = False
+    """Build mobility graphs for the configured datasets.
+
+    Every dataset is built before the first file is written, so a
+    dataset that fails leaves no partial output behind.
+    """
+    built = {}
     for name in DATASET_NAMES:
         result = _build_one(config, name)
-        if result is None:
-            continue
-        built_any = True
-        graph, stats = result
+        if result is not None:
+            built[name] = result
+    if not built:
+        raise ConfigError("no dataset configured: set dataset_a_checkins or dataset_a_flows")
+    bundle = _Bundle(Path(config.output_dir))
+    dataset_stats: dict[str, dict] = {}
+    for name, (graph, stats) in built.items():
         filename = f"graph_{name}.csv"
         bundle.write(filename, _meta_lines(config) + export_graph(graph, "csv").decode("utf-8"))
         dataset_stats[name] = {**stats, "file": filename}
         print(f"dataset {name}: {graph.node_count} nodes, {graph.edge_count} edges -> "
               f"{bundle.outdir / filename}")
-    if not built_any:
-        raise ConfigError("no dataset configured: set dataset_a_checkins or dataset_a_flows")
     bundle.write_manifest("build_manifest.json", _meta_dict(config), {"datasets": dataset_stats})
     return EXIT_OK
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -89,11 +90,21 @@ def _parse_timestamp(text: str) -> int:
     return int(stamp.timestamp())
 
 
-def _open_lines(source: str | Path | IO[str]) -> tuple[Iterator[str], IO[str] | None]:
+@contextmanager
+def _open_lines(source: str | Path | IO[str]) -> Iterator[Iterator[str]]:
+    """The lines of a stream, or of a UTF-8 file that is closed on exit.
+
+    A file that is not valid UTF-8 raises :class:`ParseError` from the
+    ``with`` block that reads it.
+    """
     if hasattr(source, "read"):
-        return iter(source), None  # type: ignore[arg-type]
-    handle = open(source, "r", encoding="utf-8", newline="")
-    return iter(handle), handle
+        yield iter(source)  # type: ignore[arg-type]
+        return
+    try:
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not valid UTF-8: {exc.reason}") from None
 
 
 def _record_from_parts(
@@ -174,8 +185,7 @@ def parse_checkins(
     """
     if fmt not in ("csv", "ndjson"):
         raise ValueError(f"unknown check-in format {fmt!r}; expected 'csv' or 'ndjson'")
-    lines, handle = _open_lines(source)
-    try:
+    with _open_lines(source) as lines:
         rows = _iter_csv_records(lines) if fmt == "csv" else _iter_ndjson_records(lines)
         records: list[CheckinRecord] = []
         skipped = 0
@@ -187,9 +197,6 @@ def parse_checkins(
             else:
                 records.append(rec)
         return CheckinTable(tuple(records), skipped)
-    finally:
-        if handle is not None:
-            handle.close()
 
 
 def infer_homes(table: CheckinTable) -> HomeAssignment:
@@ -252,8 +259,7 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
     (possibly isolated) nodes; :func:`tourflow.graph.export_graph`
     writes such a line so graphs round-trip exactly.
     """
-    lines, handle = _open_lines(source)
-    try:
+    with _open_lines(source) as lines:
         nodes: set[str] = set()
         data_lines: list[str] = []
         for raw in lines:
@@ -293,6 +299,3 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
             nodes.add(origin)
             nodes.add(dest)
         return MobilityGraph(tuple(sorted(nodes)), edges, label)
-    finally:
-        if handle is not None:
-            handle.close()

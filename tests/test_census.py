@@ -13,10 +13,13 @@ from tourflow import (
     MobilityGraph,
     motif_zscores,
     rewire,
+    topk_out,
     triad_census,
     z_percent_diff,
 )
-from tourflow.census import z_percent_diff_csv
+from tourflow import census
+from tourflow.census import BATCH_MIN_ENSEMBLE, z_percent_diff_csv
+from tourflow.seeds import derive_seed
 
 from oracles import (
     ASYMMETRIC_PER_CLASS,
@@ -207,20 +210,119 @@ class TestMotifZScores:
         assert lines[0] == "class,real,mean,std,z,flag"
         assert [ln.split(",")[0] for ln in lines[1:]] == list(CONNECTED_TRIADS)
 
-    def test_null_means_match_manual_ensemble(self) -> None:
-        from tourflow.seeds import derive_seed
-
+    @pytest.mark.parametrize("size", [12, BATCH_MIN_ENSEMBLE + 4])
+    def test_null_means_match_manual_ensemble(self, size: int) -> None:
         g = random_digraph(np.random.default_rng(54), 10, 0.35)
-        scores = motif_zscores(g, ensemble_size=12, seed=5, swaps_per_edge=10)
-        samples = {name: [] for name in CONNECTED_TRIADS}
-        for i in range(12):
+        scores = motif_zscores(g, ensemble_size=size, seed=5, swaps_per_edge=10)
+        samples = np.empty((size, len(CONNECTED_TRIADS)), dtype=np.float64)
+        for i in range(size):
             counts = triad_census(rewire(g, derive_seed(5, i), 10)).counts
-            for name in CONNECTED_TRIADS:
-                samples[name].append(counts[name])
-        for name in CONNECTED_TRIADS:
-            column = np.array(samples[name], dtype=np.float64)
-            assert scores.null_mean[name] == pytest.approx(column.mean(), abs=1e-12)
-            assert scores.null_std[name] == pytest.approx(column.std(), abs=1e-12)
+            samples[i] = [counts[name] for name in CONNECTED_TRIADS]
+        means = samples.mean(axis=0)
+        stds = samples.std(axis=0)
+        for pos, name in enumerate(CONNECTED_TRIADS):
+            assert scores.null_mean[name] == float(means[pos])
+            assert scores.null_std[name] == float(stds[pos])
+
+
+def hub_heavy_digraph(seed: int, n: int = 18) -> MobilityGraph:
+    """Every node links to the three hubs AA..AC with p 0.9, elsewhere with p 0.1."""
+    rng = np.random.default_rng(seed)
+    codes = codes_for(n)
+    edges = {
+        (codes[a], codes[b]): 1
+        for a in range(n) for b in range(n)
+        if a != b and rng.random() < (0.9 if b < 3 else 0.1)
+    }
+    return MobilityGraph(codes, edges)
+
+
+def ring_lattice_top2(n: int = 12) -> MobilityGraph:
+    """Top-2 Out of the circulant flows w(i->j) = n - ((j - i) mod n)."""
+    codes = codes_for(n)
+    edges = {(codes[i], codes[j]): n - (j - i) % n
+             for i in range(n) for j in range(n) if i != j}
+    return topk_out(MobilityGraph(codes, edges), 2)
+
+
+SWAP_GRAPHS = {
+    "hub-heavy": hub_heavy_digraph(60),
+    "ring-lattice-top2": ring_lattice_top2(),
+    # No swap is ever accepted: every proposal closes a self-loop or
+    # duplicates an arc.
+    "3-cycle": MobilityGraph(
+        codes_for(3), {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1}),
+    "2-edge": MobilityGraph(codes_for(4), {("AA", "AB"): 1, ("AC", "AD"): 1}),
+}
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch) -> list:
+    """The argument tuples of every call the ensemble sampler makes to rewire."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rewire(*args, **kwargs)
+
+    monkeypatch.setattr(census, "rewire", counted)
+    return calls
+
+
+class TestBatchedEnsemble:
+    @pytest.mark.parametrize(
+        "size", [BATCH_MIN_ENSEMBLE - 1, BATCH_MIN_ENSEMBLE, census._CHAIN_BLOCK + 1])
+    @pytest.mark.parametrize("name", list(SWAP_GRAPHS))
+    def test_every_sample_matches_rewire(self, name: str, size: int, scalar_calls: list) -> None:
+        g = SWAP_GRAPHS[name]
+        samples = [s.edges for s in census._null_samples(g, size, 11, 3)]
+        # Batched ensembles draw sample 0 with rewire too, as a cross-check.
+        assert len(scalar_calls) == (size if size < BATCH_MIN_ENSEMBLE else 1)
+        assert samples == [rewire(g, derive_seed(11, i), 3).edges for i in range(size)]
+
+    def test_divergence_from_rewire_stops_the_run(self, monkeypatch) -> None:
+        g = SWAP_GRAPHS["hub-heavy"]
+        monkeypatch.setattr(
+            census, "rewire", lambda graph, seed, swaps: rewire(graph, seed + 1, swaps))
+        with pytest.raises(RuntimeError, match="diverged"):
+            list(census._null_samples(g, BATCH_MIN_ENSEMBLE, 14, 2))
+
+    def test_graphs_too_large_for_a_block_fall_back_to_rewire(
+        self, scalar_calls: list, monkeypatch
+    ) -> None:
+        g = SWAP_GRAPHS["hub-heavy"]
+        n = len(g.nodes)
+        monkeypatch.setattr(census, "_BITMAP_BYTES", BATCH_MIN_ENSEMBLE * n * n - 1)
+        size = 2 * BATCH_MIN_ENSEMBLE
+        samples = [s.edges for s in census._null_samples(g, size, 13, 2)]
+        assert len(scalar_calls) == size
+        assert samples == [rewire(g, derive_seed(13, i), 2).edges for i in range(size)]
+
+    def test_chains_match_rewire_over_several_windows(self) -> None:
+        g = hub_heavy_digraph(61)
+        seeds = [derive_seed(12, i) for i in range(5)]
+        swaps = 3 * census._STEP_WINDOW // len(g.edges) + 1
+        batched = [s.edges for s in census._rewire_chains(g, seeds, swaps)]
+        assert batched == [rewire(g, seed, swaps).edges for seed in seeds]
+
+    def test_kernel_rejects_what_rewire_rejects(self) -> None:
+        g = MobilityGraph.build({("AA", "BB"): 1})
+        with pytest.raises(ValueError, match=">= 2 edges"):
+            next(census._rewire_chains(g, [0, 1], 1))
+
+    @pytest.mark.parametrize("window", [1, 7, 128, 2 * census._STEP_WINDOW, 1000])
+    @pytest.mark.parametrize("edge_count", [2, 3, 117, 351, 70_000])
+    def test_windowed_draws_concatenate_to_one_shot(self, edge_count: int, window: int) -> None:
+        # The kernel draws each chain's swap indices window by window, and
+        # rewire in chunks of 16384 swaps; both equal the one-shot draw
+        # only because the bit generator keeps its spare 32-bit half-word.
+        total = 2000
+        for seed in range(20):
+            one_shot = np.random.default_rng(seed).integers(0, edge_count, size=total)
+            rng = np.random.default_rng(seed)
+            windowed = [rng.integers(0, edge_count, size=min(window, total - start))
+                        for start in range(0, total, window)]
+            assert np.array_equal(np.concatenate(windowed), one_shot)
 
 
 class TestZPercentDiff:

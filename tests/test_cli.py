@@ -360,3 +360,28 @@ class TestExitCodes:
         code = main(["build", "--set", f"dataset_a_flows={flows}"])
         assert code == EXIT_PARSE
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["flows", "checkins"])
+    def test_non_utf8_input_is_parse_error(self, tmp_path: Path, kind: str, capsys) -> None:
+        source = tmp_path / "input.csv"
+        header = b"origin,destination,count" if kind == "flows" else b"user_id,country,timestamp"
+        row = b"AA,AB,1\xff" if kind == "flows" else b"u1,US,1\xff"
+        source.write_bytes(header + b"\n" + row + b"\n")
+        code = main(["build", "--set", f"dataset_a_{kind}={source}",
+                     "--set", "strict=false", "--set", f"output_dir={tmp_path / 'out'}"])
+        assert code == EXIT_PARSE
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_checkins_all_under_threshold_write_nothing(self, tmp_path: Path, capsys) -> None:
+        flows = tmp_path / "flows.csv"
+        write_flow_csv(flows, sample_edges())
+        checkins = tmp_path / "checkins.csv"
+        rows = ["user_id,country,timestamp"] + [f"u{i},US,{i}" for i in range(5)]
+        checkins.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["build", "--set", f"dataset_a_flows={flows}",
+                     "--set", f"dataset_b_checkins={checkins}",
+                     "--set", "checkin_threshold=5", "--set", f"output_dir={out}"])
+        assert code == EXIT_DOMAIN
+        assert "checkin_threshold=5" in capsys.readouterr().err
+        assert not out.exists()
