@@ -1,10 +1,14 @@
 """Triad census, degree-preserving rewiring and motif z-scores.
 
 The 16 directed triad isomorphism classes follow the standard M-A-N
-naming (003 ... 300).  Counting uses the Batagelj-Mrvar neighbourhood
-method: only triples containing at least one edge are enumerated, the
-remaining dyadic and empty triads are obtained arithmetically, so the
-census costs roughly O(E * average degree) instead of O(n^3).
+naming (003 ... 300).  Counting follows Batagelj and Mrvar: each node
+pair joined by an arc is taken once, with every third node at a time,
+on integer arrays; an ordering guard counts each connected triple from
+one pair only, and the empty class 003 is obtained arithmetically.  The
+census costs O(P * n) array work for P adjacent pairs instead of
+O(n^3).  One kernel, on node-index arrays, counts both the observed
+graph and every null-model sample, so the samples are never built into
+graphs.
 
 Null models are degree-preserving double-edge swaps of the binarised
 graph; z-scores compare the real count of each connected class against
@@ -29,10 +33,7 @@ TRIAD_NAMES = (
 
 # All classes with at least one edge between every pair of roles, i.e.
 # the weakly connected triads (016 minus 003, 012, 102).
-CONNECTED_TRIADS = (
-    "021D", "021U", "021C", "111D", "111U", "030T", "030C",
-    "201", "120D", "120U", "120C", "210", "300",
-)
+CONNECTED_TRIADS = TRIAD_NAMES[3:]
 
 # Maps the 6-bit arc code of an ordered triple (v, u, w) to the
 # 1-based index of its isomorphism class in TRIAD_NAMES.
@@ -63,56 +64,85 @@ class TriadCensus:
         return "\n".join(lines) + "\n"
 
 
-def _tricode(succ: list[set[int]], v: int, u: int, w: int) -> int:
-    code = 0
-    if u in succ[v]:
-        code += 1
-    if v in succ[u]:
-        code += 2
-    if w in succ[v]:
-        code += 4
-    if v in succ[w]:
-        code += 8
-    if w in succ[u]:
-        code += 16
-    if u in succ[w]:
-        code += 32
-    return code
+def _guarded_classes() -> np.ndarray:
+    """The 1-based TRIAD_NAMES class of every guarded code; 0 where the guard drops it.
+
+    A guarded code extends the 6-bit arc code of (v, u, w), for a pair
+    v < u, by bit 6 (v < w) and bit 7 (u < w).  A third node joined to
+    neither end leaves a dyadic triad (012 or 102) that only this pair
+    sees.  A connected triple is counted from one of its pairs only, as
+    in Batagelj and Mrvar: from (v, u) when u < w, or when v < w < u and
+    w is not adjacent to v (bits 2 and 3 clear).  The two ends of the
+    pair never pass, being adjacent to each other.
+    """
+    classes = np.zeros(256, dtype=np.intp)
+    for guarded in range(256):
+        code, after_v, after_u = guarded & 63, guarded >> 6 & 1, guarded >> 7
+        if code < 4 or after_u or (after_v and not code & 12):
+            classes[guarded] = TRICODES[code]
+    return classes
+
+
+_GUARDED_CLASSES = _guarded_classes()
+
+# The census kernel gathers one row of n bytes per arc pair; pairs are
+# taken in chunks of about _CENSUS_CHUNK bytes, so that its memory stays
+# bounded on dense graphs too.
+_CENSUS_CHUNK = 1 << 16
+
+
+def _census_counts(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The 16 class counts, in TRIAD_NAMES order, of the arcs src[i] -> dst[i] on n nodes.
+
+    Every node pair v < u joined by at least one arc is taken once, with
+    every third node w at a time: the guarded code of (v, u, w) (see
+    ``_guarded_classes``) is put together from the rows of v and u in
+    two n-by-n byte matrices.  The codes are counted with one
+    ``bincount`` and folded into classes; the empty class 003 closes
+    the total to C(n, 3).
+    """
+    arcs = np.zeros((n, n), dtype=np.uint8)
+    arcs[src, dst] = 1
+    arcs |= arcs.T << 1  # arcs[v, w]: bit 0 for v -> w, bit 1 for w -> v
+    nodes = np.arange(n)
+    after = np.less.outer(nodes, nodes).view(np.uint8)  # after[v, w]: v < w
+    from_v = arcs << 2 | after << 6
+    from_u = arcs << 4 | after << 7
+    first, second = np.nonzero(arcs * after)  # the pairs v < u joined by an arc
+    hist = np.zeros(len(_GUARDED_CLASSES), dtype=np.int64)
+    step = max(1, _CENSUS_CHUNK // max(n, 1))
+    for lo in range(0, len(first), step):
+        v = first[lo:lo + step]
+        u = second[lo:lo + step]
+        code = from_v[v] | from_u[u]
+        code |= arcs[v, u][:, None]
+        hist += np.bincount(code.ravel(), minlength=len(hist))
+    counts = np.zeros(len(TRIAD_NAMES) + 1, dtype=np.int64)
+    np.add.at(counts, _GUARDED_CLASSES, hist)
+    counts = counts[1:]
+    counts[0] = n * (n - 1) * (n - 2) // 6 - counts[1:].sum()
+    return counts
+
+
+def _index_arcs(graph: GraphLike) -> tuple[list[int], list[int]]:
+    """Node indices (sources, destinations) of the graph's arcs, in sorted order."""
+    index = node_index(graph)
+    pairs = sorted(graph.edges)
+    return [index[o] for o, _ in pairs], [index[d] for _, d in pairs]
 
 
 def triad_census(graph: GraphLike) -> TriadCensus:
     """Count every directed triad class (Batagelj-Mrvar method).
 
-    Requires at least 3 nodes.  Triples around each edge (v, u) with
-    v < u are classified via their 6-bit arc code; each such triple is
-    visited once thanks to the ordering guard.  Dyadic triads (third
-    node isolated from the pair) are added in bulk and the empty class
-    003 closes the total to C(n, 3).
+    Requires at least 3 nodes.  The graph's arcs, as node indices, go
+    through the same kernel that counts each null-model sample.
     """
     n = len(graph.nodes)
     if n < 3:
         raise ValueError(f"triad census needs >= 3 nodes, got {n}")
-    index = node_index(graph)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for origin, dest in graph.edges:
-        a, b = index[origin], index[dest]
-        succ[a].add(b)
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    counts = dict.fromkeys(TRIAD_NAMES, 0)
-    for v in range(n):
-        for u in nbrs[v]:
-            if u <= v:
-                continue
-            third = (nbrs[v] | nbrs[u]) - {u, v}
-            pair_class = "102" if (u in succ[v] and v in succ[u]) else "012"
-            counts[pair_class] += n - len(third) - 2
-            for w in third:
-                if u < w or (v < w < u and w not in nbrs[v]):
-                    counts[TRIAD_NAMES[TRICODES[_tricode(succ, v, u, w)] - 1]] += 1
-    counts["003"] = n * (n - 1) * (n - 2) // 6 - sum(counts.values())
-    return TriadCensus(n, counts)
+    src, dst = _index_arcs(graph)
+    counts = _census_counts(n, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+    return TriadCensus(n, dict(zip(TRIAD_NAMES, counts.tolist())))
 
 
 def _edge_slots(graph: GraphLike, swaps_per_edge: int) -> tuple[list[int], list[int]]:
@@ -125,9 +155,7 @@ def _edge_slots(graph: GraphLike, swaps_per_edge: int) -> tuple[list[int], list[
         raise ValueError(f"rewiring needs >= 2 edges, got {len(graph.edges)}")
     if swaps_per_edge < 1:
         raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
-    index = node_index(graph)
-    pairs = sorted(graph.edges)
-    return [index[o] for o, _ in pairs], [index[d] for _, d in pairs]
+    return _index_arcs(graph)
 
 
 def _binary_graph(graph: GraphLike, src: list[int], dst: list[int]) -> MobilityGraph:
@@ -193,8 +221,8 @@ _STEP_WINDOW = 256
 
 def _rewire_chains(
     graph: GraphLike, seeds: list[int], swaps_per_edge: int
-) -> Iterator[MobilityGraph]:
-    """``rewire(graph, seed, swaps_per_edge)`` for each seed, in order.
+) -> Iterator[np.ndarray]:
+    """The slot destinations of ``rewire(graph, seed, swaps_per_edge)`` for each seed, in order.
 
     All chains advance together, one swap step per Python iteration, on
     numpy arrays.  Chain c owns ``dst[c*E:(c+1)*E]`` and the presence
@@ -203,7 +231,8 @@ def _rewire_chains(
     Every chain draws from its own generator, in windows of
     ``_STEP_WINDOW`` steps; windowed ``integers`` draws concatenate to
     the one-shot draw, so each sample is bit-identical to ``rewire``'s.
-    The samples are built lazily, once every chain has finished.
+    Sample c is chain c's ``dst`` slice, once every chain has finished;
+    its arcs run from the sources of ``_edge_slots(graph, ...)``.
     """
     src, dst0 = _edge_slots(graph, swaps_per_edge)
     n = len(graph.nodes)
@@ -243,33 +272,41 @@ def _rewire_chains(
             present[row + ends] = rejected
             present[proposed] = taken == rejected
             dst[slot] = np.where(rejected, ends, swapped)
-    for chain_dst in dst.reshape(chains, edge_count):
-        yield _binary_graph(graph, src, chain_dst.tolist())
+    del present, slots, rows  # freed before the samples are counted
+    yield from dst.reshape(chains, edge_count)
 
 
 def _null_samples(
     graph: GraphLike, ensemble_size: int, seed: int, swaps_per_edge: int
-) -> Iterator[MobilityGraph]:
-    """The ensemble's rewired samples in order; sample i uses ``derive_seed(seed, i)``."""
+) -> Iterator[np.ndarray]:
+    """The ensemble's rewired samples in order; sample i uses ``derive_seed(seed, i)``.
+
+    Each sample is given by the destinations of its arcs, whose sources
+    are those of ``_edge_slots(graph, swaps_per_edge)``.
+    """
     n = len(graph.nodes)
     per_block = min(_CHAIN_BLOCK, _BITMAP_BYTES // (n * n), ensemble_size)
     if per_block < BATCH_MIN_ENSEMBLE:
         for i in range(ensemble_size):
-            yield rewire(graph, derive_seed(seed, i), swaps_per_edge)
+            # Rewiring keeps every out-degree, so the sorted arcs of a
+            # sample run from the same sources as the graph's.
+            _, dst = _index_arcs(rewire(graph, derive_seed(seed, i), swaps_per_edge))
+            yield np.array(dst, dtype=np.intp)
         return
     # The kernel is exact only while Generator.integers, called window by
     # window, yields the same stream as one call, which numpy does not
     # promise across releases; sample 0 is drawn by rewire as well, and a
     # mismatch stops the run.
     reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
+    src, _ = _edge_slots(graph, swaps_per_edge)
     blocks = -(-ensemble_size // per_block)
     bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         seeds = [derive_seed(seed, i) for i in range(lo, hi)]
-        for i, sample in enumerate(_rewire_chains(graph, seeds, swaps_per_edge), start=lo):
-            if i == 0 and sample.edges != reference:
+        for i, dst in enumerate(_rewire_chains(graph, seeds, swaps_per_edge), start=lo):
+            if i == 0 and _binary_graph(graph, src, dst.tolist()).edges != reference:
                 raise RuntimeError("batched rewiring diverged from rewire on sample 0")
-            yield sample
+            yield dst
 
 
 @dataclass(frozen=True)
@@ -328,16 +365,18 @@ def motif_zscores(
     ensemble is reproducible and insensitive to evaluation order.  Large
     ensembles advance their chains in lockstep on numpy arrays; every
     sample is still bit-identical to ``rewire(graph, derive_seed(seed,
-    i), swaps_per_edge)``.  The standard deviation is the population one
-    (ddof 0); classes with zero spread get z = None.
+    i), swaps_per_edge)``, and is counted on its node-index arcs by the
+    same kernel as ``triad_census``.  The standard deviation is the
+    population one (ddof 0); classes with zero spread get z = None.
     """
     if ensemble_size < 2:
         raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
     real_census = triad_census(graph)
+    n = len(graph.nodes)
+    src = np.array(_edge_slots(graph, swaps_per_edge)[0], dtype=np.intp)
     samples = np.empty((ensemble_size, len(CONNECTED_TRIADS)), dtype=np.float64)
-    for i, shuffled in enumerate(_null_samples(graph, ensemble_size, seed, swaps_per_edge)):
-        counts = triad_census(shuffled).counts
-        samples[i] = [counts[name] for name in CONNECTED_TRIADS]
+    for i, dst in enumerate(_null_samples(graph, ensemble_size, seed, swaps_per_edge)):
+        samples[i] = _census_counts(n, src, dst)[3:]  # CONNECTED_TRIADS is TRIAD_NAMES[3:]
     means = samples.mean(axis=0)
     stds = samples.std(axis=0)
     real = {name: real_census.counts[name] for name in CONNECTED_TRIADS}

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -248,6 +249,32 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _check_analyzable(config: RunConfig, name: str, graph: MobilityGraph) -> None:
+    """Raise ValueError where analyze would fail on the graph part-way through its bundle.
+
+    Top-k subgraphs keep every node of the graph, so the node counts are
+    checked on the graph itself; each Top-k subgraph's arc count follows
+    from the graph's degrees.
+    """
+    context = f"analyze dataset {name}"
+    n = graph.node_count
+    if n < 3:
+        raise ValueError(f"{context}: the triad census needs >= 3 nodes, got {n}")
+    if not 1 <= config.n_clusters <= n:
+        raise ValueError(f"{context}: n_clusters must lie in [1, {n}], got {config.n_clusters}")
+    if config.ensemble_size < 2:
+        raise ValueError(f"{context}: ensemble_size must be >= 2, got {config.ensemble_size}")
+    if config.swaps_per_edge < 1:
+        raise ValueError(f"{context}: swaps_per_edge must be >= 1, got {config.swaps_per_edge}")
+    k = min(config.k_values)
+    for direction, end in (("out", 0), ("in", 1)):
+        degrees = Counter(edge[end] for edge in graph.edges)
+        kept = sum(min(k, degree) for degree in degrees.values())
+        if kept < 2:
+            raise ValueError(
+                f"{context}, top-{k} {direction}: rewiring needs >= 2 edges, got {kept}")
+
+
 def _analyze_dataset(config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph) -> dict:
     """All single-dataset analyses; returns what the compare stage needs."""
     meta = _meta_lines(config)
@@ -313,9 +340,11 @@ def _analyze_dataset(config: RunConfig, bundle: _Bundle, name: str, graph: Mobil
 
 
 def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | None = None) -> int:
-    """Run the full analysis bundle over one or two built graphs."""
-    bundle = _Bundle(Path(config.output_dir))
-    meta = _meta_lines(config)
+    """Run the full analysis bundle over one or two built graphs.
+
+    Every graph is checked against the config before the first file is
+    written, so a graph that cannot be analyzed leaves no partial output.
+    """
     graphs: dict[str, MobilityGraph] = {}
     for name, override in (("a", graph_a), ("b", graph_b)):
         path = Path(override) if override else Path(config.output_dir) / f"graph_{name}.csv"
@@ -327,6 +356,10 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
         graphs[name] = parse_flow_matrix(path, label=label)
     if not graphs:
         raise ConfigError("no graphs to analyze: run `tourflow build` first or pass --graph-a")
+    for name, graph in graphs.items():
+        _check_analyzable(config, name, graph)
+    bundle = _Bundle(Path(config.output_dir))
+    meta = _meta_lines(config)
     results = {name: _analyze_dataset(config, bundle, name, graph)
                for name, graph in graphs.items()}
     summary: dict = {"datasets": sorted(graphs)}

@@ -11,7 +11,6 @@ directly into a :class:`tourflow.graph.MobilityGraph`.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 from contextlib import contextmanager
@@ -126,6 +125,8 @@ def _iter_csv_records(lines: Iterator[str]) -> Iterator[tuple[int, CheckinRecord
         header = next(reader)
     except StopIteration:
         raise ParseError("check-in CSV is empty; expected a header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"check-in CSV header is malformed: {exc}") from None
     header = [col.strip() for col in header]
     if tuple(header[:3]) != CHECKIN_FIELDS or len(header) > 4 or (
         len(header) == 4 and header[3] != "venue_id"
@@ -134,18 +135,23 @@ def _iter_csv_records(lines: Iterator[str]) -> Iterator[tuple[int, CheckinRecord
             "check-in CSV must start with header user_id,country,timestamp[,venue_id]"
         )
     width = len(header)
-    for row in reader:
-        lineno = reader.line_num
-        if not row:
-            continue
-        if len(row) != width:
-            yield lineno, None
-            continue
+    while True:
         try:
-            venue = row[3] if width == 4 else None
-            yield lineno, _record_from_parts(row[0], row[1], row[2], venue)
-        except (ValueError, OverflowError):
-            yield lineno, None
+            for row in reader:
+                lineno = reader.line_num
+                if not row:
+                    continue
+                if len(row) != width:
+                    yield lineno, None
+                    continue
+                try:
+                    venue = row[3] if width == 4 else None
+                    yield lineno, _record_from_parts(row[0], row[1], row[2], venue)
+                except (ValueError, OverflowError):
+                    yield lineno, None
+            return
+        except csv.Error:  # e.g. an oversized field; the reader resumes at the next line
+            yield reader.line_num, None
 
 
 def _iter_ndjson_records(lines: Iterator[str]) -> Iterator[tuple[int, CheckinRecord | None]]:
@@ -162,7 +168,7 @@ def _iter_ndjson_records(lines: Iterator[str]) -> Iterator[tuple[int, CheckinRec
             yield lineno, _record_from_parts(
                 str(obj["user_id"]), str(obj["country"]), str(obj["timestamp"]), venue
             )
-        except (ValueError, KeyError, TypeError, OverflowError):
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
             yield lineno, None
 
 
@@ -250,6 +256,19 @@ def build_mobility_graph(
     return MobilityGraph(tuple(sorted(kept)), edges, label)
 
 
+def _flow_rows(lines: list[str]) -> Iterator[list[str]]:
+    """CSV rows of the lines, which keep their own ends (read with newline="").
+
+    csv needs those ends to tell a bare ``\\r`` line end from one inside a
+    field.  A line csv cannot read raises :class:`ParseError`.
+    """
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"flow matrix line {reader.line_num} is malformed: {exc}") from None
+
+
 def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> MobilityGraph:
     """Parse an aggregated flow CSV into a :class:`MobilityGraph`.
 
@@ -274,7 +293,7 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
                 continue
             if stripped:
                 data_lines.append(raw)
-        reader = csv.reader(io.StringIO("".join(data_lines)))
+        reader = _flow_rows(data_lines)
         try:
             header = [col.strip() for col in next(reader)]
         except StopIteration:
@@ -290,12 +309,16 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
                 raise ParseError(f"invalid country code in flow matrix row {rownum}")
             if origin == dest:
                 raise ParseError(f"self-loop {origin}->{dest} in flow matrix row {rownum}")
-            if not _INT_RE.match(count_text) or int(count_text) < 1:
+            try:
+                count = int(count_text) if _INT_RE.match(count_text) else 0
+            except ValueError:  # more digits than int() converts
+                count = 0
+            if count < 1:
                 raise ParseError(f"count must be a positive integer in flow matrix row {rownum}")
             pair = (origin, dest)
             if pair in edges:
                 raise ParseError(f"duplicate edge {origin}->{dest} in flow matrix row {rownum}")
-            edges[pair] = int(count_text)
+            edges[pair] = count
             nodes.add(origin)
             nodes.add(dest)
         return MobilityGraph(tuple(sorted(nodes)), edges, label)

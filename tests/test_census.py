@@ -98,6 +98,63 @@ class TestTriadCensus:
         assert [ln.split(",")[0] for ln in lines[1:]] == list(TRIAD_NAMES)
 
 
+def kernel_census(g: MobilityGraph) -> dict[str, int]:
+    """The census kernel's counts for g's arcs, by class name."""
+    index = {code: i for i, code in enumerate(g.nodes)}
+    src = np.array([index[o] for o, _ in g.edges], dtype=np.intp)
+    dst = np.array([index[d] for _, d in g.edges], dtype=np.intp)
+    return dict(zip(TRIAD_NAMES, census._census_counts(len(g.nodes), src, dst).tolist()))
+
+
+class TestCensusKernel:
+    @pytest.mark.parametrize("mask", range(64))
+    def test_every_labelled_three_node_digraph(self, mask: int) -> None:
+        codes = codes_for(3)
+        arcs = [(a, b) for a in codes for b in codes if a != b]
+        g = MobilityGraph(codes, {arc: 1 for bit, arc in enumerate(arcs) if mask >> bit & 1})
+        assert kernel_census(g) == brute_force_triad_census(g)
+
+    def test_complete_mutual_triple(self) -> None:
+        codes = codes_for(3)
+        g = MobilityGraph(codes, {(a, b): 1 for a in codes for b in codes if a != b})
+        assert kernel_census(g) == {name: int(name == "300") for name in TRIAD_NAMES}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    def test_empty_graph(self, n: int) -> None:
+        counts = kernel_census(MobilityGraph(codes_for(n), {}))
+        assert counts == {name: 0 for name in TRIAD_NAMES} | {"003": n * (n - 1) * (n - 2) // 6}
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(3, 14), isolated=st.integers(0, 4),
+           p=st.floats(0.05, 0.9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_with_mutual_arcs_and_isolated_nodes(
+        self, seed: int, n: int, isolated: int, p: float
+    ) -> None:
+        # The isolated nodes are interleaved with the others, since the
+        # ordering guard depends on node positions.
+        rng = np.random.default_rng(seed)
+        codes = codes_for(n + isolated)
+        linked = sorted(rng.choice(len(codes), size=n, replace=False).tolist())
+        mutual = {(codes[a], codes[b]): 1 for a in linked for b in linked
+                  if a < b and rng.random() < p / 2}
+        single = {(codes[a], codes[b]): 1 for a in linked for b in linked
+                  if a != b and rng.random() < p / 2}
+        g = MobilityGraph(codes, {**mutual, **{(b, a): 1 for a, b in mutual}, **single})
+        assert kernel_census(g) == brute_force_triad_census(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_chunks_add_up(self, seed: int, monkeypatch) -> None:
+        g = random_digraph(np.random.default_rng(800 + seed), 12, 0.4)
+        whole = kernel_census(g)
+        monkeypatch.setattr(census, "_CENSUS_CHUNK", 1)
+        assert kernel_census(g) == whole == brute_force_triad_census(g)
+
+    def test_arc_order_does_not_matter(self) -> None:
+        g = random_digraph(np.random.default_rng(810), 11, 0.35)
+        shuffled = MobilityGraph(g.nodes, dict(reversed(list(g.edges.items()))))
+        assert kernel_census(shuffled) == kernel_census(g) == triad_census(g).counts
+
+
 def degree_sequences(g: MobilityGraph) -> tuple[dict[str, int], dict[str, int]]:
     out_deg = dict.fromkeys(g.nodes, 0)
     in_deg = dict.fromkeys(g.nodes, 0)
@@ -256,6 +313,12 @@ SWAP_GRAPHS = {
 }
 
 
+def sample_arcs(g: MobilityGraph, samples) -> list[dict[tuple[str, str], int]]:
+    """The arcs of each null sample, given by the destinations of its slots."""
+    src, _ = census._edge_slots(g, 1)
+    return [census._binary_graph(g, src, dst.tolist()).edges for dst in samples]
+
+
 @pytest.fixture
 def scalar_calls(monkeypatch) -> list:
     """The argument tuples of every call the ensemble sampler makes to rewire."""
@@ -275,7 +338,7 @@ class TestBatchedEnsemble:
     @pytest.mark.parametrize("name", list(SWAP_GRAPHS))
     def test_every_sample_matches_rewire(self, name: str, size: int, scalar_calls: list) -> None:
         g = SWAP_GRAPHS[name]
-        samples = [s.edges for s in census._null_samples(g, size, 11, 3)]
+        samples = sample_arcs(g, census._null_samples(g, size, 11, 3))
         # Batched ensembles draw sample 0 with rewire too, as a cross-check.
         assert len(scalar_calls) == (size if size < BATCH_MIN_ENSEMBLE else 1)
         assert samples == [rewire(g, derive_seed(11, i), 3).edges for i in range(size)]
@@ -294,15 +357,28 @@ class TestBatchedEnsemble:
         n = len(g.nodes)
         monkeypatch.setattr(census, "_BITMAP_BYTES", BATCH_MIN_ENSEMBLE * n * n - 1)
         size = 2 * BATCH_MIN_ENSEMBLE
-        samples = [s.edges for s in census._null_samples(g, size, 13, 2)]
+        samples = sample_arcs(g, census._null_samples(g, size, 13, 2))
         assert len(scalar_calls) == size
         assert samples == [rewire(g, derive_seed(13, i), 2).edges for i in range(size)]
+
+    def test_batched_and_fallback_ensembles_give_the_same_scores(
+        self, scalar_calls: list, monkeypatch
+    ) -> None:
+        g = SWAP_GRAPHS["hub-heavy"]
+        size = BATCH_MIN_ENSEMBLE + 5
+        batched = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
+        assert len(scalar_calls) == 1
+        n = len(g.nodes)
+        monkeypatch.setattr(census, "_BITMAP_BYTES", BATCH_MIN_ENSEMBLE * n * n - 1)
+        fallback = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
+        assert len(scalar_calls) == 1 + size
+        assert fallback == batched
 
     def test_chains_match_rewire_over_several_windows(self) -> None:
         g = hub_heavy_digraph(61)
         seeds = [derive_seed(12, i) for i in range(5)]
         swaps = 3 * census._STEP_WINDOW // len(g.edges) + 1
-        batched = [s.edges for s in census._rewire_chains(g, seeds, swaps)]
+        batched = sample_arcs(g, census._rewire_chains(g, seeds, swaps))
         assert batched == [rewire(g, seed, swaps).edges for seed in seeds]
 
     def test_kernel_rejects_what_rewire_rejects(self) -> None:

@@ -331,6 +331,9 @@ class TestExport:
             cmd_export(str(tmp_path / "g.csv"), "yaml", str(tmp_path / "g.yaml"))
 
 
+CYCLE3 = {("AA", "AB"): 3, ("AB", "AC"): 2, ("AC", "AA"): 1}
+
+
 class TestExitCodes:
     def test_domain_error_for_tiny_graph(self, tmp_path: Path, capsys) -> None:
         flows = tmp_path / "flows.csv"
@@ -385,3 +388,27 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "checkin_threshold=5" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edges, overrides, message", [
+        # Three nodes under the default n_clusters of 10.
+        (CYCLE3, [], "n_clusters must lie in [1, 3], got 10"),
+        (CYCLE3, ["--set", "n_clusters=3", "--set", "ensemble_size=1"],
+         "ensemble_size must be >= 2"),
+        # Both arcs end in AC, so Top-1 In keeps one.
+        ({("AA", "AC"): 3, ("AB", "AC"): 2}, ["--set", "n_clusters=2"],
+         "top-1 in: rewiring needs >= 2 edges, got 1"),
+    ])
+    def test_unanalyzable_graph_writes_nothing(
+        self, tmp_path: Path, edges: dict, overrides: list[str], message: str, capsys
+    ) -> None:
+        flows = tmp_path / "flows.csv"
+        write_flow_csv(flows, edges)
+        out = tmp_path / "out"
+        base = ["--set", f"dataset_a_flows={flows}", "--set", f"output_dir={out}",
+                "--set", "swaps_per_edge=2", *overrides]
+        assert main(["build", *base]) == EXIT_OK
+        built = sorted(out.iterdir())
+        assert main(["analyze", *base]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "analyze dataset a" in err and message in err
+        assert sorted(out.iterdir()) == built

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourflow import (
     CheckinTable,
@@ -282,3 +285,78 @@ class TestParseFlowMatrix:
             o, d, c = line.split(",")
             expected[(o, d)] = int(c)
         assert g.edges == expected
+
+
+# Raw bytes rarely get past the header checks; lines made of the
+# characters the parsers give meaning to do.
+_FUZZ_LINES = st.lists(
+    st.text(alphabet='AUSZa019,.-:+T "#{}[]\r\n\x00\xa0\u0660', max_size=40), max_size=8)
+
+
+def _fuzz_payload(header: str):
+    structured = _FUZZ_LINES.map(lambda lines: "\n".join([header, *lines]).encode("utf-8"))
+    return st.one_of(st.binary(max_size=300), structured)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestFuzz:
+    """Arbitrary bytes give a parsed result or ParseError, never another exception."""
+
+    @given(payload=_fuzz_payload("origin,destination,count"))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_flow_matrix(self, fuzz_file, payload: bytes) -> None:
+        fuzz_file.write_bytes(payload)
+        try:
+            parse_flow_matrix(fuzz_file)
+        except ParseError:
+            pass
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    @given(payload=st.one_of(_fuzz_payload("user_id,country,timestamp"),
+                             _fuzz_payload('{"user_id": "u", "country": "US", "timestamp": 1}')))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_checkins(self, fuzz_file, fmt: str, strict: bool, payload: bytes) -> None:
+        fuzz_file.write_bytes(payload)
+        try:
+            parse_checkins(fuzz_file, fmt=fmt, strict=strict)
+        except ParseError:
+            pass
+
+    def test_bare_carriage_return_line_ends(self, tmp_path: Path) -> None:
+        path = tmp_path / "flows.csv"
+        path.write_bytes(b"origin,destination,count\rAA,AB,3\rAB,AA,1\r")
+        assert parse_flow_matrix(path).edges == {("AA", "AB"): 3, ("AB", "AA"): 1}
+
+    def test_line_end_inside_a_stream_field_is_parse_error(self) -> None:
+        # A text stream splits lines at \n only, so csv sees the \r inside a field.
+        with pytest.raises(ParseError, match="line 2 is malformed"):
+            parse_flow_matrix(io.StringIO("origin,destination,count\nAA,AB,1\r0\n"))
+
+    @pytest.mark.parametrize("row", [
+        b"AA,AB,1\r0",  # a bare \r ends the row, so "0" is a row of one field
+        b"AA,AB," + b"9" * 5000,  # more digits than int() converts
+        b'AA,AB,"' + b"1" * (1 << 17) + b'"',  # over csv's field size limit
+    ])
+    def test_unreadable_flow_rows_are_parse_errors(self, tmp_path: Path, row: bytes) -> None:
+        path = tmp_path / "flows.csv"
+        path.write_bytes(b"origin,destination,count\n" + row + b"\n")
+        with pytest.raises(ParseError):
+            parse_flow_matrix(path)
+
+    @pytest.mark.parametrize("fmt, row", [
+        ("csv", "u1," + "U" * (1 << 17) + ",1"),  # over csv's field size limit
+        ("ndjson", "[" * 100_000),  # nested deeper than json's recursion limit
+    ])
+    def test_unreadable_checkin_rows_are_malformed(self, fmt: str, row: str) -> None:
+        header = "user_id,country,timestamp" if fmt == "csv" else (
+            '{"user_id": "u0", "country": "US", "timestamp": 1}')
+        text = "\n".join([header, row, header if fmt == "ndjson" else "u2,US,2"]) + "\n"
+        table = parse_checkins(io.StringIO(text), fmt=fmt, strict=False)
+        assert (len(table.records), table.skipped) == ((1, 1) if fmt == "csv" else (2, 1))
+        with pytest.raises(ParseError, match="line 2"):
+            parse_checkins(io.StringIO(text), fmt=fmt, strict=True)
