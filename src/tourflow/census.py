@@ -358,6 +358,7 @@ def motif_zscores(
     ensemble_size: int = 1000,
     seed: int = 0,
     swaps_per_edge: int = 100,
+    observed: TriadCensus | None = None,
 ) -> MotifZScores:
     """z-scores of connected triad counts against rewired null graphs.
 
@@ -368,18 +369,24 @@ def motif_zscores(
     i), swaps_per_edge)``, and is counted on its node-index arcs by the
     same kernel as ``triad_census``.  The standard deviation is the
     population one (ddof 0); classes with zero spread get z = None.
+    ``observed`` is the graph's own ``triad_census``, for a caller that
+    already has it; by default it is computed here.
     """
     if ensemble_size < 2:
         raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
-    real_census = triad_census(graph)
     n = len(graph.nodes)
+    if observed is None:
+        observed = triad_census(graph)
+    elif observed.node_count != n:
+        raise ValueError(
+            f"observed census covers {observed.node_count} nodes, the graph {n}")
     src = np.array(_edge_slots(graph, swaps_per_edge)[0], dtype=np.intp)
     samples = np.empty((ensemble_size, len(CONNECTED_TRIADS)), dtype=np.float64)
     for i, dst in enumerate(_null_samples(graph, ensemble_size, seed, swaps_per_edge)):
         samples[i] = _census_counts(n, src, dst)[3:]  # CONNECTED_TRIADS is TRIAD_NAMES[3:]
     means = samples.mean(axis=0)
     stds = samples.std(axis=0)
-    real = {name: real_census.counts[name] for name in CONNECTED_TRIADS}
+    real = {name: observed.counts[name] for name in CONNECTED_TRIADS}
     z: dict[str, float | None] = {}
     for pos, name in enumerate(CONNECTED_TRIADS):
         if stds[pos] == 0.0:

@@ -33,7 +33,7 @@ from .ingest import (
     parse_checkins,
     parse_flow_matrix,
 )
-from .metrics import MEASURES, centrality_table, scc, structural_report
+from .metrics import MEASURES, centrality_table, check_pagerank_settings, scc, structural_report
 from .plots import bar_svg, heatmap_svg, strip_svg
 from .regional import RegionMap, mean_abs_share_diff, regional_flows, share_diff, to_shares
 from .seeds import derive_seed
@@ -266,6 +266,11 @@ def _check_analyzable(config: RunConfig, name: str, graph: MobilityGraph) -> Non
         raise ValueError(f"{context}: ensemble_size must be >= 2, got {config.ensemble_size}")
     if config.swaps_per_edge < 1:
         raise ValueError(f"{context}: swaps_per_edge must be >= 1, got {config.swaps_per_edge}")
+    try:
+        check_pagerank_settings(
+            config.pagerank_damping, config.pagerank_tol, config.pagerank_max_iter)
+    except ValueError as exc:
+        raise ValueError(f"{context}: pagerank {exc}") from None
     k = min(config.k_values)
     for direction, end in (("out", 0), ("in", 1)):
         degrees = Counter(edge[end] for edge in graph.edges)
@@ -306,9 +311,11 @@ def _analyze_dataset(config: RunConfig, bundle: _Bundle, name: str, graph: Mobil
                 bundle.write(f"distance_{tag}.csv", meta + dm.to_csv())
                 clusters = filter_singletons(average_linkage(dm, config.n_clusters))
                 bundle.write(f"clusters_{tag}.csv", meta + clusters.to_csv())
-                bundle.write(f"triads_{tag}.csv", meta + triad_census(sg).to_csv())
+                observed = triad_census(sg)
+                bundle.write(f"triads_{tag}.csv", meta + observed.to_csv())
                 zscores = motif_zscores(
                     sg,
+                    observed=observed,
                     ensemble_size=config.ensemble_size,
                     seed=derive_seed(census_seed, name, direction, k),
                     swaps_per_edge=config.swaps_per_edge,

@@ -5,7 +5,8 @@ rows for an Out subgraph (where does a country's outflow go), columns
 for an In subgraph (where does its inflow come from).  The distance is
 one minus the normalised affinity, so absent flows sit at the maximum
 distance of 1.  Average linkage operates on the symmetrised matrix
-(d + d^T) / 2 via the Lance-Williams update.
+(d + d^T) / 2, held as one dense slot matrix, via the Lance-Williams
+update: each merge is one O(n^2) numpy scan plus O(n) updates.
 """
 
 from __future__ import annotations
@@ -79,33 +80,44 @@ class Merge:
 def average_linkage_merges(dm: DistanceMatrix) -> tuple[Merge, ...]:
     """Full agglomeration sequence under average linkage.
 
-    At every step the active pair with minimal distance merges; exact
-    ties resolve toward the smallest (left id, right id) pair.  The
-    Lance-Williams update keeps each cluster-to-cluster distance equal
-    to the mean of the underlying symmetrised entries.
+    Distances live in one n x n float64 matrix indexed by slot, where
+    ``ids[slot]`` is the cluster held there; the diagonal and retired
+    slots hold ``inf``.  At every step the active pair with minimal
+    distance merges, exact ties resolving toward the smallest (min id,
+    max id) pair: as the matrix is symmetric, that is the smallest id
+    among the rows reaching the minimum, paired with the smallest id
+    tied with it in its row.  The merged cluster's Lance-Williams row
+    replaces the left cluster's row and column and the right slot is
+    retired.  Each distance stays the mean of the underlying symmetrised
+    entries, rounded as a pairwise Lance-Williams update rounds it.
     """
     n = len(dm.countries)
     if n < 2:
         raise ValueError(f"average linkage needs >= 2 items, got {n}")
-    sym = (dm.values + dm.values.T) / 2.0
-    size = {i: 1 for i in range(n)}
-    dist = {(i, j): float(sym[i, j]) for i in range(n) for j in range(i + 1, n)}
+    dist = ((dm.values + dm.values.T) / 2.0).astype(np.float64, copy=False)
+    if not np.isfinite(dist).all():
+        raise ValueError("average linkage needs finite distances")
+    np.fill_diagonal(dist, np.inf)
+    ids = np.arange(n)
+    sizes = [1] * n
     merges: list[Merge] = []
-    next_id = n
-    while len(size) > 1:
-        left, right = min(dist, key=lambda pair: (dist[pair], pair))
-        height = dist.pop((left, right))
-        left_size = size.pop(left)
-        right_size = size.pop(right)
-        for other in size:
-            to_left = dist.pop((min(left, other), max(left, other)))
-            to_right = dist.pop((min(right, other), max(right, other)))
-            dist[(other, next_id)] = (
-                left_size * to_left + right_size * to_right
-            ) / (left_size + right_size)
-        size[next_id] = left_size + right_size
-        merges.append(Merge(left, right, height, next_id, left_size + right_size))
-        next_id += 1
+    for new_id in range(n, 2 * n - 1):
+        row_min = dist.min(axis=1)
+        height = row_min.min()
+        tied = np.flatnonzero(row_min == height)
+        left = tied[ids[tied].argmin()]
+        partners = np.flatnonzero(dist[left] == height)
+        right = partners[ids[partners].argmin()]
+        left_size, right_size = sizes[left], sizes[right]
+        joined = (left_size * dist[left] + right_size * dist[right]) / (left_size + right_size)
+        dist[left] = joined
+        dist[:, left] = joined
+        dist[right] = np.inf
+        dist[:, right] = np.inf
+        merges.append(Merge(int(ids[left]), int(ids[right]), float(height), new_id,
+                            left_size + right_size))
+        ids[left] = new_id
+        sizes[left] = left_size + right_size
     return tuple(merges)
 
 

@@ -213,6 +213,16 @@ def structural_report(subgraph, centralization_direction: str | None = None) -> 
     )
 
 
+def check_pagerank_settings(damping: float, tol: float, max_iter: int) -> None:
+    """Raise ValueError unless damping lies in (0, 1), tol > 0 and max_iter >= 1."""
+    if not 0 < damping < 1:
+        raise ValueError(f"damping must lie in (0, 1), got {damping}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def pagerank(
     graph: GraphLike,
     damping: float = 0.85,
@@ -227,8 +237,7 @@ def pagerank(
     :class:`ConvergenceError` (reporting the residual) if the budget is
     exhausted first.
     """
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must lie in (0, 1), got {damping}")
+    check_pagerank_settings(damping, tol, max_iter)
     n = len(graph.nodes)
     if n == 0:
         raise ValueError("pagerank needs a non-empty graph")

@@ -13,7 +13,9 @@ from collections import deque
 
 import numpy as np
 
+from tourflow.clustering import DistanceMatrix, Merge
 from tourflow.graph import GraphLike, MobilityGraph, node_index
+from tourflow.regional import RegionMap
 
 # ---------------------------------------------------------------------------
 # graph generation
@@ -25,6 +27,41 @@ def codes_for(n: int) -> tuple[str, ...]:
     """The first n two-letter codes AA, AB, AC, ..."""
     pairs = itertools.product(_ALPHABET, repeat=2)
     return tuple("".join(pair) for pair in itertools.islice(pairs, n))
+
+
+def circulant_graph() -> MobilityGraph:
+    """Complete 117-country digraph with strictly ranked out-weights.
+
+    w(i -> j) decreases with the cyclic distance (j - i), so every
+    country's Top-k out-neighbours are its next k codes and its Top-k
+    in-neighbours its previous k; no per-node weight ties exist.
+    """
+    codes = tuple(sorted(RegionMap.default().assignment))
+    n = len(codes)
+    edges = {}
+    for i, origin in enumerate(codes):
+        for j, dest in enumerate(codes):
+            if i != j:
+                edges[(origin, dest)] = n - ((j - i) % n)
+    return MobilityGraph(codes, edges)
+
+
+def gravity_graph(rng: np.random.Generator, n: int) -> MobilityGraph:
+    """Gravity-model flows m_i * m_j / (d_ij + 0.05)^2 with lognormal noise.
+
+    Pareto masses make a few countries hubs of the Top-k subgraphs, and
+    flows that round to zero are dropped, so the graph is not complete.
+    """
+    codes = codes_for(n)
+    mass = rng.pareto(1.2, n) + 1.0
+    pos = rng.random((n, 2))
+    dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2))
+    flow = np.floor(0.1 * mass[:, None] * mass[None, :] / (dist + 0.05) ** 2
+                    * rng.lognormal(0.0, 0.3, (n, n)))
+    np.fill_diagonal(flow, 0.0)
+    rows, cols = np.nonzero(flow)
+    return MobilityGraph(codes, {(codes[i], codes[j]): int(flow[i, j])
+                                 for i, j in zip(rows.tolist(), cols.tolist())})
 
 
 def random_digraph(rng: np.random.Generator, n: int, p: float, max_weight: int = 50) -> MobilityGraph:
@@ -225,6 +262,37 @@ def naive_average_linkage(sym: np.ndarray) -> list[tuple[int, int, float, int]]:
         merges.append((a, b, dist, next_id))
         next_id += 1
     return merges
+
+
+def dict_average_linkage(dm: DistanceMatrix) -> tuple[Merge, ...]:
+    """Merge sequence from a dict of pair distances keyed (min id, max id).
+
+    Each step takes the minimum over every active pair, ties broken by
+    the pair itself, and replaces the two merged clusters' entries with
+    the Lance-Williams average.  Same arithmetic as the package, along a
+    pairwise route instead of a dense slot matrix.
+    """
+    n = len(dm.countries)
+    sym = (dm.values + dm.values.T) / 2.0
+    size = {i: 1 for i in range(n)}
+    dist = {(i, j): float(sym[i, j]) for i in range(n) for j in range(i + 1, n)}
+    merges: list[Merge] = []
+    next_id = n
+    while len(size) > 1:
+        left, right = min(dist, key=lambda pair: (dist[pair], pair))
+        height = dist.pop((left, right))
+        left_size = size.pop(left)
+        right_size = size.pop(right)
+        for other in size:
+            to_left = dist.pop((min(left, other), max(left, other)))
+            to_right = dist.pop((min(right, other), max(right, other)))
+            dist[(other, next_id)] = (
+                left_size * to_left + right_size * to_right
+            ) / (left_size + right_size)
+        size[next_id] = left_size + right_size
+        merges.append(Merge(left, right, height, next_id, left_size + right_size))
+        next_id += 1
+    return tuple(merges)
 
 
 # ---------------------------------------------------------------------------

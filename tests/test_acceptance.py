@@ -45,6 +45,7 @@ from tourflow.regional import RegionalFlowMatrix
 
 from oracles import (
     brute_force_triad_census,
+    circulant_graph,
     codes_for,
     degree_family,
     exhaustive_betweenness,
@@ -53,25 +54,6 @@ from oracles import (
     pagerank_linear_solve,
     random_digraph,
 )
-
-CANONICAL_CODES = tuple(sorted(RegionMap.default().assignment))
-
-
-def circulant_graph() -> MobilityGraph:
-    """Complete 117-country digraph with strictly ranked out-weights.
-
-    w(i -> j) decreases with the cyclic distance (j - i), so every
-    country's Top-k out-neighbours are its next k codes and its Top-k
-    in-neighbours its previous k; no per-node weight ties exist.
-    """
-    codes = CANONICAL_CODES
-    n = len(codes)
-    edges = {}
-    for i, origin in enumerate(codes):
-        for j, dest in enumerate(codes):
-            if i != j:
-                edges[(origin, dest)] = n - ((j - i) % n)
-    return MobilityGraph(codes, edges)
 
 
 def finish(criterion: int, started: float, budget: float) -> None:

@@ -241,6 +241,23 @@ class TestMotifZScores:
         with pytest.raises(ValueError, match="ensemble_size"):
             motif_zscores(g, ensemble_size=1)
 
+    def test_given_observed_census_is_not_recomputed(self, monkeypatch) -> None:
+        g = random_digraph(np.random.default_rng(53), 12, 0.3)
+        expected = motif_zscores(g, ensemble_size=20, seed=4)
+        observed = triad_census(g)
+
+        def recount(graph):
+            raise AssertionError("observed census recomputed")
+
+        monkeypatch.setattr(census, "triad_census", recount)
+        assert motif_zscores(g, ensemble_size=20, seed=4, observed=observed) == expected
+
+    def test_observed_census_of_another_graph_rejected(self) -> None:
+        g = random_digraph(np.random.default_rng(54), 12, 0.3)
+        other = triad_census(random_digraph(np.random.default_rng(54), 11, 0.3))
+        with pytest.raises(ValueError, match="observed census covers 11 nodes"):
+            motif_zscores(g, ensemble_size=2, observed=other)
+
     def test_rigid_graph_flags_everything_undefined(self) -> None:
         # A single 3-cycle admits no accepted swap, so the null ensemble
         # is constant and every spread is zero.

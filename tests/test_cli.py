@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tourflow import ConfigError, distance_matrix, parse_flow_matrix, structural_report, topk_out
+from tourflow import (
+    ConfigError,
+    census,
+    cli,
+    distance_matrix,
+    parse_flow_matrix,
+    structural_report,
+    topk_out,
+    triad_census,
+)
 from tourflow.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -187,6 +196,18 @@ class TestAnalyze:
         assert (out / "avgdist_a.csv").exists()
         assert not (out / "correlations.csv").exists()
         assert not list(out.glob("zdiff_*"))
+
+    def test_each_observed_census_is_counted_once(self, tmp_path: Path, monkeypatch) -> None:
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return triad_census(graph)
+
+        monkeypatch.setattr(cli, "triad_census", counted)
+        monkeypatch.setattr(census, "triad_census", lambda graph: pytest.fail("census recounted"))
+        run_build_analyze(tmp_path, sample_edges())
+        assert len(calls) == 6
 
     def test_outputs_match_direct_module_calls(self, tmp_path: Path) -> None:
         edges = sample_edges()
@@ -397,6 +418,13 @@ class TestExitCodes:
         # Both arcs end in AC, so Top-1 In keeps one.
         ({("AA", "AC"): 3, ("AB", "AC"): 2}, ["--set", "n_clusters=2"],
          "top-1 in: rewiring needs >= 2 edges, got 1"),
+        # PageRank settings, checked before the structural reports are written.
+        (CYCLE3, ["--set", "n_clusters=3", "--set", "pagerank_damping=1.5"],
+         "pagerank damping must lie in (0, 1), got 1.5"),
+        (CYCLE3, ["--set", "n_clusters=3", "--set", "pagerank_max_iter=0"],
+         "pagerank max_iter must be >= 1, got 0"),
+        (CYCLE3, ["--set", "n_clusters=3", "--set", "pagerank_tol=0"],
+         "pagerank tol must be > 0, got 0.0"),
     ])
     def test_unanalyzable_graph_writes_nothing(
         self, tmp_path: Path, edges: dict, overrides: list[str], message: str, capsys

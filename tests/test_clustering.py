@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourflow import (
+    DistanceMatrix,
     MobilityGraph,
     average_linkage,
     average_linkage_merges,
@@ -14,8 +17,16 @@ from tourflow import (
     topk_in,
     topk_out,
 )
+from tourflow.clustering import Merge
 
-from oracles import codes_for, naive_average_linkage, random_digraph
+from oracles import (
+    circulant_graph,
+    codes_for,
+    dict_average_linkage,
+    gravity_graph,
+    naive_average_linkage,
+    random_digraph,
+)
 
 
 class TestDistanceMatrix:
@@ -151,6 +162,61 @@ class TestAverageLinkage:
             average_linkage(dm, 0)
         with pytest.raises(ValueError, match="n_clusters"):
             average_linkage(dm, 6)
+
+
+def _grid_matrix(n: int, cells: list[int]) -> DistanceMatrix:
+    """Distances on the 5-value grid 0, 0.25, ..., 1, so most steps have ties."""
+    return DistanceMatrix(codes_for(n), np.array(cells, dtype=np.float64).reshape(n, n) / 4.0, "row")
+
+
+class TestDenseAgglomeration:
+    """The dense slot matrix reproduces the pairwise dict agglomeration exactly.
+
+    Merge tuples are compared with ``==``, heights included, so every tie
+    must resolve to the same pair and every Lance-Williams average must
+    round the same way.
+    """
+
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    def test_circulant_topk_matrices(self, direction: str) -> None:
+        graph = circulant_graph()
+        extract = topk_out if direction == "out" else topk_in
+        for k in range(1, 11):
+            dm = distance_matrix(extract(graph, k))
+            assert average_linkage_merges(dm) == dict_average_linkage(dm), k
+
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    def test_gravity_topk_matrices(self, direction: str) -> None:
+        graph = gravity_graph(np.random.default_rng(2), 117)
+        extract = topk_out if direction == "out" else topk_in
+        for k in range(1, 11):
+            dm = distance_matrix(extract(graph, k))
+            assert average_linkage_merges(dm) == dict_average_linkage(dm), k
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))))
+    def test_coarse_grid_matrices(self, drawn: tuple[int, list[int]]) -> None:
+        dm = _grid_matrix(*drawn)
+        assert average_linkage_merges(dm) == dict_average_linkage(dm)
+
+    @pytest.mark.parametrize("cells", [
+        [0, 3, 1, 0],
+        [4, 1, 1, 1, 4, 1, 1, 1, 4],
+        [0, 2, 2, 2, 0, 1, 2, 3, 0],
+    ])
+    def test_two_and_three_items(self, cells: list[int]) -> None:
+        dm = _grid_matrix(int(len(cells) ** 0.5), cells)
+        assert average_linkage_merges(dm) == dict_average_linkage(dm)
+
+    def test_ties_merge_the_smallest_id_pair_first(self) -> None:
+        merges = average_linkage_merges(_grid_matrix(3, [4] * 9))
+        assert merges == (Merge(0, 1, 1.0, 3, 2), Merge(2, 3, 1.0, 4, 3))
+
+    def test_non_finite_distances_rejected(self) -> None:
+        dm = DistanceMatrix(codes_for(2), np.array([[0.0, np.nan], [np.nan, 0.0]]), "row")
+        with pytest.raises(ValueError, match="finite"):
+            average_linkage_merges(dm)
 
 
 class TestFilterSingletons:

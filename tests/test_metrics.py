@@ -120,6 +120,17 @@ class TestPagerank:
         with pytest.raises(ValueError, match="damping"):
             pagerank(g, damping=1.0)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"max_iter": 0}, "max_iter"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-9}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+    ])
+    def test_bad_tol_and_max_iter_rejected(self, settings: dict, message: str) -> None:
+        g = MobilityGraph.build({("AA", "BB"): 1})
+        with pytest.raises(ValueError, match=message):
+            pagerank(g, **settings)
+
     def test_non_convergence_reports_residual(self) -> None:
         g = random_digraph(np.random.default_rng(4), 20, 0.3)
         with pytest.raises(ConvergenceError, match="residual"):
