@@ -38,7 +38,6 @@ from .compare import (
 from .errors import ConfigError, ConvergenceError, ParseError, TourflowError
 from .graph import (
     MobilityGraph,
-    TopKSubgraph,
     export_graph,
     topk_in,
     topk_out,
@@ -98,7 +97,6 @@ __all__ = [
     "RegionMap",
     "RegionalFlowMatrix",
     "StructuralReport",
-    "TopKSubgraph",
     "TourflowError",
     "TriadCensus",
     "avg_distance_matrix",

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import GraphLike, MobilityGraph, node_index
+from .graph import MobilityGraph
 from .metrics import sig6
 from .seeds import derive_seed
 
@@ -124,14 +124,7 @@ def _census_counts(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _index_arcs(graph: GraphLike) -> tuple[list[int], list[int]]:
-    """Node indices (sources, destinations) of the graph's arcs, in sorted order."""
-    index = node_index(graph)
-    pairs = sorted(graph.edges)
-    return [index[o] for o, _ in pairs], [index[d] for _, d in pairs]
-
-
-def triad_census(graph: GraphLike) -> TriadCensus:
+def triad_census(graph: MobilityGraph) -> TriadCensus:
     """Count every directed triad class (Batagelj-Mrvar method).
 
     Requires at least 3 nodes.  The graph's arcs, as node indices, go
@@ -140,31 +133,31 @@ def triad_census(graph: GraphLike) -> TriadCensus:
     n = len(graph.nodes)
     if n < 3:
         raise ValueError(f"triad census needs >= 3 nodes, got {n}")
-    src, dst = _index_arcs(graph)
-    counts = _census_counts(n, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+    counts = _census_counts(n, *graph.arcs)
     return TriadCensus(n, dict(zip(TRIAD_NAMES, counts.tolist())))
 
 
-def _edge_slots(graph: GraphLike, swaps_per_edge: int) -> tuple[list[int], list[int]]:
+def _edge_slots(graph: MobilityGraph, swaps_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
     """Node indices (sources, destinations) of the sorted edges, for rewiring.
 
     Each slot keeps its source for good; a swap exchanges the
-    destinations of two slots.
+    destinations of two slots.  The arrays are the graph's read-only
+    ``arcs``.
     """
     if len(graph.edges) < 2:
         raise ValueError(f"rewiring needs >= 2 edges, got {len(graph.edges)}")
     if swaps_per_edge < 1:
         raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
-    return _index_arcs(graph)
+    return graph.arcs
 
 
-def _binary_graph(graph: GraphLike, src: list[int], dst: list[int]) -> MobilityGraph:
+def _binary_graph(graph: MobilityGraph, src: list[int], dst: list[int]) -> MobilityGraph:
     codes = graph.nodes
     edges = {(codes[a], codes[b]): 1 for a, b in zip(src, dst)}
     return MobilityGraph(graph.nodes, edges, graph.label)
 
 
-def rewire(graph: GraphLike, seed: int, swaps_per_edge: int = 100) -> MobilityGraph:
+def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> MobilityGraph:
     """Degree-preserving randomisation by directed double-edge swaps.
 
     Exactly ``|E| * swaps_per_edge`` swaps are attempted: each picks two
@@ -174,7 +167,7 @@ def rewire(graph: GraphLike, seed: int, swaps_per_edge: int = 100) -> MobilityGr
     every accepted swap.  Weights are discarded; the result is a binary
     graph with unit weights.
     """
-    src, dst = _edge_slots(graph, swaps_per_edge)
+    src, dst = (slots.tolist() for slots in _edge_slots(graph, swaps_per_edge))
     n = len(graph.nodes)
     present = {a * n + b for a, b in zip(src, dst)}
     edge_count = len(src)
@@ -220,7 +213,7 @@ _STEP_WINDOW = 256
 
 
 def _rewire_chains(
-    graph: GraphLike, seeds: list[int], swaps_per_edge: int
+    graph: MobilityGraph, seeds: list[int], swaps_per_edge: int
 ) -> Iterator[np.ndarray]:
     """The slot destinations of ``rewire(graph, seed, swaps_per_edge)`` for each seed, in order.
 
@@ -234,17 +227,16 @@ def _rewire_chains(
     Sample c is chain c's ``dst`` slice, once every chain has finished;
     its arcs run from the sources of ``_edge_slots(graph, ...)``.
     """
-    src, dst0 = _edge_slots(graph, swaps_per_edge)
+    src_index, dst0 = _edge_slots(graph, swaps_per_edge)
     n = len(graph.nodes)
-    edge_count = len(src)
+    edge_count = len(src_index)
     chains = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    src_index = np.array(src, dtype=np.intp)
     node_base = np.arange(chains, dtype=np.intp) * (n * n)
     edge_base2 = np.tile(np.arange(chains, dtype=np.intp) * edge_count, 2)
     node_base2 = np.tile(node_base, 2)
     flip = np.roll(np.arange(2 * chains), chains)
-    dst = np.tile(np.array(dst0, dtype=np.intp), chains)
+    dst = np.tile(dst0, chains)
     present = np.zeros(chains * n * n, dtype=bool)
     present[(node_base[:, None] + src_index * n + dst.reshape(chains, edge_count)).ravel()] = True
     present[(node_base[:, None] + np.arange(n) * (n + 1)).ravel()] = True
@@ -277,7 +269,7 @@ def _rewire_chains(
 
 
 def _null_samples(
-    graph: GraphLike, ensemble_size: int, seed: int, swaps_per_edge: int
+    graph: MobilityGraph, ensemble_size: int, seed: int, swaps_per_edge: int
 ) -> Iterator[np.ndarray]:
     """The ensemble's rewired samples in order; sample i uses ``derive_seed(seed, i)``.
 
@@ -290,8 +282,7 @@ def _null_samples(
         for i in range(ensemble_size):
             # Rewiring keeps every out-degree, so the sorted arcs of a
             # sample run from the same sources as the graph's.
-            _, dst = _index_arcs(rewire(graph, derive_seed(seed, i), swaps_per_edge))
-            yield np.array(dst, dtype=np.intp)
+            yield rewire(graph, derive_seed(seed, i), swaps_per_edge).arcs[1]
         return
     # The kernel is exact only while Generator.integers, called window by
     # window, yields the same stream as one call, which numpy does not
@@ -304,7 +295,7 @@ def _null_samples(
     for lo, hi in zip(bounds, bounds[1:]):
         seeds = [derive_seed(seed, i) for i in range(lo, hi)]
         for i, dst in enumerate(_rewire_chains(graph, seeds, swaps_per_edge), start=lo):
-            if i == 0 and _binary_graph(graph, src, dst.tolist()).edges != reference:
+            if i == 0 and _binary_graph(graph, src.tolist(), dst.tolist()).edges != reference:
                 raise RuntimeError("batched rewiring diverged from rewire on sample 0")
             yield dst
 
@@ -354,7 +345,7 @@ class MotifZScores:
 
 
 def motif_zscores(
-    graph: GraphLike,
+    graph: MobilityGraph,
     ensemble_size: int = 1000,
     seed: int = 0,
     swaps_per_edge: int = 100,
@@ -380,7 +371,7 @@ def motif_zscores(
     elif observed.node_count != n:
         raise ValueError(
             f"observed census covers {observed.node_count} nodes, the graph {n}")
-    src = np.array(_edge_slots(graph, swaps_per_edge)[0], dtype=np.intp)
+    src, _ = _edge_slots(graph, swaps_per_edge)
     samples = np.empty((ensemble_size, len(CONNECTED_TRIADS)), dtype=np.float64)
     for i, dst in enumerate(_null_samples(graph, ensemble_size, seed, swaps_per_edge)):
         samples[i] = _census_counts(n, src, dst)[3:]  # CONNECTED_TRIADS is TRIAD_NAMES[3:]

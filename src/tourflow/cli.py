@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 from collections import Counter
@@ -27,6 +26,7 @@ from .compare import avg_distance_matrix, country_correlations, feature_matrix
 from .errors import ConfigError, ConvergenceError, ParseError, TourflowError
 from .graph import EXPORT_FORMATS, MobilityGraph, export_graph, topk_in, topk_out
 from .ingest import (
+    _open_lines,
     build_mobility_graph,
     filter_countries,
     infer_homes,
@@ -142,21 +142,39 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _meta_comment(config: RunConfig) -> str:
-    return f"tool: tourflow {__version__} | config: {config_hash(config)} | seed: {config.seed}"
+def _meta_text(config: RunConfig | None, header: bool = False) -> str:
+    """The tool version, config hash and seed (the version alone without a config).
 
-
-def _meta_lines(config: RunConfig) -> str:
-    return (
-        f"# tool: tourflow {__version__}\n"
-        f"# config: {config_hash(config)}\n"
-        f"# seed: {config.seed}\n"
-    )
+    ``header`` renders one ``# key: value`` line per field, the header of
+    every CSV report; otherwise the fields are joined by `` | `` into one
+    comment.
+    """
+    items = [f"tool: tourflow {__version__}"]
+    if config is not None:
+        items += [f"config: {config_hash(config)}", f"seed: {config.seed}"]
+    if header:
+        return "".join(f"# {item}\n" for item in items)
+    return " | ".join(items)
 
 
 def _meta_dict(config: RunConfig) -> dict:
     return {"tool": "tourflow", "version": __version__,
             "config": config_hash(config), "seed": config.seed}
+
+
+def _write_atomic(target: Path, payload: bytes) -> None:
+    """Write via a sibling temp file renamed over the target, never leaving half a file."""
+    temp = target.with_name(target.name + ".tmp")
+    temp.write_bytes(payload)
+    temp.replace(target)
+
+
+def _write_output(out: str, payload: bytes) -> None:
+    """Write a single output file (plot or export), creating its directory."""
+    target = Path(out)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(target, payload)
+    print(f"wrote {target}")
 
 
 class _Bundle:
@@ -169,10 +187,7 @@ class _Bundle:
 
     def write(self, name: str, data: str | bytes) -> None:
         payload = data.encode("utf-8") if isinstance(data, str) else data
-        target = self.outdir / name
-        temp = target.with_name(target.name + ".tmp")
-        temp.write_bytes(payload)
-        temp.replace(target)
+        _write_atomic(self.outdir / name, payload)
         self.hashes[name] = hashlib.sha256(payload).hexdigest()
 
     def write_manifest(self, name: str, meta: dict, extra: dict) -> None:
@@ -241,7 +256,8 @@ def cmd_build(config: RunConfig) -> int:
     dataset_stats: dict[str, dict] = {}
     for name, (graph, stats) in built.items():
         filename = f"graph_{name}.csv"
-        bundle.write(filename, _meta_lines(config) + export_graph(graph, "csv").decode("utf-8"))
+        bundle.write(filename, _meta_text(config, header=True)
+                     + export_graph(graph, "csv").decode("utf-8"))
         dataset_stats[name] = {**stats, "file": filename}
         print(f"dataset {name}: {graph.node_count} nodes, {graph.edge_count} edges -> "
               f"{bundle.outdir / filename}")
@@ -249,12 +265,14 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_analyzable(config: RunConfig, name: str, graph: MobilityGraph) -> None:
+def _check_analyzable(
+    config: RunConfig, name: str, graph: MobilityGraph, region_map: RegionMap
+) -> None:
     """Raise ValueError where analyze would fail on the graph part-way through its bundle.
 
-    Top-k subgraphs keep every node of the graph, so the node counts are
-    checked on the graph itself; each Top-k subgraph's arc count follows
-    from the graph's degrees.
+    Top-k subgraphs keep every node of the graph, so the node counts and
+    the region map's coverage are checked on the graph itself; each
+    Top-k subgraph's arc count follows from the graph's degrees.
     """
     context = f"analyze dataset {name}"
     n = graph.node_count
@@ -278,11 +296,17 @@ def _check_analyzable(config: RunConfig, name: str, graph: MobilityGraph) -> Non
         if kept < 2:
             raise ValueError(
                 f"{context}, top-{k} {direction}: rewiring needs >= 2 edges, got {kept}")
+    try:
+        region_map.check_covers(graph.nodes)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from None
 
 
-def _analyze_dataset(config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph) -> dict:
+def _analyze_dataset(
+    config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph, region_map: RegionMap
+) -> dict:
     """All single-dataset analyses; returns what the compare stage needs."""
-    meta = _meta_lines(config)
+    meta = _meta_text(config, header=True)
     census_seed = derive_seed(config.seed, "census")
     features = []
     motifs = {}
@@ -329,7 +353,6 @@ def _analyze_dataset(config: RunConfig, bundle: _Bundle, name: str, graph: Mobil
         top_k = max(config.k_values)
         context = f"analyze dataset {name}, regional top-{top_k} {direction}"
         try:
-            region_map = RegionMap.from_csv(config.region_map) if config.region_map else RegionMap.default()
             raw = regional_flows(extract(graph, top_k), region_map)
             share = to_shares(raw)
             bundle.write(f"regional_{name}_{direction}_raw.csv", meta + raw.to_csv())
@@ -363,11 +386,12 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
         graphs[name] = parse_flow_matrix(path, label=label)
     if not graphs:
         raise ConfigError("no graphs to analyze: run `tourflow build` first or pass --graph-a")
+    region_map = RegionMap.from_csv(config.region_map) if config.region_map else RegionMap.default()
     for name, graph in graphs.items():
-        _check_analyzable(config, name, graph)
+        _check_analyzable(config, name, graph, region_map)
     bundle = _Bundle(Path(config.output_dir))
-    meta = _meta_lines(config)
-    results = {name: _analyze_dataset(config, bundle, name, graph)
+    meta = _meta_text(config, header=True)
+    results = {name: _analyze_dataset(config, bundle, name, graph, region_map)
                for name, graph in graphs.items()}
     summary: dict = {"datasets": sorted(graphs)}
     if len(graphs) == 2:
@@ -403,11 +427,18 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
 
 def _read_report_rows(path: Path) -> list[list[str]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        with _open_lines(path) as lines:
+            kept = [line for line in lines if line.strip() and not line.startswith("#")]
     except OSError as exc:
         raise ParseError(f"cannot read report {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
-    return list(csv.reader(io.StringIO("\n".join(lines))))
+    return list(csv.reader(kept))
+
+
+def _number(cell: str, what: str) -> float:
+    try:
+        return float(cell)
+    except ValueError as exc:
+        raise ParseError(f"{what} must be numeric: {exc}") from None
 
 
 def _plot_heatmap(rows: list[list[str]], title: str, meta: str) -> str:
@@ -415,10 +446,7 @@ def _plot_heatmap(rows: list[list[str]], title: str, meta: str) -> str:
         raise ParseError("heatmap needs a dense matrix CSV with header row and label column")
     col_labels = rows[0][1:]
     row_labels = [row[0] for row in rows[1:]]
-    try:
-        values = [[float(cell) for cell in row[1:]] for row in rows[1:]]
-    except ValueError as exc:
-        raise ParseError(f"heatmap cells must be numeric: {exc}") from exc
+    values = [[_number(cell, "heatmap cells") for cell in row[1:]] for row in rows[1:]]
     if any(len(row) != len(col_labels) for row in values):
         raise ParseError("heatmap matrix is ragged")
     return heatmap_svg(values, row_labels, col_labels, title=title, meta=meta)
@@ -427,8 +455,10 @@ def _plot_heatmap(rows: list[list[str]], title: str, meta: str) -> str:
 def _plot_strip(rows: list[list[str]], title: str, meta: str) -> str:
     if not rows or rows[0][:2] != ["country", "rho"]:
         raise ParseError("strip plot expects a correlation CSV (country,rho,flag)")
+    if any(len(row) < 2 for row in rows[1:]):
+        raise ParseError("strip plot rows need a country and a rho field")
     labels = [row[0] for row in rows[1:]]
-    values = [float(row[1]) if row[1] else None for row in rows[1:]]
+    values = [_number(row[1], "strip plot rho") if row[1] else None for row in rows[1:]]
     return strip_svg(labels, values, title=title, meta=meta)
 
 
@@ -445,7 +475,7 @@ def _plot_bar(rows: list[list[str]], title: str, meta: str) -> str:
     for row in rows[1:]:
         if len(row) > column and row[column]:
             labels.append(row[0])
-            values.append(float(row[column]))
+            values.append(_number(row[column], "bar plot values"))
     if not labels:
         raise ParseError("bar plot found no defined values in the report")
     return bar_svg(labels, values, title=title, meta=meta)
@@ -457,8 +487,7 @@ def cmd_plot(report: str, kind: str, out: str, config: RunConfig | None = None) 
         raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
     path = Path(report)
     rows = _read_report_rows(path)
-    meta = _meta_comment(config) if config else f"tool: tourflow {__version__}"
-    meta += f" | source: {path.name}"
+    meta = _meta_text(config) + f" | source: {path.name}"
     title = path.stem
     if kind == "heatmap":
         svg = _plot_heatmap(rows, title, meta)
@@ -466,12 +495,7 @@ def cmd_plot(report: str, kind: str, out: str, config: RunConfig | None = None) 
         svg = _plot_strip(rows, title, meta)
     else:
         svg = _plot_bar(rows, title, meta)
-    target = Path(out)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    temp = target.with_name(target.name + ".tmp")
-    temp.write_text(svg, encoding="utf-8")
-    temp.replace(target)
-    print(f"wrote {target}")
+    _write_output(out, svg.encode("utf-8"))
     return EXIT_OK
 
 
@@ -490,14 +514,7 @@ def cmd_export(graph_path: str, fmt: str, out: str, config: RunConfig | None = N
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
     graph = parse_flow_matrix(graph_path, label=Path(graph_path).stem)
-    comment = _meta_comment(config) if config else f"tool: tourflow {__version__}"
-    payload = _with_meta(export_graph(graph, fmt), fmt, comment)
-    target = Path(out)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    temp = target.with_name(target.name + ".tmp")
-    temp.write_bytes(payload)
-    temp.replace(target)
-    print(f"wrote {target}")
+    _write_output(out, _with_meta(export_graph(graph, fmt), fmt, _meta_text(config)))
     return EXIT_OK
 
 

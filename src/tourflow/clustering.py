@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import TopKSubgraph, weight_matrix
+from .graph import MobilityGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,22 +34,22 @@ class DistanceMatrix:
         return "\n".join(lines) + "\n"
 
 
-def distance_matrix(subgraph: TopKSubgraph, normalization: str | None = None) -> DistanceMatrix:
+def distance_matrix(subgraph: MobilityGraph, normalization: str | None = None) -> DistanceMatrix:
     """Distance d = 1 - n(w) from the normalised weight matrix.
 
     ``normalization`` defaults to ``"row"`` for an Out subgraph and
-    ``"column"`` for an In subgraph.  Rows (or columns) summing to zero
+    ``"column"`` for an In subgraph; a plain graph, whose ``direction``
+    is None, needs it given.  Rows (or columns) summing to zero
     normalise to zero, which places the country at distance 1 from
     everyone; the diagonal is 1 as well since self-loops do not exist.
     """
     if normalization is None:
-        direction = getattr(subgraph, "direction", None)
-        if direction is None:
+        if subgraph.direction is None:
             raise ValueError("normalization is required for plain graphs")
-        normalization = "row" if direction == "out" else "column"
+        normalization = "row" if subgraph.direction == "out" else "column"
     if normalization not in ("row", "column"):
         raise ValueError(f"normalization must be 'row' or 'column', got {normalization!r}")
-    weights = weight_matrix(subgraph)
+    weights = subgraph.weights
     axis = 1 if normalization == "row" else 0
     sums = weights.sum(axis=axis)
     affinity = np.zeros_like(weights)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import TopKSubgraph
+from .graph import MobilityGraph
 from .metrics import CentralityTable, ComponentAssignment, sig6
 
 NUMERIC_FEATURES = ("in_strength", "out_strength", "betweenness", "pagerank")
@@ -54,7 +54,7 @@ class FeatureMatrix:
 
 
 def feature_matrix(
-    subgraph: TopKSubgraph,
+    subgraph: MobilityGraph,
     table: CentralityTable,
     components: ComponentAssignment,
 ) -> FeatureMatrix:
@@ -64,7 +64,11 @@ def feature_matrix(
     the out-degree for an In subgraph (the constrained direction's
     degree is capped at k and carries no signal).  Component membership
     enters as one one-hot column per component id, singletons included.
+    The subgraph must be a Top-k one: a graph whose ``direction`` is None
+    raises ValueError.
     """
+    if subgraph.direction is None:
+        raise ValueError("feature_matrix needs a Top-k subgraph, but the graph's direction is None")
     codes = subgraph.nodes
     degree_measure = "in_degree" if subgraph.direction == "out" else "out_degree"
     measures = NUMERIC_FEATURES + (degree_measure,)

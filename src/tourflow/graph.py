@@ -15,22 +15,27 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from xml.sax.saxutils import escape, quoteattr
+
+import numpy as np
 
 _CODE_RE = re.compile(r"^[A-Z]{2}$")
 
 EXPORT_FORMATS = ("csv", "dot", "graphml")
 
 
-def _check_edges(nodes: tuple[str, ...], edges: dict[tuple[str, str], int]) -> None:
-    known = set(nodes)
-    for (origin, dest), weight in edges.items():
-        if origin == dest:
-            raise ValueError(f"self-loop on {origin!r}")
-        if origin not in known or dest not in known:
-            raise ValueError(f"edge ({origin!r}, {dest!r}) references unknown node")
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-            raise ValueError(f"edge ({origin!r}, {dest!r}) has non-positive weight {weight!r}")
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _grouped(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """``values`` grouped by ``keys`` into n tuples, each in array order."""
+    groups: list[list[int]] = [[] for _ in range(n)]
+    for key, value in zip(keys.tolist(), values.tolist()):
+        groups[key].append(value)
+    return tuple(map(tuple, groups))
 
 
 @dataclass(frozen=True)
@@ -40,16 +45,41 @@ class MobilityGraph:
     ``nodes`` is sorted lexicographically and may include isolated
     countries.  ``edges`` maps ``(origin, destination)`` to a weight
     >= 1; both endpoints must appear in ``nodes``.
+
+    A Top-k subgraph (see :func:`topk_out` and :func:`topk_in`) records
+    which endpoint was constrained in ``direction``: ``"in"`` means every
+    node kept at most ``k`` incoming edges, ``"out"`` at most ``k``
+    outgoing ones.  Both are None for a full graph.
+
+    A graph is never changed after construction: its node index, arc
+    arrays, neighbour lists and weight matrix are built on first use
+    and cached, and the cached arrays are read-only.
     """
 
     nodes: tuple[str, ...]
     edges: dict[tuple[str, str], int]
     label: str = ""
+    direction: str | None = None
+    k: int | None = None
 
     def __post_init__(self) -> None:
+        if (self.direction is None) != (self.k is None):
+            raise ValueError("direction and k must both be set or both be None")
+        if self.direction is not None:
+            if self.direction not in ("in", "out"):
+                raise ValueError(f"direction must be 'in' or 'out', got {self.direction!r}")
+            if self.k < 1:
+                raise ValueError(f"k must be >= 1, got {self.k}")
         if list(self.nodes) != sorted(set(self.nodes)):
             raise ValueError("nodes must be sorted and free of duplicates")
-        _check_edges(self.nodes, self.edges)
+        known = set(self.nodes)
+        for (origin, dest), weight in self.edges.items():
+            if origin == dest:
+                raise ValueError(f"self-loop on {origin!r}")
+            if origin not in known or dest not in known:
+                raise ValueError(f"edge ({origin!r}, {dest!r}) references unknown node")
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+                raise ValueError(f"edge ({origin!r}, {dest!r}) has non-positive weight {weight!r}")
 
     @classmethod
     def build(
@@ -77,46 +107,37 @@ class MobilityGraph:
     def total_weight(self) -> int:
         return sum(self.edges.values())
 
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Country code -> position in the sorted node tuple."""
+        return {code: i for i, code in enumerate(self.nodes)}
 
-@dataclass(frozen=True)
-class TopKSubgraph:
-    """The result of Top-k edge filtering of a :class:`MobilityGraph`.
+    @cached_property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node positions (sources, destinations) of the arcs, sorted by endpoint pair."""
+        position = self.position
+        pairs = sorted(self.edges)
+        src = np.array([position[o] for o, _ in pairs], dtype=np.intp)
+        dst = np.array([position[d] for _, d in pairs], dtype=np.intp)
+        return _read_only(src), _read_only(dst)
 
-    ``direction`` records which endpoint was constrained: ``"in"`` means
-    every node kept at most k incoming edges, ``"out"`` at most k
-    outgoing ones.  The node set of the parent graph is preserved, so a
-    node whose every edge was pruned simply becomes isolated.
-    """
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the positions of its successors, ascending (the arcs are sorted)."""
+        return _grouped(len(self.nodes), *self.arcs)
 
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], int]
-    direction: str
-    k: int
-    label: str = ""
+    @cached_property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the positions of its predecessors, ascending (the arcs are sorted)."""
+        return _grouped(len(self.nodes), *reversed(self.arcs))
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("in", "out"):
-            raise ValueError(f"direction must be 'in' or 'out', got {self.direction!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if list(self.nodes) != sorted(set(self.nodes)):
-            raise ValueError("nodes must be sorted and free of duplicates")
-        _check_edges(self.nodes, self.edges)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
-
-
-GraphLike = MobilityGraph | TopKSubgraph
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Dense float64 weight matrix in node order, zero for absent edges."""
+        n = len(self.nodes)
+        mat = np.zeros((n, n), dtype=np.float64)
+        mat[self.arcs] = [float(self.edges[pair]) for pair in sorted(self.edges)]
+        return _read_only(mat)
 
 
 def is_country_code(code: str) -> bool:
@@ -124,7 +145,7 @@ def is_country_code(code: str) -> bool:
     return bool(_CODE_RE.match(code))
 
 
-def topk_out(graph: MobilityGraph, k: int) -> TopKSubgraph:
+def topk_out(graph: MobilityGraph, k: int) -> MobilityGraph:
     """Keep each node's k highest-weight outgoing edges.
 
     Ties on weight are resolved toward the lexicographically smaller
@@ -136,8 +157,9 @@ def topk_out(graph: MobilityGraph, k: int) -> TopKSubgraph:
         k: number of edges retained per origin, >= 1.
 
     Returns:
-        A :class:`TopKSubgraph` with ``direction="out"`` over the same
-        node set.
+        A :class:`MobilityGraph` with ``direction="out"`` and ``k`` over
+        the same node set; a node whose every edge was pruned becomes
+        isolated.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -149,10 +171,10 @@ def topk_out(graph: MobilityGraph, k: int) -> TopKSubgraph:
         cands.sort(key=lambda wc: (-wc[0], wc[1]))
         for weight, dest in cands[:k]:
             kept[(origin, dest)] = weight
-    return TopKSubgraph(graph.nodes, kept, "out", k, graph.label)
+    return MobilityGraph(graph.nodes, kept, graph.label, "out", k)
 
 
-def topk_in(graph: MobilityGraph, k: int) -> TopKSubgraph:
+def topk_in(graph: MobilityGraph, k: int) -> MobilityGraph:
     """Keep each node's k highest-weight incoming edges.
 
     Ties on weight are resolved toward the lexicographically smaller
@@ -168,58 +190,22 @@ def topk_in(graph: MobilityGraph, k: int) -> TopKSubgraph:
         cands.sort(key=lambda wc: (-wc[0], wc[1]))
         for weight, origin in cands[:k]:
             kept[(origin, dest)] = weight
-    return TopKSubgraph(graph.nodes, kept, "in", k, graph.label)
+    return MobilityGraph(graph.nodes, kept, graph.label, "in", k)
 
 
-def node_index(graph: GraphLike) -> dict[str, int]:
-    """Country code -> position in the sorted node tuple."""
-    return {code: i for i, code in enumerate(graph.nodes)}
-
-
-def adjacency(graph: GraphLike) -> tuple[list[list[int]], list[list[int]]]:
-    """Index-based adjacency lists ``(successors, predecessors)``.
-
-    Neighbour lists are sorted ascending, so every traversal built on
-    them is deterministic.
-    """
-    index = node_index(graph)
-    succ: list[list[int]] = [[] for _ in graph.nodes]
-    pred: list[list[int]] = [[] for _ in graph.nodes]
-    for origin, dest in graph.edges:
-        succ[index[origin]].append(index[dest])
-        pred[index[dest]].append(index[origin])
-    for lst in succ:
-        lst.sort()
-    for lst in pred:
-        lst.sort()
-    return succ, pred
-
-
-def weight_matrix(graph: GraphLike):
-    """Dense float weight matrix in node order (zeros for absent edges)."""
-    import numpy as np
-
-    n = len(graph.nodes)
-    index = node_index(graph)
-    mat = np.zeros((n, n), dtype=np.float64)
-    for (origin, dest), weight in graph.edges.items():
-        mat[index[origin], index[dest]] = float(weight)
-    return mat
-
-
-def sorted_edges(graph: GraphLike) -> list[tuple[str, str, int]]:
+def sorted_edges(graph: MobilityGraph) -> list[tuple[str, str, int]]:
     """Edges as (origin, destination, weight), sorted by endpoint pair."""
     return sorted((o, d, w) for (o, d), w in graph.edges.items())
 
 
-def _to_csv(graph: GraphLike) -> str:
+def _to_csv(graph: MobilityGraph) -> str:
     lines = [("# nodes: " + " ".join(graph.nodes)).rstrip(), "origin,destination,count"]
     for origin, dest, weight in sorted_edges(graph):
         lines.append(f"{origin},{dest},{weight}")
     return "\n".join(lines) + "\n"
 
 
-def _to_dot(graph: GraphLike) -> str:
+def _to_dot(graph: MobilityGraph) -> str:
     name = graph.label if graph.label else "mobility"
     lines = ["digraph " + quoteattr(name) + " {"]
     for code in graph.nodes:
@@ -230,7 +216,7 @@ def _to_dot(graph: GraphLike) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_graphml(graph: GraphLike) -> str:
+def _to_graphml(graph: MobilityGraph) -> str:
     lines = [
         "<?xml version='1.0' encoding='utf-8'?>",
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"'
@@ -252,7 +238,7 @@ def _to_graphml(graph: GraphLike) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_graph(graph: GraphLike, fmt: str) -> bytes:
+def export_graph(graph: MobilityGraph, fmt: str) -> bytes:
     """Serialize a graph to one of ``csv``, ``dot`` or ``graphml``.
 
     All three formats list nodes and edges in sorted order, so equal

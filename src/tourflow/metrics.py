@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError
-from .graph import GraphLike, adjacency, node_index, weight_matrix
+from .graph import MobilityGraph
 
 MEASURES = ("in_degree", "out_degree", "in_strength", "out_strength", "pagerank", "betweenness")
 
@@ -36,6 +36,12 @@ class DyadCensus:
     @property
     def total(self) -> int:
         return self.mutual + self.asymmetric + self.null
+
+    @property
+    def reciprocity(self) -> float:
+        """Share of adjacent dyads that are mutual: 2M / (2M + A)."""
+        adjacent = 2 * self.mutual + self.asymmetric
+        return 2 * self.mutual / adjacent if adjacent else 0.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class StructuralReport:
         return "\n".join(lines) + "\n"
 
 
-def dyad_census(graph: GraphLike) -> DyadCensus:
+def dyad_census(graph: MobilityGraph) -> DyadCensus:
     """Classify every unordered node pair as mutual, asymmetric or null."""
     edges = graph.edges
     reciprocated = sum(1 for (o, d) in edges if (d, o) in edges)
@@ -95,26 +101,14 @@ def dyad_census(graph: GraphLike) -> DyadCensus:
     return DyadCensus(mutual, asymmetric, null)
 
 
-def reciprocity(graph: GraphLike) -> float:
-    """Share of adjacent dyads that are mutual: 2M / (2M + A)."""
-    census = dyad_census(graph)
-    adjacent = 2 * census.mutual + census.asymmetric
-    return 2 * census.mutual / adjacent if adjacent else 0.0
-
-
-def transitivity(graph: GraphLike) -> float:
+def transitivity(graph: MobilityGraph) -> float:
     """Global clustering coefficient of the undirected projection.
 
     Defined as 3 * triangles / connected triples, where triples are
     counted as sum over nodes of C(degree, 2) in the projection.
     """
     n = len(graph.nodes)
-    index = node_index(graph)
-    neigh: list[set[int]] = [set() for _ in range(n)]
-    for origin, dest in graph.edges:
-        u, v = index[origin], index[dest]
-        neigh[u].add(v)
-        neigh[v].add(u)
+    neigh = [set(succ).union(pred) for succ, pred in zip(graph.successors, graph.predecessors)]
     triples = sum(len(s) * (len(s) - 1) // 2 for s in neigh)
     if triples == 0:
         return 0.0
@@ -125,13 +119,13 @@ def transitivity(graph: GraphLike) -> float:
     return closed / triples
 
 
-def geodesic_stats(graph: GraphLike) -> tuple[float, int, int]:
+def geodesic_stats(graph: MobilityGraph) -> tuple[float, int, int]:
     """(average geodesic, diameter, unreachable ordered pairs) via BFS.
 
     The average and diameter consider reachable ordered pairs s != t
     only; with no such pair both are reported as 0.
     """
-    succ, _ = adjacency(graph)
+    succ = graph.successors
     n = len(succ)
     total = 0
     reachable = 0
@@ -157,7 +151,7 @@ def geodesic_stats(graph: GraphLike) -> tuple[float, int, int]:
     return avg, diameter, unreachable
 
 
-def degree_centralization(graph: GraphLike, direction: str) -> float:
+def degree_centralization(graph: MobilityGraph, direction: str) -> float:
     """Freeman degree centralization over in- or out-degrees.
 
     Computes sum(d_max - d_v) / (n - 1)^2, the star-normalised spread of
@@ -168,31 +162,30 @@ def degree_centralization(graph: GraphLike, direction: str) -> float:
     n = len(graph.nodes)
     if n < 3:
         raise ValueError(f"degree centralization needs >= 3 nodes, got {n}")
-    degrees = dict.fromkeys(graph.nodes, 0)
-    position = 0 if direction == "out" else 1
-    for pair in graph.edges:
-        degrees[pair[position]] += 1
-    top = max(degrees.values())
-    return sum(top - d for d in degrees.values()) / (n - 1) ** 2
+    neighbours = graph.successors if direction == "out" else graph.predecessors
+    degrees = [len(ends) for ends in neighbours]
+    top = max(degrees)
+    return sum(top - d for d in degrees) / (n - 1) ** 2
 
 
-def structural_report(subgraph, centralization_direction: str | None = None) -> StructuralReport:
+def structural_report(
+    subgraph: MobilityGraph, centralization_direction: str | None = None
+) -> StructuralReport:
     """Compute the full structural summary of a Top-k subgraph.
 
     The degree centralization is taken over the direction that Top-k
     filtering did *not* constrain (for an Out subgraph the out-degrees
     are capped at k, so the in-degree distribution is the informative
     one, and vice versa).  Pass ``centralization_direction`` explicitly
-    when the input is a plain graph with no ``direction`` attribute.
+    when the input is a plain graph, whose ``direction`` is None.
     """
     n = len(subgraph.nodes)
     if n < 2:
         raise ValueError(f"structural report needs >= 2 nodes, got {n}")
     if centralization_direction is None:
-        constrained = getattr(subgraph, "direction", None)
-        if constrained not in ("in", "out"):
+        if subgraph.direction is None:
             raise ValueError("centralization_direction is required for plain graphs")
-        centralization_direction = "in" if constrained == "out" else "out"
+        centralization_direction = "in" if subgraph.direction == "out" else "out"
     edge_count = len(subgraph.edges)
     avg_geo, diameter, unreachable = geodesic_stats(subgraph)
     census = dyad_census(subgraph)
@@ -208,7 +201,7 @@ def structural_report(subgraph, centralization_direction: str | None = None) -> 
         degree_centralization=degree_centralization(subgraph, centralization_direction),
         centralization_direction=centralization_direction,
         dyads=census,
-        reciprocity=reciprocity(subgraph),
+        reciprocity=census.reciprocity,
         transitivity=transitivity(subgraph),
     )
 
@@ -224,7 +217,7 @@ def check_pagerank_settings(damping: float, tol: float, max_iter: int) -> None:
 
 
 def pagerank(
-    graph: GraphLike,
+    graph: MobilityGraph,
     damping: float = 0.85,
     tol: float = 1e-9,
     max_iter: int = 1_000_000,
@@ -241,7 +234,7 @@ def pagerank(
     n = len(graph.nodes)
     if n == 0:
         raise ValueError("pagerank needs a non-empty graph")
-    weights = weight_matrix(graph)
+    weights = graph.weights
     out_strength = weights.sum(axis=1)
     dangling = out_strength == 0.0
     transition = np.zeros_like(weights)
@@ -261,13 +254,13 @@ def pagerank(
     )
 
 
-def betweenness(graph: GraphLike) -> dict[str, float]:
+def betweenness(graph: MobilityGraph) -> dict[str, float]:
     """Unnormalised betweenness on directed unweighted geodesics.
 
     Brandes' accumulation: one BFS per source, dependencies pushed back
     through the shortest-path DAG.  Endpoints are excluded.
     """
-    succ, _ = adjacency(graph)
+    succ = graph.successors
     n = len(succ)
     score = [0.0] * n
     for source in range(n):
@@ -298,7 +291,7 @@ def betweenness(graph: GraphLike) -> dict[str, float]:
     return {code: score[i] for i, code in enumerate(graph.nodes)}
 
 
-def _tarjan_components(succ: list[list[int]]) -> list[list[int]]:
+def _tarjan_components(succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """Strongly connected components, iteratively, in Tarjan's order.
 
     Uses Nuutila's variant: only potential roots sit on the component
@@ -370,10 +363,9 @@ class ComponentAssignment:
         return "\n".join(lines) + "\n"
 
 
-def scc(graph: GraphLike) -> ComponentAssignment:
+def scc(graph: MobilityGraph) -> ComponentAssignment:
     """Strongly connected components with deterministic component ids."""
-    succ, _ = adjacency(graph)
-    raw = _tarjan_components(succ)
+    raw = _tarjan_components(graph.successors)
     named = [sorted(graph.nodes[i] for i in members) for members in raw]
     named.sort(key=lambda ms: (-len(ms), ms[0]))
     assignment: dict[str, int] = {}
@@ -422,7 +414,7 @@ class CentralityTable:
 
 
 def centrality_table(
-    graph: GraphLike,
+    graph: MobilityGraph,
     damping: float = 0.85,
     tol: float = 1e-9,
     max_iter: int = 1_000_000,

@@ -14,12 +14,13 @@ import io
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import ParseError
-from .graph import GraphLike, is_country_code
+from .graph import MobilityGraph, is_country_code
+from .ingest import _open_lines
 
 
 @dataclass(frozen=True)
@@ -35,20 +36,15 @@ class RegionMap:
 
     @classmethod
     def from_csv(cls, source: str | Path | IO[str]) -> "RegionMap":
-        if hasattr(source, "read"):
-            text = source.read()  # type: ignore[union-attr]
-        else:
-            text = Path(source).read_text(encoding="utf-8")
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = [col.strip() for col in next(reader)]
-        except StopIteration:
-            raise ParseError("region map is empty; expected header country,region") from None
-        if header != ["country", "region"]:
+        with _open_lines(source) as lines:
+            rows = list(csv.reader(lines))
+        if not rows:
+            raise ParseError("region map is empty; expected header country,region")
+        if [col.strip() for col in rows[0]] != ["country", "region"]:
             raise ParseError("region map header must be country,region")
         regions: list[str] = []
         assignment: dict[str, str] = {}
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
             if len(row) != 2:
@@ -72,6 +68,12 @@ class RegionMap:
         """The packaged six-continent map."""
         text = resources.files("tourflow.data").joinpath("continents.csv").read_text("utf-8")
         return cls.from_csv(io.StringIO(text))
+
+    def check_covers(self, codes: Iterable[str]) -> None:
+        """Raise ValueError naming every code that has no region."""
+        unmapped = sorted(code for code in codes if code not in self.assignment)
+        if unmapped:
+            raise ValueError(f"countries missing from the region map: {', '.join(unmapped)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +100,14 @@ class RegionalFlowMatrix:
         return "\n".join(lines) + "\n"
 
 
-def regional_flows(graph: GraphLike, region_map: RegionMap) -> RegionalFlowMatrix:
+def regional_flows(graph: MobilityGraph, region_map: RegionMap) -> RegionalFlowMatrix:
     """Sum edge weights into origin-region x destination-region cells.
 
     Every node of the graph must be mapped; intra-region flows land on
     the diagonal.  The grand total equals the graph's total weight
     exactly (integer arithmetic).
     """
-    unmapped = sorted(code for code in graph.nodes if code not in region_map.assignment)
-    if unmapped:
-        raise ValueError(f"countries missing from the region map: {', '.join(unmapped)}")
+    region_map.check_covers(graph.nodes)
     position = {region: i for i, region in enumerate(region_map.regions)}
     size = len(region_map.regions)
     values = np.zeros((size, size), dtype=np.int64)

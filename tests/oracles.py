@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from tourflow.clustering import DistanceMatrix, Merge
-from tourflow.graph import GraphLike, MobilityGraph, node_index
+from tourflow.graph import MobilityGraph
 from tourflow.regional import RegionMap
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,12 @@ def random_digraph(rng: np.random.Generator, n: int, p: float, max_weight: int =
     return MobilityGraph(codes, edges)
 
 
-def index_edges(graph: GraphLike) -> set[tuple[int, int]]:
+def node_index(graph: MobilityGraph) -> dict[str, int]:
+    """Country code -> position, built here rather than read from the graph's own index."""
+    return {code: i for i, code in enumerate(graph.nodes)}
+
+
+def index_edges(graph: MobilityGraph) -> set[tuple[int, int]]:
     index = node_index(graph)
     return {(index[o], index[d]) for o, d in graph.edges}
 
@@ -87,7 +92,7 @@ def index_edges(graph: GraphLike) -> set[tuple[int, int]]:
 # geodesics (Floyd-Warshall route)
 
 
-def floyd_warshall_stats(graph: GraphLike) -> tuple[float, int, int]:
+def floyd_warshall_stats(graph: MobilityGraph) -> tuple[float, int, int]:
     """(avg geodesic, diameter, unreachable ordered pairs) by F-W."""
     n = len(graph.nodes)
     inf = float("inf")
@@ -145,7 +150,7 @@ def _all_shortest_paths(succ: list[list[int]], s: int, t: int) -> list[list[int]
     return paths
 
 
-def exhaustive_betweenness(graph: GraphLike) -> dict[str, float]:
+def exhaustive_betweenness(graph: MobilityGraph) -> dict[str, float]:
     index = node_index(graph)
     n = len(graph.nodes)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -170,7 +175,7 @@ def exhaustive_betweenness(graph: GraphLike) -> dict[str, float]:
 # PageRank as a dense linear system
 
 
-def pagerank_linear_solve(graph: GraphLike, damping: float = 0.85) -> dict[str, float]:
+def pagerank_linear_solve(graph: MobilityGraph, damping: float = 0.85) -> dict[str, float]:
     """Solve (I - d M^T) x = (1-d)/n directly; M is the full transition
     matrix with dangling rows replaced by the uniform distribution."""
     n = len(graph.nodes)
@@ -191,7 +196,7 @@ def pagerank_linear_solve(graph: GraphLike, damping: float = 0.85) -> dict[str, 
 # strongly connected components, Kosaraju two-pass
 
 
-def kosaraju_scc(graph: GraphLike) -> list[frozenset[str]]:
+def kosaraju_scc(graph: MobilityGraph) -> list[frozenset[str]]:
     index = node_index(graph)
     n = len(graph.nodes)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -343,7 +348,7 @@ def classify_triple(edges: set[tuple[int, int]], i: int, j: int, k: int) -> str:
     return _LOOKUP[arcs]
 
 
-def brute_force_triad_census(graph: GraphLike) -> dict[str, int]:
+def brute_force_triad_census(graph: MobilityGraph) -> dict[str, int]:
     """Classify every C(n,3) triple one by one."""
     edges = index_edges(graph)
     n = len(graph.nodes)

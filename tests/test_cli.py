@@ -304,12 +304,27 @@ class TestPlot:
         assert code == EXIT_PARSE
         assert "cannot read" in capsys.readouterr().err
 
-    def test_wrong_shape_is_parse_error(self, tmp_path: Path) -> None:
+    @pytest.mark.parametrize("kind, text", [
+        pytest.param("strip", "metric,value\ndensity,0.5\n", id="strip-header"),
+        pytest.param("strip", "country,rho,flag\nAA,abc,\n", id="strip-value"),
+        pytest.param("strip", "country,rho,flag\nAA\n", id="strip-short-row"),
+        pytest.param("bar", "class,count\n030T,xyz\n", id="bar-value"),
+    ])
+    def test_wrong_shape_is_parse_error(self, tmp_path: Path, kind: str, text: str) -> None:
         report = tmp_path / "bad.csv"
-        report.write_text("metric,value\ndensity,0.5\n", encoding="utf-8")
+        report.write_text(text, encoding="utf-8")
+        code = main(["plot", "--report", str(report), "--kind", kind,
+                     "--out", str(tmp_path / "x.svg")])
+        assert code == EXIT_PARSE
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_non_utf8_report_is_parse_error(self, tmp_path: Path, capsys) -> None:
+        report = tmp_path / "correlations.csv"
+        report.write_bytes(b"country,rho,flag\nAA,0.5,\xff\n")
         code = main(["plot", "--report", str(report), "--kind", "strip",
                      "--out", str(tmp_path / "x.svg")])
         assert code == EXIT_PARSE
+        assert "not valid UTF-8" in capsys.readouterr().err
 
 
 class TestExport:
@@ -368,10 +383,13 @@ class TestExitCodes:
 
     def test_convergence_error_exit_code(self, tmp_path: Path, capsys) -> None:
         flows = tmp_path / "flows.csv"
-        write_flow_csv(flows, sample_edges())
+        edges = sample_edges()
+        write_flow_csv(flows, edges)
+        regions = write_region_map(tmp_path, {c for pair in edges for c in pair})
         out = tmp_path / "out"
         base = ["--set", f"dataset_a_flows={flows}",
                 "--set", f"output_dir={out}",
+                "--set", f"region_map={regions}",
                 "--set", "pagerank_max_iter=1",
                 "--set", "pagerank_tol=1e-15", *FAST]
         assert main(["build", *base]) == EXIT_OK
@@ -395,6 +413,19 @@ class TestExitCodes:
                      "--set", "strict=false", "--set", f"output_dir={tmp_path / 'out'}"])
         assert code == EXIT_PARSE
         assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_region_map_writes_nothing(self, tmp_path: Path, capsys) -> None:
+        flows = tmp_path / "flows.csv"
+        write_flow_csv(flows, sample_edges())
+        regions = tmp_path / "regions.csv"
+        regions.write_bytes(b"country,region\nAA,West\xff\n")
+        out = tmp_path / "out"
+        base = ["--set", f"dataset_a_flows={flows}", "--set", f"output_dir={out}", *FAST]
+        assert main(["build", *base]) == EXIT_OK
+        built = sorted(out.iterdir())
+        assert main(["analyze", *base, "--set", f"region_map={regions}"]) == EXIT_PARSE
+        assert "not valid UTF-8" in capsys.readouterr().err
+        assert sorted(out.iterdir()) == built
 
     def test_checkins_all_under_threshold_write_nothing(self, tmp_path: Path, capsys) -> None:
         flows = tmp_path / "flows.csv"
@@ -425,6 +456,8 @@ class TestExitCodes:
          "pagerank max_iter must be >= 1, got 0"),
         (CYCLE3, ["--set", "n_clusters=3", "--set", "pagerank_tol=0"],
          "pagerank tol must be > 0, got 0.0"),
+        # The default region map has none of these codes.
+        (CYCLE3, ["--set", "n_clusters=3"], "countries missing from the region map: AA, AB, AC"),
     ])
     def test_unanalyzable_graph_writes_nothing(
         self, tmp_path: Path, edges: dict, overrides: list[str], message: str, capsys

@@ -91,6 +91,11 @@ class TestFeatureMatrix:
         assert one_hot.shape == (4, 1)
         assert np.all(one_hot == 0.0)
 
+    def test_graph_without_direction_rejected(self) -> None:
+        g = random_digraph(np.random.default_rng(6), 6, 0.5)
+        with pytest.raises(ValueError, match="direction"):
+            feature_matrix(g, centrality_table(g), scc(g))
+
     def test_incomplete_table_rejected(self) -> None:
         g = random_digraph(np.random.default_rng(5), 6, 0.5)
         sg = topk_out(g, 2)

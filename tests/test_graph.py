@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourflow import MobilityGraph, TopKSubgraph, export_graph, parse_flow_matrix, topk_in, topk_out
+from tourflow import MobilityGraph, export_graph, parse_flow_matrix, topk_in, topk_out
 
 from oracles import random_digraph
 
@@ -135,7 +135,39 @@ class TestTopK:
 
     def test_subgraph_validation(self) -> None:
         with pytest.raises(ValueError, match="direction"):
-            TopKSubgraph(("AA", "BB"), {}, "sideways", 1)
+            MobilityGraph(("AA", "BB"), {}, direction="sideways", k=1)
+
+    @pytest.mark.parametrize("extra", [{"direction": "in"}, {"k": 2}])
+    def test_direction_and_k_go_together(self, extra: dict) -> None:
+        with pytest.raises(ValueError, match="both"):
+            MobilityGraph(("AA", "BB"), {}, **extra)
+
+
+class TestIndex:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_index_matches_edges(self, seed: int) -> None:
+        g = topk_in(random_digraph(np.random.default_rng(seed), 9, 0.4), 2)
+        codes = g.nodes
+        assert g.position == {code: i for i, code in enumerate(codes)}
+        src, dst = g.arcs
+        assert [(codes[a], codes[b]) for a, b in zip(src, dst)] == sorted(g.edges)
+        for i in range(len(codes)):
+            assert list(g.successors[i]) == sorted(
+                codes.index(d) for o, d in g.edges if o == codes[i])
+            assert list(g.predecessors[i]) == sorted(
+                codes.index(o) for o, d in g.edges if d == codes[i])
+        expected = np.zeros((len(codes), len(codes)))
+        for (o, d), w in g.edges.items():
+            expected[codes.index(o), codes.index(d)] = w
+        assert np.array_equal(g.weights, expected)
+
+    def test_index_is_built_once_and_read_only(self) -> None:
+        g = MobilityGraph.build({("AA", "BB"): 3, ("BB", "CC"): 2})
+        assert g.weights is g.weights and g.arcs is g.arcs
+        for array in (*g.arcs, g.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestExport:
