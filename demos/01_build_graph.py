@@ -35,7 +35,7 @@ for user in range(300):
         rows.append(f"u{user},{random.choice(countries)},{clock}")
 
 table = parse_checkins(io.StringIO("\n".join(rows) + "\n"))
-print(f"parsed {len(table.records)} check-ins from {len(table.users)} users")
+print(f"parsed {table.record_count} check-ins from {len(table.users)} users")
 
 # Home country = country with the most check-ins per user.
 homes = infer_homes(table)

@@ -43,7 +43,6 @@ from .graph import (
     topk_out,
 )
 from .ingest import (
-    CheckinRecord,
     CheckinTable,
     build_mobility_graph,
     filter_countries,
@@ -81,7 +80,6 @@ __all__ = [
     "TRIAD_NAMES",
     "AveragedDistances",
     "CentralityTable",
-    "CheckinRecord",
     "CheckinTable",
     "ClusterAssignment",
     "ComponentAssignment",

@@ -224,7 +224,7 @@ def _build_one(config: RunConfig, name: str) -> tuple[MobilityGraph, dict] | Non
         stats = {
             "source": checkins,
             "kind": "checkins",
-            "records": len(table.records),
+            "records": table.record_count,
             "skipped_rows": table.skipped,
             "users": len(table.user_country_counts),
             "threshold": config.checkin_threshold,
@@ -426,11 +426,8 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
 
 
 def _read_report_rows(path: Path) -> list[list[str]]:
-    try:
-        with _open_lines(path) as lines:
-            kept = [line for line in lines if line.strip() and not line.startswith("#")]
-    except OSError as exc:
-        raise ParseError(f"cannot read report {path}: {exc}") from exc
+    with _open_lines(path) as lines:
+        kept = [line for line in lines if line.strip() and not line.startswith("#")]
     return list(csv.reader(kept))
 
 

@@ -9,13 +9,40 @@ meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
+from datetime import datetime, timezone
 
 import numpy as np
 
 from tourflow.clustering import DistanceMatrix, Merge
 from tourflow.graph import MobilityGraph
 from tourflow.regional import RegionMap
+
+# ---------------------------------------------------------------------------
+# check-in fields
+
+INT_LITERAL_RE = re.compile(r"[+-]?\d+$")
+
+
+def regex_parse_timestamp(text: str) -> int:
+    """Epoch seconds as the check-in parser defines them, told apart by a regex.
+
+    An integer literal is what ``[+-]?\\d+$`` matches on the stripped
+    text, converted by ``int()``; anything else is ISO-8601, naive taken
+    as UTC, with a trailing ``Z`` accepted.  Raises ValueError or
+    OverflowError for a malformed timestamp.
+    """
+    value = text.strip()
+    if INT_LITERAL_RE.match(value):
+        return int(value)
+    if value.endswith("Z"):
+        value = value[:-1] + "+00:00"
+    stamp = datetime.fromisoformat(value)
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return int(stamp.timestamp())
+
 
 # ---------------------------------------------------------------------------
 # graph generation

@@ -427,6 +427,24 @@ class TestExitCodes:
         assert "not valid UTF-8" in capsys.readouterr().err
         assert sorted(out.iterdir()) == built
 
+    @pytest.mark.parametrize("kind", ["checkins", "flows", "region_map"])
+    def test_missing_input_writes_nothing(self, tmp_path: Path, kind: str, capsys) -> None:
+        flows = tmp_path / "flows.csv"
+        write_flow_csv(flows, sample_edges())
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "out"
+        base = ["--set", f"dataset_a_flows={flows}", "--set", f"output_dir={out}", *FAST]
+        if kind == "region_map":
+            assert main(["build", *base]) == EXIT_OK
+            built = sorted(out.iterdir())
+            code = main(["analyze", *base, "--set", f"region_map={missing}"])
+        else:
+            built = None
+            code = main(["build", *base, "--set", f"dataset_b_{kind}={missing}"])
+        assert code == EXIT_PARSE
+        assert f"cannot read {missing}" in capsys.readouterr().err
+        assert (sorted(out.iterdir()) if out.exists() else None) == built
+
     def test_checkins_all_under_threshold_write_nothing(self, tmp_path: Path, capsys) -> None:
         flows = tmp_path / "flows.csv"
         write_flow_csv(flows, sample_edges())

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourflow import (
@@ -20,8 +22,10 @@ from tourflow import (
     parse_checkins,
     parse_flow_matrix,
 )
+from tourflow.graph import _CODE_RE
+from tourflow.ingest import _COUNTRY_CODES, _is_int_literal, _parse_timestamp
 
-from oracles import codes_for
+from oracles import INT_LITERAL_RE, codes_for, regex_parse_timestamp
 
 
 def csv_stream(rows: list[str], header: str = "user_id,country,timestamp") -> io.StringIO:
@@ -46,7 +50,8 @@ def synthetic_checkin_text(rng: np.random.Generator, n_users: int, countries: tu
 class TestParseCheckins:
     def test_header_only_gives_empty_table(self) -> None:
         table = parse_checkins(csv_stream([]))
-        assert table.records == ()
+        assert table.user_country_counts == {}
+        assert table.record_count == 0
         assert table.skipped == 0
 
     def test_missing_header_rejected(self) -> None:
@@ -56,7 +61,7 @@ class TestParseCheckins:
     def test_lenient_counts_bad_country_name(self) -> None:
         rows = ["u1,US,100", "u2,Germany,200", "u3,FR,300", "u4,BR,400"]
         table = parse_checkins(csv_stream(rows), strict=False)
-        assert len(table.records) == 3
+        assert table.record_count == 3
         assert table.skipped == 1
 
     def test_strict_reports_line_number(self) -> None:
@@ -65,24 +70,24 @@ class TestParseCheckins:
             parse_checkins(csv_stream(rows))
 
     def test_timestamp_formats(self) -> None:
-        rows = [
-            "u1,US,1500000000",
-            "u2,US,2017-07-14T02:40:00Z",
-            "u3,US,2017-07-14T02:40:00+00:00",
-            "u4,US,2017-07-14T02:40:00",
+        stamps = [
+            "1500000000",
+            "2017-07-14T02:40:00Z",
+            "2017-07-14T02:40:00+00:00",
+            "2017-07-14T02:40:00",
         ]
+        assert [_parse_timestamp(stamp) for stamp in stamps] == [1500000000] * 4
+        rows = [f"u{i},US,{stamp}" for i, stamp in enumerate(stamps)]
         table = parse_checkins(csv_stream(rows))
-        stamps = {r.user_id: r.timestamp for r in table.records}
-        assert stamps["u1"] == 1500000000
-        assert stamps["u2"] == stamps["u3"] == stamps["u4"] == 1500000000
+        assert table.record_count == 4
+        assert table.user_country_counts == {f"u{i}": {"US": 1} for i in range(4)}
 
     def test_venue_column_optional(self) -> None:
         table = parse_checkins(
             csv_stream(["u1,US,100,v42", "u2,FR,200,"],
                        header="user_id,country,timestamp,venue_id")
         )
-        venues = {r.user_id: r.venue_id for r in table.records}
-        assert venues == {"u1": "v42", "u2": None}
+        assert table.user_country_counts == {"u1": {"US": 1}, "u2": {"FR": 1}}
 
     def test_ndjson_parsing(self) -> None:
         lines = [
@@ -90,8 +95,17 @@ class TestParseCheckins:
             json.dumps({"user_id": "u2", "country": "FR", "timestamp": 200, "venue_id": "v9"}),
         ]
         table = parse_checkins(io.StringIO("\n".join(lines)), fmt="ndjson")
-        assert [r.country for r in table.records] == ["US", "FR"]
-        assert table.records[1].venue_id == "v9"
+        assert table.user_country_counts == {"u1": {"US": 1}, "u2": {"FR": 1}}
+
+    def test_ndjson_non_string_venue_is_malformed(self) -> None:
+        lines = [
+            json.dumps({"user_id": "u1", "country": "US", "timestamp": 1, "venue_id": "v1"}),
+            json.dumps({"user_id": "u2", "country": "FR", "timestamp": 2, "venue_id": 9}),
+        ]
+        table = parse_checkins(io.StringIO("\n".join(lines)), fmt="ndjson", strict=False)
+        assert (table.user_country_counts, table.skipped) == ({"u1": {"US": 1}}, 1)
+        with pytest.raises(ParseError, match="line 2"):
+            parse_checkins(io.StringIO("\n".join(lines)), fmt="ndjson")
 
     def test_ndjson_bad_row_strict(self) -> None:
         with pytest.raises(ParseError, match="line 2"):
@@ -106,7 +120,7 @@ class TestParseCheckins:
         rng = np.random.default_rng(42)
         text, events = synthetic_checkin_text(rng, 1500, codes_for(12))
         table = parse_checkins(io.StringIO(text))
-        assert len(table.records) == len(events)
+        assert table.record_count == len(events)
         tally: dict[str, int] = {}
         per_user: dict[str, dict[str, int]] = {}
         for user, country in events:
@@ -115,6 +129,122 @@ class TestParseCheckins:
             per_user[user][country] = per_user[user].get(country, 0) + 1
         assert table.country_counts == tally
         assert table.user_country_counts == per_user
+
+
+# Characters on both sides of each check: ASCII and non-ASCII upper case
+# (À, ǅ titlecase), decimal digits of other scripts (Arabic-Indic ١, Extended
+# Arabic-Indic ۰, NKo ߀), a digit that is not decimal (²), and the
+# separators, signs and whitespace int() and strip() treat specially.
+_CHECK_CHARS = "AZaz\u00c0\u01c5\u0130059\u0661\u06f0\u07c0\u00b2_+- \t\n\r\x0b\x85\xa0:TZ"
+
+
+class TestFastChecks:
+    """The per-row checks give exactly what the regexes they replace give."""
+
+    @given(text=st.text(alphabet=_CHECK_CHARS, max_size=5) | st.text(max_size=3))
+    @example(text="AB\n")
+    @example(text="\u00c0B")
+    @example(text="\u01c5A")
+    @settings(max_examples=500, deadline=None)
+    def test_country_code_check_equals_regex(self, text: str) -> None:
+        expected = bool(_CODE_RE.match(text.strip()))
+        assert (text.strip() in _COUNTRY_CODES) == expected
+        row = json.dumps({"user_id": "u1", "country": text, "timestamp": 1})
+        table = parse_checkins(io.StringIO(row + "\n"), fmt="ndjson", strict=False)
+        assert table.record_count == int(expected)
+
+    @given(text=st.text(alphabet=_CHECK_CHARS, max_size=8) | st.integers().map(str))
+    @example(text="\u0661\u0662\u0663")
+    @example(text="\u00b2")
+    @example(text="1_000")
+    @example(text="+42")
+    @example(text="-42")
+    @example(text="+-42")
+    @example(text="+")
+    @example(text=" 7\n")
+    @example(text="9" * 5000)
+    @settings(max_examples=500, deadline=None)
+    def test_integer_timestamp_check_equals_regex(self, text: str) -> None:
+        assert _is_int_literal(text.strip()) == bool(INT_LITERAL_RE.match(text.strip()))
+        try:
+            expected: int | None = regex_parse_timestamp(text)
+        except (ValueError, OverflowError):
+            expected = None
+        try:
+            actual: int | None = _parse_timestamp(text)
+        except (ValueError, OverflowError):
+            actual = None
+        assert actual == expected
+
+    def test_oversized_integer_timestamp_is_a_skipped_row(self) -> None:
+        text = "\n".join(["user_id,country,timestamp", "u1,US,1", "u2,US," + "9" * 5000]) + "\n"
+        table = parse_checkins(io.StringIO(text), strict=False)
+        assert (table.user_country_counts, table.skipped) == ({"u1": {"US": 1}}, 1)
+        with pytest.raises(ParseError, match="line 3"):
+            parse_checkins(io.StringIO(text))
+
+
+# Fields of check-in events, some of them malformed: a bad code, a bad
+# timestamp or an empty user id; None marks an event with no timestamp.
+_EVENTS = st.lists(st.tuples(
+    st.sampled_from(["u1", "u2", " u3 ", "u,4", " "]),
+    st.sampled_from(["US", "FR", " DE ", "us", "Germany", ""]),
+    st.sampled_from(["100", "-5", "2017-07-14T02:40:00Z", "2019-02-30T12:00:00Z", "x", None]),
+), max_size=12)
+
+
+class TestStreamingParse:
+    @given(events=_EVENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_csv_and_ndjson_give_equal_tables(self, events) -> None:
+        csv_text = io.StringIO()
+        writer = csv.writer(csv_text, lineterminator="\n")
+        writer.writerow(["user_id", "country", "timestamp"])
+        ndjson_lines = []
+        for user, country, stamp in events:
+            # A missing timestamp is a row of the wrong width in CSV.
+            writer.writerow([user, country] if stamp is None else [user, country, stamp])
+            event = {"user_id": user, "country": country}
+            if stamp is not None:
+                event["timestamp"] = stamp
+            ndjson_lines.append(json.dumps(event))
+        from_csv = parse_checkins(io.StringIO(csv_text.getvalue()), strict=False)
+        from_ndjson = parse_checkins(io.StringIO("\n".join(ndjson_lines)), fmt="ndjson",
+                                     strict=False)
+        assert from_csv == from_ndjson
+        assert from_csv.record_count + from_csv.skipped == len(events)
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("u3,US", id="width"),
+        pytest.param("u3,Germany,300", id="code"),
+        pytest.param("u3,US,2019-02-30T12:00:00Z", id="timestamp"),
+        pytest.param("u3," + "U" * (1 << 17) + ",300", id="oversized-field"),
+    ])
+    def test_strict_line_number_of_each_malformed_kind(self, row: str) -> None:
+        # Line 1 header, 2-3 one row with a quoted line break, 4 blank, 5 the bad row.
+        text = "\n".join(["user_id,country,timestamp", '"u\n1",US,100', "", row, "u4,US,400"])
+        with pytest.raises(ParseError, match="line 5$"):
+            parse_checkins(io.StringIO(text + "\n"))
+        table = parse_checkins(io.StringIO(text + "\n"), strict=False)
+        assert (table.record_count, table.skipped) == (2, 1)
+
+    def test_memory_is_bounded_by_users_and_countries(self) -> None:
+        rows = 200_000
+        lines = ["user_id,country,timestamp,venue_id\n"]
+        lines += [f"u{i % 10},{('US', 'FR', 'DE')[i % 3]},{1_500_000_000 + i},v{i}\n"
+                  for i in range(rows)]
+        stream = io.StringIO("".join(lines))
+        del lines
+        tracemalloc.start()
+        try:
+            table = parse_checkins(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.record_count == rows
+        assert len(table.user_country_counts) == 10
+        # Keeping a record per row would need tens of MB here.
+        assert peak < 2_000_000
 
 
 class TestInferHomes:
@@ -129,7 +259,7 @@ class TestInferHomes:
 
     def test_empty_table_rejected(self) -> None:
         with pytest.raises(ValueError, match="empty"):
-            infer_homes(CheckinTable(()))
+            infer_homes(CheckinTable({}))
 
     def test_matches_brute_force_argmax(self) -> None:
         rng = np.random.default_rng(7)
@@ -165,7 +295,7 @@ class TestFilterCountries:
 
     def test_negative_threshold_rejected(self) -> None:
         with pytest.raises(ValueError, match="threshold"):
-            filter_countries(CheckinTable(()), -1)
+            filter_countries(CheckinTable({}), -1)
 
     def test_matches_recount(self) -> None:
         rng = np.random.default_rng(5)
@@ -216,9 +346,10 @@ class TestBuildMobilityGraph:
         homes = infer_homes(table)
         allowed = filter_countries(table, 0)
         g1 = build_mobility_graph(table, homes, allowed)
-        shuffled = list(table.records)
-        rng.shuffle(shuffled)
-        table2 = CheckinTable(tuple(shuffled))
+        header, *rows = text.splitlines()
+        rng.shuffle(rows)
+        table2 = parse_checkins(io.StringIO("\n".join([header, *rows]) + "\n"))
+        assert table2 == table
         g2 = build_mobility_graph(table2, infer_homes(table2), allowed)
         assert g1 == g2
 
@@ -357,6 +488,6 @@ class TestFuzz:
             '{"user_id": "u0", "country": "US", "timestamp": 1}')
         text = "\n".join([header, row, header if fmt == "ndjson" else "u2,US,2"]) + "\n"
         table = parse_checkins(io.StringIO(text), fmt=fmt, strict=False)
-        assert (len(table.records), table.skipped) == ((1, 1) if fmt == "csv" else (2, 1))
+        assert (table.record_count, table.skipped) == ((1, 1) if fmt == "csv" else (2, 1))
         with pytest.raises(ParseError, match="line 2"):
             parse_checkins(io.StringIO(text), fmt=fmt, strict=True)
