@@ -13,14 +13,15 @@ result is a pure function of the input graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-_CODE_RE = re.compile(r"^[A-Z]{2}$")
+# Every two-letter ASCII upper-case code, user-assigned ones included.
+_COUNTRY_CODES = frozenset(
+    a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 EXPORT_FORMATS = ("csv", "dot", "graphml")
 
@@ -142,7 +143,7 @@ class MobilityGraph:
 
 def is_country_code(code: str) -> bool:
     """True for a two-letter uppercase code (user-assigned codes allowed)."""
-    return bool(_CODE_RE.match(code))
+    return code in _COUNTRY_CODES
 
 
 def topk_out(graph: MobilityGraph, k: int) -> MobilityGraph:

@@ -20,12 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError
-from .graph import MobilityGraph, is_country_code
-
-# The 676 codes ``graph._CODE_RE`` accepts; on stripped text, membership
-# is the same test as the regex at a fraction of its per-row cost.
-_COUNTRY_CODES = frozenset(
-    a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+from .graph import _COUNTRY_CODES, MobilityGraph, is_country_code
 
 CHECKIN_FIELDS = ("user_id", "country", "timestamp")
 
@@ -41,7 +36,9 @@ class CheckinTable:
     check-ins in that country; the log's rows themselves are not kept,
     so a table's size is bounded by users x countries.  ``skipped``
     reports how many malformed rows were dropped during a lenient parse;
-    it is 0 after a strict parse.
+    it is 0 after a strict parse.  ``country_counts`` is computed once
+    and cached, so ``user_country_counts`` must not be modified after
+    parsing.  The table is not hashable, since it holds a dict.
     """
 
     user_country_counts: dict[str, dict[str, int]]

@@ -23,6 +23,7 @@ from tourflow.regional import RegionMap
 # check-in fields
 
 INT_LITERAL_RE = re.compile(r"[+-]?\d+$")
+COUNTRY_CODE_RE = re.compile(r"^[A-Z]{2}$")
 
 
 def regex_parse_timestamp(text: str) -> int:

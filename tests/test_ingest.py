@@ -22,10 +22,10 @@ from tourflow import (
     parse_checkins,
     parse_flow_matrix,
 )
-from tourflow.graph import _CODE_RE
-from tourflow.ingest import _COUNTRY_CODES, _is_int_literal, _parse_timestamp
+from tourflow.graph import is_country_code
+from tourflow.ingest import _is_int_literal, _parse_timestamp
 
-from oracles import INT_LITERAL_RE, codes_for, regex_parse_timestamp
+from oracles import COUNTRY_CODE_RE, INT_LITERAL_RE, codes_for, regex_parse_timestamp
 
 
 def csv_stream(rows: list[str], header: str = "user_id,country,timestamp") -> io.StringIO:
@@ -147,8 +147,8 @@ class TestFastChecks:
     @example(text="\u01c5A")
     @settings(max_examples=500, deadline=None)
     def test_country_code_check_equals_regex(self, text: str) -> None:
-        expected = bool(_CODE_RE.match(text.strip()))
-        assert (text.strip() in _COUNTRY_CODES) == expected
+        expected = bool(COUNTRY_CODE_RE.match(text.strip()))
+        assert is_country_code(text.strip()) == expected
         row = json.dumps({"user_id": "u1", "country": text, "timestamp": 1})
         table = parse_checkins(io.StringIO(row + "\n"), fmt="ndjson", strict=False)
         assert table.record_count == int(expected)
