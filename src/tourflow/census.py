@@ -12,13 +12,18 @@ graphs.
 
 Null models are degree-preserving double-edge swaps of the binarised
 graph; z-scores compare the real count of each connected class against
-the ensemble mean and population standard deviation.
+the ensemble mean and population standard deviation.  A large ensemble
+advances its swap chains in blocks, each block rewired and counted by
+one function on node-index arrays; with two or more blocks and two or
+more CPUs in the process's affinity mask, the blocks run in forked
+worker processes, one per CPU.  ``taskset`` limits them; there is no
+setting.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -137,6 +142,14 @@ def triad_census(graph: MobilityGraph) -> TriadCensus:
     return TriadCensus(n, dict(zip(TRIAD_NAMES, counts.tolist())))
 
 
+def _check_swaps(edge_count: int, swaps_per_edge: int) -> None:
+    """Reject what no swap chain can run on: fewer than 2 edges, or no swaps."""
+    if edge_count < 2:
+        raise ValueError(f"rewiring needs >= 2 edges, got {edge_count}")
+    if swaps_per_edge < 1:
+        raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
+
+
 def _edge_slots(graph: MobilityGraph, swaps_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
     """Node indices (sources, destinations) of the sorted edges, for rewiring.
 
@@ -144,10 +157,7 @@ def _edge_slots(graph: MobilityGraph, swaps_per_edge: int) -> tuple[np.ndarray, 
     destinations of two slots.  The arrays are the graph's read-only
     ``arcs``.
     """
-    if len(graph.edges) < 2:
-        raise ValueError(f"rewiring needs >= 2 edges, got {len(graph.edges)}")
-    if swaps_per_edge < 1:
-        raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
+    _check_swaps(len(graph.edges), swaps_per_edge)
     return graph.arcs
 
 
@@ -205,7 +215,9 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
 # ensemble size.  Where a block would hold fewer than
 # BATCH_MIN_ENSEMBLE chains, rewire runs once per sample instead: the
 # two break even at about 16 chains (100 swaps per edge, 117-node
-# Top-k graphs, 2-vCPU Xeon host).
+# Top-k graphs, 2-vCPU Xeon host).  An ensemble of two or more blocks
+# runs them in a pool of forked worker processes, one per CPU the
+# process may run on, when it may run on two or more.
 BATCH_MIN_ENSEMBLE = 16
 _CHAIN_BLOCK = 128
 _BITMAP_BYTES = 1 << 20
@@ -213,23 +225,23 @@ _STEP_WINDOW = 256
 
 
 def _rewire_chains(
-    graph: MobilityGraph, seeds: list[int], swaps_per_edge: int
-) -> Iterator[np.ndarray]:
-    """The slot destinations of ``rewire(graph, seed, swaps_per_edge)`` for each seed, in order.
+    n: int, src: np.ndarray, dst0: np.ndarray, seeds: list[int], swaps_per_edge: int
+) -> np.ndarray:
+    """Row c holds the slot destinations of the rewired sample drawn with ``seeds[c]``.
 
-    All chains advance together, one swap step per Python iteration, on
+    The arcs ``src[i] -> dst0[i]`` on n nodes are those of
+    ``_edge_slots(graph, swaps_per_edge)``, and row c equals the
+    destinations of ``rewire(graph, seeds[c], swaps_per_edge)``.  All
+    chains advance together, one swap step per Python iteration, on
     numpy arrays.  Chain c owns ``dst[c*E:(c+1)*E]`` and the presence
     bitmap ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked
     present so that a proposed self-loop fails the duplicate test.
     Every chain draws from its own generator, in windows of
     ``_STEP_WINDOW`` steps; windowed ``integers`` draws concatenate to
     the one-shot draw, so each sample is bit-identical to ``rewire``'s.
-    Sample c is chain c's ``dst`` slice, once every chain has finished;
-    its arcs run from the sources of ``_edge_slots(graph, ...)``.
     """
-    src_index, dst0 = _edge_slots(graph, swaps_per_edge)
-    n = len(graph.nodes)
-    edge_count = len(src_index)
+    edge_count = len(src)
+    _check_swaps(edge_count, swaps_per_edge)
     chains = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     node_base = np.arange(chains, dtype=np.intp) * (n * n)
@@ -238,7 +250,7 @@ def _rewire_chains(
     flip = np.roll(np.arange(2 * chains), chains)
     dst = np.tile(dst0, chains)
     present = np.zeros(chains * n * n, dtype=bool)
-    present[(node_base[:, None] + src_index * n + dst.reshape(chains, edge_count)).ravel()] = True
+    present[(node_base[:, None] + src * n + dst.reshape(chains, edge_count)).ravel()] = True
     present[(node_base[:, None] + np.arange(n) * (n + 1)).ravel()] = True
     remaining = edge_count * swaps_per_edge
     while remaining > 0:
@@ -250,7 +262,7 @@ def _rewire_chains(
         # Row t holds the first slot that step t draws in every chain, then the second.
         slots = draws.reshape(chains, take, 2).transpose(1, 2, 0).reshape(take, 2 * chains)
         del draws  # before rows is allocated, so a window holds two arrays at most
-        rows = src_index[slots]
+        rows = src[slots]
         rows *= n
         rows += node_base2
         slots += edge_base2
@@ -264,40 +276,77 @@ def _rewire_chains(
             present[row + ends] = rejected
             present[proposed] = taken == rejected
             dst[slot] = np.where(rejected, ends, swapped)
-    del present, slots, rows  # freed before the samples are counted
-    yield from dst.reshape(chains, edge_count)
+    return dst.reshape(chains, edge_count)
 
 
-def _null_samples(
+def _block_counts(
+    n: int, src: np.ndarray, dst0: np.ndarray, seeds: list[int], swaps_per_edge: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of the ensemble: the CONNECTED_TRIADS counts of each chain's sample, in seed order.
+
+    Returns the ``(len(seeds), 13)`` counts and the first sample's
+    destinations, for the cross-check against ``rewire``.  It works on
+    node-index arrays only, so that a pool task pickles a few KB.
+    """
+    samples = _rewire_chains(n, src, dst0, seeds, swaps_per_edge)
+    # CONNECTED_TRIADS is TRIAD_NAMES[3:].
+    counts = np.array([_census_counts(n, src, dst)[3:] for dst in samples])
+    return counts, samples[0]
+
+
+def _null_counts(
     graph: MobilityGraph, ensemble_size: int, seed: int, swaps_per_edge: int
-) -> Iterator[np.ndarray]:
-    """The ensemble's rewired samples in order; sample i uses ``derive_seed(seed, i)``.
+) -> np.ndarray:
+    """The CONNECTED_TRIADS counts of each null sample, in order; sample i uses ``derive_seed(seed, i)``.
 
-    Each sample is given by the destinations of its arcs, whose sources
-    are those of ``_edge_slots(graph, swaps_per_edge)``.
+    Blocks of chains go through ``_block_counts``: in this process, or,
+    with two or more blocks and two or more CPUs in the affinity mask,
+    in a pool of forked workers, one per CPU, joined before this
+    returns.  Either way the counts are gathered in block order, so
+    they do not depend on where a block ran.
     """
     n = len(graph.nodes)
+    src, dst0 = _edge_slots(graph, swaps_per_edge)
     per_block = min(_CHAIN_BLOCK, _BITMAP_BYTES // (n * n), ensemble_size)
     if per_block < BATCH_MIN_ENSEMBLE:
-        for i in range(ensemble_size):
-            # Rewiring keeps every out-degree, so the sorted arcs of a
-            # sample run from the same sources as the graph's.
-            yield rewire(graph, derive_seed(seed, i), swaps_per_edge).arcs[1]
-        return
+        # Rewiring keeps every out-degree, so the sorted arcs of a sample
+        # run from the same sources as the graph's.
+        return np.array([
+            _census_counts(n, src, rewire(graph, derive_seed(seed, i), swaps_per_edge).arcs[1])[3:]
+            for i in range(ensemble_size)
+        ])
+    blocks = -(-ensemble_size // per_block)
+    bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
+    tasks = [(n, src, dst0, [derive_seed(seed, i) for i in range(lo, hi)], swaps_per_edge)
+             for lo, hi in zip(bounds, bounds[1:])]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(blocks, cpus)
     # The kernel is exact only while Generator.integers, called window by
     # window, yields the same stream as one call, which numpy does not
     # promise across releases; sample 0 is drawn by rewire as well, and a
-    # mismatch stops the run.
-    reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
-    src, _ = _edge_slots(graph, swaps_per_edge)
-    blocks = -(-ensemble_size // per_block)
-    bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        seeds = [derive_seed(seed, i) for i in range(lo, hi)]
-        for i, dst in enumerate(_rewire_chains(graph, seeds, swaps_per_edge), start=lo):
-            if i == 0 and _binary_graph(graph, src.tolist(), dst.tolist()).edges != reference:
-                raise RuntimeError("batched rewiring diverged from rewire on sample 0")
-            yield dst
+    # mismatch stops the run.  The parent draws it while the workers run.
+    if workers < 2:
+        reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
+        results = [_block_counts(*task) for task in tasks]
+    else:
+        import multiprocessing
+
+        # fork, named because it is not the default everywhere: forked
+        # workers are children of this process, so their CPU time counts
+        # in its own, and, unlike spawned ones, they do not import numpy
+        # and tourflow again for every ensemble.  Forking is safe because
+        # the pool forks before it starts its own threads, and the
+        # pipeline starts none.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            pending = pool.starmap_async(_block_counts, tasks, chunksize=1)
+            reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
+            results = pending.get()
+            # Let the workers exit, rather than be terminated on leaving the block.
+            pool.close()
+            pool.join()
+    if _binary_graph(graph, src.tolist(), results[0][1].tolist()).edges != reference:
+        raise RuntimeError("batched rewiring diverged from rewire on sample 0")
+    return np.concatenate([counts for counts, _ in results])
 
 
 @dataclass(frozen=True)
@@ -355,9 +404,12 @@ def motif_zscores(
 
     Sample i is rewired with the seed derived from ``(seed, i)``, so the
     ensemble is reproducible and insensitive to evaluation order.  Large
-    ensembles advance their chains in lockstep on numpy arrays; every
-    sample is still bit-identical to ``rewire(graph, derive_seed(seed,
-    i), swaps_per_edge)``, and is counted on its node-index arcs by the
+    ensembles advance their chains in lockstep on numpy arrays, block by
+    block, and run the blocks in one forked worker process per CPU of
+    the affinity mask when there are two or more of each; the workers
+    are joined before this returns.  Every sample is still
+    bit-identical to ``rewire(graph, derive_seed(seed, i),
+    swaps_per_edge)``, and is counted on its node-index arcs by the
     same kernel as ``triad_census``.  The standard deviation is the
     population one (ddof 0); classes with zero spread get z = None.
     ``observed`` is the graph's own ``triad_census``, for a caller that
@@ -371,10 +423,7 @@ def motif_zscores(
     elif observed.node_count != n:
         raise ValueError(
             f"observed census covers {observed.node_count} nodes, the graph {n}")
-    src, _ = _edge_slots(graph, swaps_per_edge)
-    samples = np.empty((ensemble_size, len(CONNECTED_TRIADS)), dtype=np.float64)
-    for i, dst in enumerate(_null_samples(graph, ensemble_size, seed, swaps_per_edge)):
-        samples[i] = _census_counts(n, src, dst)[3:]  # CONNECTED_TRIADS is TRIAD_NAMES[3:]
+    samples = _null_counts(graph, ensemble_size, seed, swaps_per_edge).astype(np.float64)
     means = samples.mean(axis=0)
     stds = samples.std(axis=0)
     real = {name: observed.counts[name] for name in CONNECTED_TRIADS}

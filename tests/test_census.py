@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import resource
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,6 +340,12 @@ def sample_arcs(g: MobilityGraph, samples) -> list[dict[tuple[str, str], int]]:
     return [census._binary_graph(g, src, dst.tolist()).edges for dst in samples]
 
 
+def rewired_counts(g: MobilityGraph, seed: int, size: int, swaps: int) -> list[list[int]]:
+    """The CONNECTED_TRIADS counts of rewire's samples 0 .. size-1."""
+    counts = (triad_census(rewire(g, derive_seed(seed, i), swaps)).counts for i in range(size))
+    return [[sample[name] for name in CONNECTED_TRIADS] for sample in counts]
+
+
 @pytest.fixture
 def scalar_calls(monkeypatch) -> list:
     """The argument tuples of every call the ensemble sampler makes to rewire."""
@@ -349,23 +359,67 @@ def scalar_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def one_cpu(monkeypatch) -> None:
+    """An affinity mask of one CPU, under which starting a process fails the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was started"))
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """An affinity mask of two CPUs; collects the pid of every process forked."""
+    pids = []
+    fork = os.fork
+
+    def counted() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def chain_samples(one_cpu, monkeypatch) -> list[np.ndarray]:
+    """The rows of every _rewire_chains call, in call order; blocks run in this process."""
+    rows = []
+    kernel = census._rewire_chains
+
+    def recorded(*args):
+        samples = kernel(*args)
+        rows.extend(samples)
+        return samples
+
+    monkeypatch.setattr(census, "_rewire_chains", recorded)
+    return rows
+
+
 class TestBatchedEnsemble:
     @pytest.mark.parametrize(
         "size", [BATCH_MIN_ENSEMBLE - 1, BATCH_MIN_ENSEMBLE, census._CHAIN_BLOCK + 1])
     @pytest.mark.parametrize("name", list(SWAP_GRAPHS))
-    def test_every_sample_matches_rewire(self, name: str, size: int, scalar_calls: list) -> None:
+    def test_every_sample_matches_rewire(
+        self, name: str, size: int, scalar_calls: list, chain_samples: list
+    ) -> None:
         g = SWAP_GRAPHS[name]
-        samples = sample_arcs(g, census._null_samples(g, size, 11, 3))
+        counts = census._null_counts(g, size, 11, 3)
+        batched = size >= BATCH_MIN_ENSEMBLE
         # Batched ensembles draw sample 0 with rewire too, as a cross-check.
-        assert len(scalar_calls) == (size if size < BATCH_MIN_ENSEMBLE else 1)
-        assert samples == [rewire(g, derive_seed(11, i), 3).edges for i in range(size)]
+        assert len(scalar_calls) == (1 if batched else size)
+        expected = [rewire(g, derive_seed(11, i), 3).edges for i in range(size)]
+        assert sample_arcs(g, chain_samples) == (expected if batched else [])
+        assert counts.tolist() == rewired_counts(g, 11, size, 3)
 
     def test_divergence_from_rewire_stops_the_run(self, monkeypatch) -> None:
         g = SWAP_GRAPHS["hub-heavy"]
         monkeypatch.setattr(
             census, "rewire", lambda graph, seed, swaps: rewire(graph, seed + 1, swaps))
         with pytest.raises(RuntimeError, match="diverged"):
-            list(census._null_samples(g, BATCH_MIN_ENSEMBLE, 14, 2))
+            census._null_counts(g, BATCH_MIN_ENSEMBLE, 14, 2)
 
     def test_graphs_too_large_for_a_block_fall_back_to_rewire(
         self, scalar_calls: list, monkeypatch
@@ -374,9 +428,9 @@ class TestBatchedEnsemble:
         n = len(g.nodes)
         monkeypatch.setattr(census, "_BITMAP_BYTES", BATCH_MIN_ENSEMBLE * n * n - 1)
         size = 2 * BATCH_MIN_ENSEMBLE
-        samples = sample_arcs(g, census._null_samples(g, size, 13, 2))
-        assert len(scalar_calls) == size
-        assert samples == [rewire(g, derive_seed(13, i), 2).edges for i in range(size)]
+        counts = census._null_counts(g, size, 13, 2)
+        assert scalar_calls == [(g, derive_seed(13, i), 2) for i in range(size)]
+        assert counts.tolist() == rewired_counts(g, 13, size, 2)
 
     def test_batched_and_fallback_ensembles_give_the_same_scores(
         self, scalar_calls: list, monkeypatch
@@ -395,13 +449,16 @@ class TestBatchedEnsemble:
         g = hub_heavy_digraph(61)
         seeds = [derive_seed(12, i) for i in range(5)]
         swaps = 3 * census._STEP_WINDOW // len(g.edges) + 1
-        batched = sample_arcs(g, census._rewire_chains(g, seeds, swaps))
+        batched = sample_arcs(g, census._rewire_chains(len(g.nodes), *g.arcs, seeds, swaps))
         assert batched == [rewire(g, seed, swaps).edges for seed in seeds]
 
     def test_kernel_rejects_what_rewire_rejects(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 1})
         with pytest.raises(ValueError, match=">= 2 edges"):
-            next(census._rewire_chains(g, [0, 1], 1))
+            census._rewire_chains(2, *g.arcs, [0, 1], 1)
+        g = SWAP_GRAPHS["2-edge"]
+        with pytest.raises(ValueError, match="swaps_per_edge must be >= 1"):
+            census._rewire_chains(len(g.nodes), *g.arcs, [0, 1], 0)
 
     @pytest.mark.parametrize("window", [1, 7, 128, 2 * census._STEP_WINDOW, 1000])
     @pytest.mark.parametrize("edge_count", [2, 3, 117, 351, 70_000])
@@ -416,6 +473,73 @@ class TestBatchedEnsemble:
             windowed = [rng.integers(0, edge_count, size=min(window, total - start))
                         for start in range(0, total, window)]
             assert np.array_equal(np.concatenate(windowed), one_shot)
+
+
+class TestPooledEnsemble:
+    """Multi-block ensembles run their blocks in forked worker processes."""
+
+    graph = SWAP_GRAPHS["hub-heavy"]
+    size = 4 * BATCH_MIN_ENSEMBLE
+
+    @pytest.fixture(autouse=True, params=["_CHAIN_BLOCK"])
+    def small_blocks(self, request, monkeypatch) -> None:
+        """Four blocks of BATCH_MIN_ENSEMBLE chains, by the block cap or by the bitmap cap."""
+        n = len(self.graph.nodes)
+        per_chain = 1 if request.param == "_CHAIN_BLOCK" else n * n
+        monkeypatch.setattr(census, request.param, BATCH_MIN_ENSEMBLE * per_chain)
+
+    def scores(self):
+        return motif_zscores(self.graph, ensemble_size=self.size, seed=21, swaps_per_edge=5)
+
+    @pytest.mark.parametrize("small_blocks", ["_CHAIN_BLOCK", "_BITMAP_BYTES"], indirect=True)
+    def test_pooled_ensemble_equals_in_process_one(self, monkeypatch, forks: list) -> None:
+        pooled_counts = census._null_counts(self.graph, self.size, 21, 5)
+        pooled = self.scores()
+        assert len(forks) == 4  # two workers per ensemble
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert census._null_counts(self.graph, self.size, 21, 5).tolist() == pooled_counts.tolist()
+        assert self.scores() == pooled
+        assert len(forks) == 4
+        assert pooled_counts.tolist() == rewired_counts(self.graph, 21, self.size, 5)
+
+    @pytest.mark.parametrize("size", [2, BATCH_MIN_ENSEMBLE - 1, BATCH_MIN_ENSEMBLE])
+    def test_ensembles_of_one_block_start_no_process(self, size: int, forks: list) -> None:
+        # Below BATCH_MIN_ENSEMBLE rewire runs per sample; at it, one block.
+        motif_zscores(self.graph, ensemble_size=size, seed=21, swaps_per_edge=5)
+        assert forks == []
+
+    def test_one_cpu_starts_no_process(self, one_cpu, scalar_calls: list) -> None:
+        self.scores()
+        assert len(scalar_calls) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_divergence_is_caught_through_the_pool(self, monkeypatch, forks: list) -> None:
+        monkeypatch.setattr(
+            census, "rewire", lambda graph, seed, swaps: rewire(graph, seed + 1, swaps))
+        with pytest.raises(RuntimeError, match="diverged"):
+            self.scores()
+        assert forks
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, forks: list) -> None:
+        def broken(*args):
+            raise ValueError("kernel failed in a worker")
+
+        # Only the workers run the kernel; they inherit the patch by fork.
+        monkeypatch.setattr(census, "_rewire_chains", broken)
+        with pytest.raises(ValueError, match="kernel failed in a worker"):
+            self.scores()
+        assert forks
+        assert multiprocessing.active_children() == []
+
+    def test_worker_cpu_time_counts_in_the_caller(self, forks: list) -> None:
+        # Workers that are not this process's children (a forkserver's, say)
+        # would escape RUSAGE_CHILDREN, and so a benchmark's cpu_s.
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+        self.scores()
+        assert forks
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
 
 
 class TestZPercentDiff:
