@@ -3,9 +3,9 @@
 Configuration lives in a flat ``key = value`` text file; any key can be
 overridden on the command line with ``--set key=value`` (flags win).
 All randomness derives from the single ``seed`` key, every emitted file
-carries a metadata header (tool version, config hash, seed), files are
-written atomically, and repeated runs with the same config produce
-byte-identical bundles.
+carries a metadata header (tool version, config hash, seed), a command
+commits all of its files or none, and repeated runs with the same config
+produce byte-identical bundles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .ingest import (
     parse_checkins,
     parse_flow_matrix,
 )
-from .metrics import MEASURES, centrality_table, check_pagerank_settings, scc, structural_report
+from .metrics import MEASURES, centrality_table, scc, structural_report
 from .plots import bar_svg, heatmap_svg, strip_svg
 from .regional import RegionMap, mean_abs_share_diff, regional_flows, share_diff, to_shares
 from .seeds import derive_seed
@@ -162,37 +161,82 @@ def _meta_dict(config: RunConfig) -> dict:
             "config": config_hash(config), "seed": config.seed}
 
 
-def _write_atomic(target: Path, payload: bytes) -> None:
-    """Write via a sibling temp file renamed over the target, never leaving half a file."""
+def _write_output(out: str, payload: bytes) -> None:
+    """Write a single output file (plot or export) via a sibling temp file renamed over it."""
+    target = Path(out)
+    target.parent.mkdir(parents=True, exist_ok=True)
     temp = target.with_name(target.name + ".tmp")
     temp.write_bytes(payload)
     temp.replace(target)
-
-
-def _write_output(out: str, payload: bytes) -> None:
-    """Write a single output file (plot or export), creating its directory."""
-    target = Path(out)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(target, payload)
     print(f"wrote {target}")
 
 
-class _Bundle:
-    """Accumulates output files, writing atomically and hashing each."""
+def _listed_files(manifest: Path) -> set[str]:
+    """The plain file names (no path separator) a manifest lists; none if it is unreadable."""
+    try:
+        files = json.loads(manifest.read_text(encoding="utf-8"))["files"]
+        return {name for name in files
+                if isinstance(name, str) and "/" not in name and name not in ("", ".", "..")}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
 
-    def __init__(self, outdir: Path) -> None:
+
+class _Bundle:
+    """One command's output files, committed together with their manifest or not at all.
+
+    Used as a context manager.  ``write`` stages each payload at once as
+    ``<name>.tmp`` in the output directory.  Leaving the block normally
+    renames every staged file into place, the manifest last, then
+    deletes the files that the previous manifest of the same name
+    listed and the new one does not.  Leaving it by an exception
+    unlinks the staged files, so the directory holds what it held
+    before.  ``header`` holds the manifest's fields before ``files``.
+    """
+
+    def __init__(self, outdir: Path, manifest: str, header: dict) -> None:
         self.outdir = outdir
+        self.manifest = manifest
+        self.header = header
         self.hashes: dict[str, str] = {}
-        outdir.mkdir(parents=True, exist_ok=True)
+
+    def __enter__(self) -> _Bundle:
+        self.created = not self.outdir.exists()
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def _staged(self, name: str) -> Path:
+        return self.outdir / (name + ".tmp")
 
     def write(self, name: str, data: str | bytes) -> None:
         payload = data.encode("utf-8") if isinstance(data, str) else data
-        _write_atomic(self.outdir / name, payload)
+        # Recorded first, so that a write that fails half-way is unlinked too.
         self.hashes[name] = hashlib.sha256(payload).hexdigest()
+        self._staged(name).write_bytes(payload)
 
-    def write_manifest(self, name: str, meta: dict, extra: dict) -> None:
-        manifest = {"meta": meta, **extra, "files": dict(sorted(self.hashes.items()))}
-        self.write(name, json.dumps(manifest, indent=2) + "\n")
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            try:
+                self._commit()
+            except BaseException:
+                self._discard()
+                raise
+        else:
+            self._discard()
+
+    def _commit(self) -> None:
+        previous = _listed_files(self.outdir / self.manifest)
+        files = dict(sorted(self.hashes.items()))
+        self.write(self.manifest, json.dumps({**self.header, "files": files}, indent=2) + "\n")
+        for name in self.hashes:
+            self._staged(name).replace(self.outdir / name)
+        for name in sorted(previous - self.hashes.keys()):
+            (self.outdir / name).unlink(missing_ok=True)
+
+    def _discard(self) -> None:
+        for name in self.hashes:
+            self._staged(name).unlink(missing_ok=True)
+        if self.created:
+            self.outdir.rmdir()
 
 
 def _dataset_sources(config: RunConfig, name: str) -> tuple[str, str, str, str]:
@@ -240,66 +284,24 @@ def _build_one(config: RunConfig, name: str) -> tuple[MobilityGraph, dict] | Non
 
 
 def cmd_build(config: RunConfig) -> int:
-    """Build mobility graphs for the configured datasets.
-
-    Every dataset is built before the first file is written, so a
-    dataset that fails leaves no partial output behind.
-    """
-    built = {}
-    for name in DATASET_NAMES:
-        result = _build_one(config, name)
-        if result is not None:
-            built[name] = result
-    if not built:
-        raise ConfigError("no dataset configured: set dataset_a_checkins or dataset_a_flows")
-    bundle = _Bundle(Path(config.output_dir))
-    dataset_stats: dict[str, dict] = {}
-    for name, (graph, stats) in built.items():
-        filename = f"graph_{name}.csv"
-        bundle.write(filename, _meta_text(config, header=True)
-                     + export_graph(graph, "csv").decode("utf-8"))
-        dataset_stats[name] = {**stats, "file": filename}
-        print(f"dataset {name}: {graph.node_count} nodes, {graph.edge_count} edges -> "
-              f"{bundle.outdir / filename}")
-    bundle.write_manifest("build_manifest.json", _meta_dict(config), {"datasets": dataset_stats})
+    """Build mobility graphs for the configured datasets."""
+    dataset_stats: dict[str, dict] = {}  # filled in as each graph is staged
+    header = {"meta": _meta_dict(config), "datasets": dataset_stats}
+    with _Bundle(Path(config.output_dir), "build_manifest.json", header) as bundle:
+        for name in DATASET_NAMES:
+            result = _build_one(config, name)
+            if result is None:
+                continue
+            graph, stats = result
+            filename = f"graph_{name}.csv"
+            bundle.write(filename, _meta_text(config, header=True)
+                         + export_graph(graph, "csv").decode("utf-8"))
+            dataset_stats[name] = {**stats, "file": filename}
+            print(f"dataset {name}: {graph.node_count} nodes, {graph.edge_count} edges -> "
+                  f"{bundle.outdir / filename}")
+        if not dataset_stats:
+            raise ConfigError("no dataset configured: set dataset_a_checkins or dataset_a_flows")
     return EXIT_OK
-
-
-def _check_analyzable(
-    config: RunConfig, name: str, graph: MobilityGraph, region_map: RegionMap
-) -> None:
-    """Raise ValueError where analyze would fail on the graph part-way through its bundle.
-
-    Top-k subgraphs keep every node of the graph, so the node counts and
-    the region map's coverage are checked on the graph itself; each
-    Top-k subgraph's arc count follows from the graph's degrees.
-    """
-    context = f"analyze dataset {name}"
-    n = graph.node_count
-    if n < 3:
-        raise ValueError(f"{context}: the triad census needs >= 3 nodes, got {n}")
-    if not 1 <= config.n_clusters <= n:
-        raise ValueError(f"{context}: n_clusters must lie in [1, {n}], got {config.n_clusters}")
-    if config.ensemble_size < 2:
-        raise ValueError(f"{context}: ensemble_size must be >= 2, got {config.ensemble_size}")
-    if config.swaps_per_edge < 1:
-        raise ValueError(f"{context}: swaps_per_edge must be >= 1, got {config.swaps_per_edge}")
-    try:
-        check_pagerank_settings(
-            config.pagerank_damping, config.pagerank_tol, config.pagerank_max_iter)
-    except ValueError as exc:
-        raise ValueError(f"{context}: pagerank {exc}") from None
-    k = min(config.k_values)
-    for direction, end in (("out", 0), ("in", 1)):
-        degrees = Counter(edge[end] for edge in graph.edges)
-        kept = sum(min(k, degree) for degree in degrees.values())
-        if kept < 2:
-            raise ValueError(
-                f"{context}, top-{k} {direction}: rewiring needs >= 2 edges, got {kept}")
-    try:
-        region_map.check_covers(graph.nodes)
-    except ValueError as exc:
-        raise ValueError(f"{context}: {exc}") from None
 
 
 def _analyze_dataset(
@@ -311,12 +313,12 @@ def _analyze_dataset(
     features = []
     motifs = {}
     shares = {}
-    for direction in ("out", "in"):
-        extract = topk_out if direction == "out" else topk_in
-        for k in config.k_values:
-            tag = f"{name}_{direction}_{k}"
-            context = f"analyze dataset {name}, top-{k} {direction}"
-            try:
+    try:
+        for direction in ("out", "in"):
+            extract = topk_out if direction == "out" else topk_in
+            for k in config.k_values:
+                context = f"analyze dataset {name}, top-{k} {direction}"
+                tag = f"{name}_{direction}_{k}"
                 sg = extract(graph, k)
                 report = structural_report(sg)
                 bundle.write(f"structural_{tag}.json", report.to_json(meta=_meta_dict(config)))
@@ -347,20 +349,20 @@ def _analyze_dataset(
                 bundle.write(f"motifs_{tag}.csv", meta + zscores.to_csv())
                 motifs[(direction, k)] = zscores
                 features.append(feature_matrix(sg, table, comps))
-            except (TourflowError, ValueError) as exc:
-                exc.args = (f"{context}: {exc}",)
-                raise
+        # After every Top-k unit, so a graph that cannot be rewired fails
+        # there whatever the region map.
         top_k = max(config.k_values)
-        context = f"analyze dataset {name}, regional top-{top_k} {direction}"
-        try:
+        for direction in ("out", "in"):
+            context = f"analyze dataset {name}, regional top-{top_k} {direction}"
+            extract = topk_out if direction == "out" else topk_in
             raw = regional_flows(extract(graph, top_k), region_map)
             share = to_shares(raw)
             bundle.write(f"regional_{name}_{direction}_raw.csv", meta + raw.to_csv())
             bundle.write(f"regional_{name}_{direction}_share.csv", meta + share.to_csv())
             shares[direction] = share
-        except (TourflowError, ValueError) as exc:
-            exc.args = (f"{context}: {exc}",)
-            raise
+    except (TourflowError, ValueError) as exc:
+        exc.args = (f"{context}: {exc}",)
+        raise
     averaged = None
     if {1, 2, 3} <= set(config.k_values):
         six = [fm for fm in features if fm.k in (1, 2, 3)]
@@ -372,8 +374,8 @@ def _analyze_dataset(
 def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | None = None) -> int:
     """Run the full analysis bundle over one or two built graphs.
 
-    Every graph is checked against the config before the first file is
-    written, so a graph that cannot be analyzed leaves no partial output.
+    The bundle is committed only once every analysis has succeeded, so
+    a failure leaves ``output_dir`` as it was.
     """
     graphs: dict[str, MobilityGraph] = {}
     for name, override in (("a", graph_a), ("b", graph_b)):
@@ -387,39 +389,36 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     if not graphs:
         raise ConfigError("no graphs to analyze: run `tourflow build` first or pass --graph-a")
     region_map = RegionMap.from_csv(config.region_map) if config.region_map else RegionMap.default()
-    for name, graph in graphs.items():
-        _check_analyzable(config, name, graph, region_map)
-    bundle = _Bundle(Path(config.output_dir))
     meta = _meta_text(config, header=True)
-    results = {name: _analyze_dataset(config, bundle, name, graph, region_map)
-               for name, graph in graphs.items()}
-    summary: dict = {"datasets": sorted(graphs)}
-    if len(graphs) == 2:
-        first, second = results["a"], results["b"]
-        for (direction, k), scores_a in first["motifs"].items():
-            diff = z_percent_diff(scores_a, second["motifs"][(direction, k)])
-            bundle.write(f"zdiff_{direction}_{k}.csv", meta + z_percent_diff_csv(diff))
-        share_summaries = {}
-        for direction in ("out", "in"):
-            share_a = first["shares"][direction]
-            share_b = second["shares"][direction]
-            bundle.write(f"sharediff_{direction}.csv",
-                         meta + share_diff(share_a, share_b).to_csv())
-            share_summaries[direction] = mean_abs_share_diff(share_a, share_b)
-        summary["mean_abs_share_diff_pct_points"] = share_summaries
-        if first["averaged"] is not None and second["averaged"] is not None:
-            correlations = country_correlations(first["averaged"], second["averaged"])
-            bundle.write("correlations.csv", meta + correlations.to_csv())
-            defined = [v for v in correlations.rho.values() if v is not None]
-            summary["correlation"] = {
-                "common_countries": correlations.common_count,
-                "defined": len(defined),
-                "mean_rho": sum(defined) / len(defined) if defined else None,
-            }
-    bundle.write("analysis_summary.json",
-                 json.dumps({"meta": _meta_dict(config), **summary}, indent=2) + "\n")
-    bundle.write_manifest("analyze_manifest.json", _meta_dict(config),
-                          {"datasets": sorted(graphs)})
+    header = {"meta": _meta_dict(config), "datasets": sorted(graphs)}
+    with _Bundle(Path(config.output_dir), "analyze_manifest.json", header) as bundle:
+        results = {name: _analyze_dataset(config, bundle, name, graph, region_map)
+                   for name, graph in graphs.items()}
+        summary: dict = {"datasets": sorted(graphs)}
+        if len(graphs) == 2:
+            first, second = results["a"], results["b"]
+            for (direction, k), scores_a in first["motifs"].items():
+                diff = z_percent_diff(scores_a, second["motifs"][(direction, k)])
+                bundle.write(f"zdiff_{direction}_{k}.csv", meta + z_percent_diff_csv(diff))
+            share_summaries = {}
+            for direction in ("out", "in"):
+                share_a = first["shares"][direction]
+                share_b = second["shares"][direction]
+                bundle.write(f"sharediff_{direction}.csv",
+                             meta + share_diff(share_a, share_b).to_csv())
+                share_summaries[direction] = mean_abs_share_diff(share_a, share_b)
+            summary["mean_abs_share_diff_pct_points"] = share_summaries
+            if first["averaged"] is not None and second["averaged"] is not None:
+                correlations = country_correlations(first["averaged"], second["averaged"])
+                bundle.write("correlations.csv", meta + correlations.to_csv())
+                defined = [v for v in correlations.rho.values() if v is not None]
+                summary["correlation"] = {
+                    "common_countries": correlations.common_count,
+                    "defined": len(defined),
+                    "mean_rho": sum(defined) / len(defined) if defined else None,
+                }
+        bundle.write("analysis_summary.json",
+                     json.dumps({"meta": _meta_dict(config), **summary}, indent=2) + "\n")
     print(f"analyzed {len(graphs)} dataset(s) -> {bundle.outdir} "
           f"({len(bundle.hashes)} files)")
     return EXIT_OK

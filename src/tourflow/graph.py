@@ -146,6 +146,23 @@ def is_country_code(code: str) -> bool:
     return code in _COUNTRY_CODES
 
 
+def _topk(graph: MobilityGraph, k: int, direction: str) -> MobilityGraph:
+    """Keep each node's k heaviest edges in ``direction``, ties to the smaller partner code."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    outward = direction == "out"
+    candidates: dict[str, list[tuple[int, str]]] = {}
+    for (origin, dest), weight in graph.edges.items():
+        node, partner = (origin, dest) if outward else (dest, origin)
+        candidates.setdefault(node, []).append((weight, partner))
+    kept: dict[tuple[str, str], int] = {}
+    for node, cands in candidates.items():
+        cands.sort(key=lambda wc: (-wc[0], wc[1]))
+        for weight, partner in cands[:k]:
+            kept[(node, partner) if outward else (partner, node)] = weight
+    return MobilityGraph(graph.nodes, kept, graph.label, direction, k)
+
+
 def topk_out(graph: MobilityGraph, k: int) -> MobilityGraph:
     """Keep each node's k highest-weight outgoing edges.
 
@@ -162,17 +179,7 @@ def topk_out(graph: MobilityGraph, k: int) -> MobilityGraph:
         the same node set; a node whose every edge was pruned becomes
         isolated.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    outgoing: dict[str, list[tuple[int, str]]] = {}
-    for (origin, dest), weight in graph.edges.items():
-        outgoing.setdefault(origin, []).append((weight, dest))
-    kept: dict[tuple[str, str], int] = {}
-    for origin, cands in outgoing.items():
-        cands.sort(key=lambda wc: (-wc[0], wc[1]))
-        for weight, dest in cands[:k]:
-            kept[(origin, dest)] = weight
-    return MobilityGraph(graph.nodes, kept, graph.label, "out", k)
+    return _topk(graph, k, "out")
 
 
 def topk_in(graph: MobilityGraph, k: int) -> MobilityGraph:
@@ -181,17 +188,7 @@ def topk_in(graph: MobilityGraph, k: int) -> MobilityGraph:
     Ties on weight are resolved toward the lexicographically smaller
     origin code.  Nodes with fewer than k incoming edges keep them all.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    incoming: dict[str, list[tuple[int, str]]] = {}
-    for (origin, dest), weight in graph.edges.items():
-        incoming.setdefault(dest, []).append((weight, origin))
-    kept: dict[tuple[str, str], int] = {}
-    for dest, cands in incoming.items():
-        cands.sort(key=lambda wc: (-wc[0], wc[1]))
-        for weight, origin in cands[:k]:
-            kept[(origin, dest)] = weight
-    return MobilityGraph(graph.nodes, kept, graph.label, "in", k)
+    return _topk(graph, k, "in")
 
 
 def sorted_edges(graph: MobilityGraph) -> list[tuple[str, str, int]]:

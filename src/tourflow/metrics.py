@@ -206,16 +206,6 @@ def structural_report(
     )
 
 
-def check_pagerank_settings(damping: float, tol: float, max_iter: int) -> None:
-    """Raise ValueError unless damping lies in (0, 1), tol > 0 and max_iter >= 1."""
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must lie in (0, 1), got {damping}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-
-
 def pagerank(
     graph: MobilityGraph,
     damping: float = 0.85,
@@ -228,9 +218,15 @@ def pagerank(
     dangling nodes redistribute their mass uniformly.  Iteration stops
     when the L1 change drops below ``tol`` and raises
     :class:`ConvergenceError` (reporting the residual) if the budget is
-    exhausted first.
+    exhausted first.  ``damping`` must lie in (0, 1), ``tol`` be > 0 and
+    ``max_iter`` >= 1, or it raises ValueError.
     """
-    check_pagerank_settings(damping, tol, max_iter)
+    if not 0 < damping < 1:
+        raise ValueError(f"pagerank damping must lie in (0, 1), got {damping}")
+    if not tol > 0:
+        raise ValueError(f"pagerank tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"pagerank max_iter must be >= 1, got {max_iter}")
     n = len(graph.nodes)
     if n == 0:
         raise ValueError("pagerank needs a non-empty graph")

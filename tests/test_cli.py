@@ -491,3 +491,135 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "analyze dataset a" in err and message in err
         assert sorted(out.iterdir()) == built
+
+
+def bundle_args(tmp_path: Path, datasets: str = "a") -> list[str]:
+    """Flags for flow datasets of one sample graph, a region map covering it and FAST settings."""
+    edges = sample_edges()
+    args = []
+    for name in datasets:
+        flows = tmp_path / f"flows_{name}.csv"
+        write_flow_csv(flows, edges)
+        args += ["--set", f"dataset_{name}_flows={flows}"]
+    regions = write_region_map(tmp_path, {c for pair in edges for c in pair})
+    return [*args, "--set", f"output_dir={tmp_path / 'out'}",
+            "--set", f"region_map={regions}", *FAST]
+
+
+def snapshot(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def listed(out: Path) -> set[str]:
+    """Both manifests and every file they list."""
+    names = {"build_manifest.json", "analyze_manifest.json"}
+    for manifest in sorted(names):
+        names |= set(json.loads((out / manifest).read_text())["files"])
+    return names
+
+
+class TestBundleCommit:
+    """A bundle is committed whole or not at all, and replaces the previous one."""
+
+    def test_fewer_k_values_leave_no_stale_file(self, tmp_path: Path) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        assert (out / "avgdist_a.csv").exists()
+        assert main(["analyze", *base, "--set", "k_values=1"]) == EXIT_OK
+        assert set(snapshot(out)) == listed(out)
+        assert not (out / "avgdist_a.csv").exists()
+
+    def test_dropped_dataset_is_not_analyzed(self, tmp_path: Path) -> None:
+        both = bundle_args(tmp_path, "ab")
+        out = tmp_path / "out"
+        assert main(["build", *both]) == EXIT_OK
+        assert main(["analyze", *both]) == EXIT_OK
+        only_a = bundle_args(tmp_path, "a")
+        assert main(["build", *only_a]) == EXIT_OK
+        assert not (out / "graph_b.csv").exists()
+        assert main(["analyze", *only_a]) == EXIT_OK
+        assert json.loads((out / "analysis_summary.json").read_text())["datasets"] == ["a"]
+        assert set(snapshot(out)) == listed(out)
+
+    def test_files_no_manifest_lists_survive(self, tmp_path: Path) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        foreign = {"network.svg": b"<svg/>\n", "network.dot": b"digraph {}\n",
+                   "notes.txt": b"mine\n"}
+        for name, data in foreign.items():
+            (out / name).write_bytes(data)
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        # A manifest edited to list a file outside the bundle directory.
+        outside = tmp_path / "outside.csv"
+        outside.write_text("keep\n")
+        manifest_path = out / "analyze_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["../outside.csv"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base, "--set", "k_values=1"]) == EXIT_OK
+        assert outside.read_text() == "keep\n"
+        files = snapshot(out)
+        assert {name: files[name] for name in foreign} == foreign
+        assert set(files) == listed(out) | set(foreign)
+
+    def test_convergence_failure_leaves_output_dir_unchanged(self, tmp_path: Path) -> None:
+        base = [*bundle_args(tmp_path),
+                "--set", "pagerank_max_iter=1", "--set", "pagerank_tol=1e-15"]
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        before = snapshot(out)
+        assert main(["analyze", *base]) == EXIT_CONVERGENCE
+        assert snapshot(out) == before
+
+    def test_failed_last_stage_keeps_earlier_bundle(
+        self, tmp_path: Path, monkeypatch, capsys
+    ) -> None:
+        base = bundle_args(tmp_path, "ab")
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        before = snapshot(out)
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(cli, "country_correlations", broken)
+        assert main(["analyze", *base, "--set", "seed=1"]) == EXIT_DOMAIN
+        assert "injected failure" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    def test_diverged_rewiring_keeps_earlier_bundle(self, tmp_path: Path, monkeypatch) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        before = snapshot(out)
+        rewire = census.rewire
+        seeds = []
+
+        def diverging(graph, seed, swaps):
+            # The third ensemble's cross-check sample comes out of another seed.
+            seeds.append(seed)
+            return rewire(graph, seed + (len(seeds) == 3), swaps)
+
+        monkeypatch.setattr(census, "rewire", diverging)
+        with pytest.raises(RuntimeError, match="diverged"):
+            main(["analyze", *base, "--set", f"ensemble_size={census.BATCH_MIN_ENSEMBLE}"])
+        assert len(seeds) == 3
+        assert snapshot(out) == before
+
+    def test_failed_build_keeps_earlier_bundle(self, tmp_path: Path) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        before = snapshot(out)
+        missing = tmp_path / "missing.csv"
+        assert main(["build", *base, "--set", "seed=1",
+                     "--set", f"dataset_b_flows={missing}"]) == EXIT_PARSE
+        assert snapshot(out) == before
