@@ -13,16 +13,12 @@ graphs.
 Null models are degree-preserving double-edge swaps of the binarised
 graph; z-scores compare the real count of each connected class against
 the ensemble mean and population standard deviation.  A large ensemble
-advances its swap chains in blocks, each block rewired and counted by
-one function on node-index arrays; with two or more blocks and two or
-more CPUs in the process's affinity mask, the blocks run in forked
-worker processes, one per CPU.  ``taskset`` limits them; there is no
-setting.
+advances its swap chains in blocks on node-index arrays, one block
+after another, in the calling process.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,9 +211,7 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
 # ensemble size.  Where a block would hold fewer than
 # BATCH_MIN_ENSEMBLE chains, rewire runs once per sample instead: the
 # two break even at about 16 chains (100 swaps per edge, 117-node
-# Top-k graphs, 2-vCPU Xeon host).  An ensemble of two or more blocks
-# runs them in a pool of forked worker processes, one per CPU the
-# process may run on, when it may run on two or more.
+# Top-k graphs, 2-vCPU Xeon host).
 BATCH_MIN_ENSEMBLE = 16
 _CHAIN_BLOCK = 128
 _BITMAP_BYTES = 1 << 20
@@ -279,31 +273,14 @@ def _rewire_chains(
     return dst.reshape(chains, edge_count)
 
 
-def _block_counts(
-    n: int, src: np.ndarray, dst0: np.ndarray, seeds: list[int], swaps_per_edge: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block of the ensemble: the CONNECTED_TRIADS counts of each chain's sample, in seed order.
-
-    Returns the ``(len(seeds), 13)`` counts and the first sample's
-    destinations, for the cross-check against ``rewire``.  It works on
-    node-index arrays only, so that a pool task pickles a few KB.
-    """
-    samples = _rewire_chains(n, src, dst0, seeds, swaps_per_edge)
-    # CONNECTED_TRIADS is TRIAD_NAMES[3:].
-    counts = np.array([_census_counts(n, src, dst)[3:] for dst in samples])
-    return counts, samples[0]
-
-
 def _null_counts(
     graph: MobilityGraph, ensemble_size: int, seed: int, swaps_per_edge: int
 ) -> np.ndarray:
     """The CONNECTED_TRIADS counts of each null sample, in order; sample i uses ``derive_seed(seed, i)``.
 
-    Blocks of chains go through ``_block_counts``: in this process, or,
-    with two or more blocks and two or more CPUs in the affinity mask,
-    in a pool of forked workers, one per CPU, joined before this
-    returns.  Either way the counts are gathered in block order, so
-    they do not depend on where a block ran.
+    Blocks of chains are rewired by ``_rewire_chains`` and counted by
+    ``_census_counts`` one after another, so at most one block's
+    samples are held at a time.
     """
     n = len(graph.nodes)
     src, dst0 = _edge_slots(graph, swaps_per_edge)
@@ -315,38 +292,22 @@ def _null_counts(
             _census_counts(n, src, rewire(graph, derive_seed(seed, i), swaps_per_edge).arcs[1])[3:]
             for i in range(ensemble_size)
         ])
-    blocks = -(-ensemble_size // per_block)
-    bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
-    tasks = [(n, src, dst0, [derive_seed(seed, i) for i in range(lo, hi)], swaps_per_edge)
-             for lo, hi in zip(bounds, bounds[1:])]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(blocks, cpus)
     # The kernel is exact only while Generator.integers, called window by
     # window, yields the same stream as one call, which numpy does not
     # promise across releases; sample 0 is drawn by rewire as well, and a
-    # mismatch stops the run.  The parent draws it while the workers run.
-    if workers < 2:
-        reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
-        results = [_block_counts(*task) for task in tasks]
-    else:
-        import multiprocessing
-
-        # fork, named because it is not the default everywhere: forked
-        # workers are children of this process, so their CPU time counts
-        # in its own, and, unlike spawned ones, they do not import numpy
-        # and tourflow again for every ensemble.  Forking is safe because
-        # the pool forks before it starts its own threads, and the
-        # pipeline starts none.
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            pending = pool.starmap_async(_block_counts, tasks, chunksize=1)
-            reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
-            results = pending.get()
-            # Let the workers exit, rather than be terminated on leaving the block.
-            pool.close()
-            pool.join()
-    if _binary_graph(graph, src.tolist(), results[0][1].tolist()).edges != reference:
-        raise RuntimeError("batched rewiring diverged from rewire on sample 0")
-    return np.concatenate([counts for counts, _ in results])
+    # mismatch stops the run.
+    reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
+    blocks = -(-ensemble_size // per_block)
+    bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
+    counts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        samples = _rewire_chains(
+            n, src, dst0, [derive_seed(seed, i) for i in range(lo, hi)], swaps_per_edge)
+        if lo == 0 and _binary_graph(graph, src.tolist(), samples[0].tolist()).edges != reference:
+            raise RuntimeError("batched rewiring diverged from rewire on sample 0")
+        # CONNECTED_TRIADS is TRIAD_NAMES[3:].
+        counts.extend(_census_counts(n, src, dst)[3:] for dst in samples)
+    return np.array(counts)
 
 
 @dataclass(frozen=True)
@@ -405,9 +366,7 @@ def motif_zscores(
     Sample i is rewired with the seed derived from ``(seed, i)``, so the
     ensemble is reproducible and insensitive to evaluation order.  Large
     ensembles advance their chains in lockstep on numpy arrays, block by
-    block, and run the blocks in one forked worker process per CPU of
-    the affinity mask when there are two or more of each; the workers
-    are joined before this returns.  Every sample is still
+    block, in this process.  Every sample is still
     bit-identical to ``rewire(graph, derive_seed(seed, i),
     swaps_per_edge)``, and is counted on its node-index arcs by the
     same kernel as ``triad_census``.  The standard deviation is the

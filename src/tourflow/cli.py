@@ -6,22 +6,30 @@ All randomness derives from the single ``seed`` key, every emitted file
 carries a metadata header (tool version, config hash, seed), a command
 commits all of its files or none, and repeated runs with the same config
 produce byte-identical bundles.
+
+``analyze`` runs its Top-k units (one dataset, direction and k each) in
+one lane per CPU of the process's affinity mask: the ``analyze``
+process is lane 0, and every other lane is a forked child process.
+``taskset`` limits them; there is no setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import hashlib
 import json
+import os
+import pickle
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .census import motif_zscores, triad_census, z_percent_diff, z_percent_diff_csv
+from .census import MotifZScores, motif_zscores, triad_census, z_percent_diff, z_percent_diff_csv
 from .clustering import average_linkage, distance_matrix, filter_singletons
-from .compare import avg_distance_matrix, country_correlations, feature_matrix
+from .compare import FeatureMatrix, avg_distance_matrix, country_correlations, feature_matrix
 from .errors import ConfigError, ConvergenceError, ParseError, TourflowError
 from .graph import EXPORT_FORMATS, MobilityGraph, export_graph, topk_in, topk_out
 from .ingest import (
@@ -184,13 +192,18 @@ def _listed_files(manifest: Path) -> set[str]:
 class _Bundle:
     """One command's output files, committed together with their manifest or not at all.
 
-    Used as a context manager.  ``write`` stages each payload at once as
-    ``<name>.tmp`` in the output directory.  Leaving the block normally
-    renames every staged file into place, the manifest last, then
-    deletes the files that the previous manifest of the same name
-    listed and the new one does not.  Leaving it by an exception
-    unlinks the staged files, so the directory holds what it held
-    before.  ``header`` holds the manifest's fields before ``files``.
+    Used as a context manager.  Entering it takes an exclusive ``flock``
+    on the output directory itself, so a second command on the same
+    directory fails before it stages anything; forked children share
+    the lock.  ``write`` stages each payload at once as ``<name>.tmp``
+    in the output directory.  Leaving the block normally renames every
+    staged file into place, the manifest last, then deletes the files
+    that the previous manifest of the same name listed and the new one
+    does not.  Leaving it by an exception unlinks the staged files, so
+    the directory holds what it held before.  ``hashes`` maps each
+    staged name to its SHA-256; a process that stages files for this
+    bundle reports them there.  ``header`` holds the manifest's fields
+    before ``files``.
     """
 
     def __init__(self, outdir: Path, manifest: str, header: dict) -> None:
@@ -202,6 +215,13 @@ class _Bundle:
     def __enter__(self) -> _Bundle:
         self.created = not self.outdir.exists()
         self.outdir.mkdir(parents=True, exist_ok=True)
+        self._lock = os.open(self.outdir, os.O_RDONLY)
+        try:
+            fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self._lock)
+            raise OSError(
+                f"output_dir {self.outdir} is in use by another tourflow run") from None
         return self
 
     def _staged(self, name: str) -> Path:
@@ -214,14 +234,17 @@ class _Bundle:
         self._staged(name).write_bytes(payload)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            try:
-                self._commit()
-            except BaseException:
+        try:
+            if exc_type is None:
+                try:
+                    self._commit()
+                except BaseException:
+                    self._discard()
+                    raise
+            else:
                 self._discard()
-                raise
-        else:
-            self._discard()
+        finally:
+            os.close(self._lock)
 
     def _commit(self) -> None:
         previous = _listed_files(self.outdir / self.manifest)
@@ -304,70 +327,185 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _analyze_dataset(
-    config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph, region_map: RegionMap
-) -> dict:
-    """All single-dataset analyses; returns what the compare stage needs."""
+def _topk_unit(
+    config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph, direction: str, k: int
+) -> tuple[MotifZScores, FeatureMatrix | None]:
+    """Every report of one Top-k subgraph, staged through ``bundle``.
+
+    Returns the subgraph's motif z-scores and, for k in 1..3 (the
+    averaged distances' inputs), its feature matrix.
+    """
     meta = _meta_text(config, header=True)
-    census_seed = derive_seed(config.seed, "census")
-    features = []
-    motifs = {}
-    shares = {}
+    tag = f"{name}_{direction}_{k}"
     try:
-        for direction in ("out", "in"):
-            extract = topk_out if direction == "out" else topk_in
-            for k in config.k_values:
-                context = f"analyze dataset {name}, top-{k} {direction}"
-                tag = f"{name}_{direction}_{k}"
-                sg = extract(graph, k)
-                report = structural_report(sg)
-                bundle.write(f"structural_{tag}.json", report.to_json(meta=_meta_dict(config)))
-                bundle.write(f"structural_{tag}.csv", meta + report.to_csv())
-                table = centrality_table(
-                    sg,
-                    damping=config.pagerank_damping,
-                    tol=config.pagerank_tol,
-                    max_iter=config.pagerank_max_iter,
-                )
-                for measure in MEASURES:
-                    bundle.write(f"centrality_{tag}_{measure}.csv", meta + table.to_csv(measure))
-                comps = scc(sg)
-                bundle.write(f"scc_{tag}.csv", meta + comps.to_csv())
-                dm = distance_matrix(sg)
-                bundle.write(f"distance_{tag}.csv", meta + dm.to_csv())
-                clusters = filter_singletons(average_linkage(dm, config.n_clusters))
-                bundle.write(f"clusters_{tag}.csv", meta + clusters.to_csv())
-                observed = triad_census(sg)
-                bundle.write(f"triads_{tag}.csv", meta + observed.to_csv())
-                zscores = motif_zscores(
-                    sg,
-                    observed=observed,
-                    ensemble_size=config.ensemble_size,
-                    seed=derive_seed(census_seed, name, direction, k),
-                    swaps_per_edge=config.swaps_per_edge,
-                )
-                bundle.write(f"motifs_{tag}.csv", meta + zscores.to_csv())
-                motifs[(direction, k)] = zscores
-                features.append(feature_matrix(sg, table, comps))
-        # After every Top-k unit, so a graph that cannot be rewired fails
-        # there whatever the region map.
-        top_k = max(config.k_values)
-        for direction in ("out", "in"):
-            context = f"analyze dataset {name}, regional top-{top_k} {direction}"
-            extract = topk_out if direction == "out" else topk_in
+        sg = (topk_out if direction == "out" else topk_in)(graph, k)
+        report = structural_report(sg)
+        bundle.write(f"structural_{tag}.json", report.to_json(meta=_meta_dict(config)))
+        bundle.write(f"structural_{tag}.csv", meta + report.to_csv())
+        table = centrality_table(
+            sg,
+            damping=config.pagerank_damping,
+            tol=config.pagerank_tol,
+            max_iter=config.pagerank_max_iter,
+        )
+        for measure in MEASURES:
+            bundle.write(f"centrality_{tag}_{measure}.csv", meta + table.to_csv(measure))
+        comps = scc(sg)
+        bundle.write(f"scc_{tag}.csv", meta + comps.to_csv())
+        dm = distance_matrix(sg)
+        bundle.write(f"distance_{tag}.csv", meta + dm.to_csv())
+        clusters = filter_singletons(average_linkage(dm, config.n_clusters))
+        bundle.write(f"clusters_{tag}.csv", meta + clusters.to_csv())
+        observed = triad_census(sg)
+        bundle.write(f"triads_{tag}.csv", meta + observed.to_csv())
+        zscores = motif_zscores(
+            sg,
+            observed=observed,
+            ensemble_size=config.ensemble_size,
+            seed=derive_seed(derive_seed(config.seed, "census"), name, direction, k),
+            swaps_per_edge=config.swaps_per_edge,
+        )
+        bundle.write(f"motifs_{tag}.csv", meta + zscores.to_csv())
+        return zscores, feature_matrix(sg, table, comps) if k <= 3 else None
+    except (TourflowError, ValueError) as exc:
+        exc.args = (f"analyze dataset {name}, top-{k} {direction}: {exc}",)
+        raise
+
+
+# A Top-k unit: dataset name, its graph, direction and k.
+_Unit = tuple[str, MobilityGraph, str, int]
+
+
+def _deal(units: list[_Unit], lanes: int) -> list[list[int]]:
+    """The unit indices of each lane, each lane's in ascending order.
+
+    Longest processing time first: units taken by descending k (a unit's
+    cost grows with its subgraph's arcs), ties by index, each to the
+    least loaded lane, ties to the lowest lane.
+    """
+    loads = [0] * lanes
+    dealt: list[list[int]] = [[] for _ in range(lanes)]
+    for index in sorted(range(len(units)), key=lambda i: (-units[i][3], i)):
+        lane = loads.index(min(loads))
+        dealt[lane].append(index)
+        loads[lane] += units[index][3]
+    return [sorted(indices) for indices in dealt]
+
+
+def _run_lane(
+    config: RunConfig, bundle: _Bundle, units: list[_Unit], indices: list[int]
+) -> tuple[dict[int, tuple], tuple[int, BaseException] | None]:
+    """Run the units at ``indices`` in order, stopping at the first that raises.
+
+    Returns each finished unit's result by index, and the index and
+    exception of the unit that raised, or None.
+    """
+    results = {}
+    for index in indices:
+        try:
+            results[index] = _topk_unit(config, bundle, *units[index])
+        except BaseException as exc:  # raised by cmd_analyze once every lane has ended
+            return results, (index, exc)
+    return results, None
+
+
+def _child_lane(
+    config: RunConfig, bundle: _Bundle, units: list[_Unit], indices: list[int], conn
+) -> None:
+    """A forked lane: run its units, then send back their results and the files it staged."""
+    bundle.hashes = {}
+    results, failure = _run_lane(config, bundle, units, indices)
+    if failure is not None:
+        index, exc = failure
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            failure = index, RuntimeError(f"{type(exc).__name__}: {exc}")
+    conn.send((results, failure, bundle.hashes))
+    conn.close()
+
+
+def _run_topk_units(
+    config: RunConfig, bundle: _Bundle, units: list[_Unit]
+) -> tuple[dict[int, tuple], tuple[int, BaseException] | None]:
+    """Run every Top-k unit; return the results by unit index, and the earliest failure.
+
+    This process runs lane 0 of ``_deal`` and a forked child each other
+    lane.  A child stages its files into ``bundle``'s directory and
+    sends back only its results and staged names, which are merged
+    into ``bundle`` before this returns.  The failure, (index,
+    exception) or None, is the earliest unit that raised: as each lane
+    runs its units in index order and stops at its first failure, every
+    unit before it has a result, and a serial run would raise it too.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes = _deal(units, min(cpus, len(units)))
+    children = []
+    try:
+        if len(lanes) > 1:
+            import multiprocessing
+
+            # fork: a child inherits the graphs and the bundle instead of
+            # being sent them, and its CPU time counts in this process's
+            # RUSAGE_CHILDREN.  Process and Pipe start no thread here, and
+            # the pipeline starts none, so forking is safe.
+            context = multiprocessing.get_context("fork")
+            for indices in lanes[1:]:
+                reader, writer = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_child_lane, args=(config, bundle, units, indices, writer))
+                child.start()
+                writer.close()
+                children.append((child, reader))
+        results, failure = _run_lane(config, bundle, units, lanes[0])
+        failures = [failure] if failure else []
+        for lane, (child, reader) in enumerate(children, start=1):
+            try:
+                done, failure, staged = reader.recv()
+            except EOFError:
+                child.join()
+                # The files it had staged are unknown; the run fails all the same.
+                failure = min(lanes[lane]), RuntimeError(
+                    f"analyze lane {lane} exited with code {child.exitcode} before reporting")
+                done, staged = {}, {}
+            bundle.hashes.update(staged)
+            results.update(done)
+            failures += [failure] if failure else []
+    finally:
+        for child, reader in children:
+            reader.close()
+            child.join()
+    return results, min(failures, key=lambda failure: failure[0], default=None)
+
+
+def _analyze_dataset(
+    config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph, region_map: RegionMap,
+    topk: dict[tuple[str, int], tuple[MotifZScores, FeatureMatrix | None]],
+) -> dict:
+    """A dataset's regional units and averaged distances; returns what the compare stage needs.
+
+    ``topk`` holds the results of its Top-k units by (direction, k), out
+    before in, k ascending.
+    """
+    meta = _meta_text(config, header=True)
+    top_k = max(config.k_values)
+    shares = {}
+    for direction in ("out", "in"):
+        extract = topk_out if direction == "out" else topk_in
+        try:
             raw = regional_flows(extract(graph, top_k), region_map)
             share = to_shares(raw)
-            bundle.write(f"regional_{name}_{direction}_raw.csv", meta + raw.to_csv())
-            bundle.write(f"regional_{name}_{direction}_share.csv", meta + share.to_csv())
-            shares[direction] = share
-    except (TourflowError, ValueError) as exc:
-        exc.args = (f"{context}: {exc}",)
-        raise
+        except (TourflowError, ValueError) as exc:
+            exc.args = (f"analyze dataset {name}, regional top-{top_k} {direction}: {exc}",)
+            raise
+        bundle.write(f"regional_{name}_{direction}_raw.csv", meta + raw.to_csv())
+        bundle.write(f"regional_{name}_{direction}_share.csv", meta + share.to_csv())
+        shares[direction] = share
     averaged = None
     if {1, 2, 3} <= set(config.k_values):
-        six = [fm for fm in features if fm.k in (1, 2, 3)]
-        averaged = avg_distance_matrix(six)
+        averaged = avg_distance_matrix([features for _, features in topk.values() if features])
         bundle.write(f"avgdist_{name}.csv", meta + averaged.to_csv())
+    motifs = {unit: zscores for unit, (zscores, _) in topk.items()}
     return {"motifs": motifs, "shares": shares, "averaged": averaged}
 
 
@@ -391,9 +529,19 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     region_map = RegionMap.from_csv(config.region_map) if config.region_map else RegionMap.default()
     meta = _meta_text(config, header=True)
     header = {"meta": _meta_dict(config), "datasets": sorted(graphs)}
+    units = [(name, graph, direction, k) for name, graph in graphs.items()
+             for direction in ("out", "in") for k in config.k_values]
     with _Bundle(Path(config.output_dir), "analyze_manifest.json", header) as bundle:
-        results = {name: _analyze_dataset(config, bundle, name, graph, region_map)
-                   for name, graph in graphs.items()}
+        topk, failure = _run_topk_units(config, bundle, units)
+        results = {}
+        for name, graph in graphs.items():
+            # A serial run fails at a dataset's first failed Top-k unit,
+            # before its regional units and before the next dataset.
+            if failure is not None and units[failure[0]][0] == name:
+                raise failure[1]
+            mine = {(direction, k): topk[index]
+                    for index, (owner, _, direction, k) in enumerate(units) if owner == name}
+            results[name] = _analyze_dataset(config, bundle, name, graph, region_map, mine)
         summary: dict = {"datasets": sorted(graphs)}
         if len(graphs) == 2:
             first, second = results["a"], results["b"]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -53,8 +54,9 @@ class MobilityGraph:
     outgoing ones.  Both are None for a full graph.
 
     A graph is never changed after construction: its node index, arc
-    arrays, neighbour lists and weight matrix are built on first use
-    and cached, and the cached arrays are read-only.
+    arrays, neighbour lists, ranked partners and weight matrix are built
+    on first use and cached, and the cached arrays and mappings are
+    read-only.
     """
 
     nodes: tuple[str, ...]
@@ -132,6 +134,31 @@ class MobilityGraph:
         """Per node, the positions of its predecessors, ascending (the arcs are sorted)."""
         return _grouped(len(self.nodes), *reversed(self.arcs))
 
+    def _ranked(self, outward: bool) -> MappingProxyType:
+        partners: dict[str, list[tuple[int, str]]] = {}
+        for (origin, dest), weight in self.edges.items():
+            node, partner = (origin, dest) if outward else (dest, origin)
+            partners.setdefault(node, []).append((-weight, partner))
+        # Codes only: a tuple of pairs per edge would hold about 90 bytes
+        # per edge for the life of the graph, a code reference 8.
+        return MappingProxyType({
+            node: tuple(partner for _, partner in sorted(ranked))
+            for node, ranked in partners.items()})
+
+    @cached_property
+    def ranked_out(self) -> MappingProxyType:
+        """Per node with outgoing edges, its destination codes, heaviest edge first.
+
+        Ties on weight go to the smaller code.  Nodes appear in the order
+        of their first edge in ``edges``.
+        """
+        return self._ranked(True)
+
+    @cached_property
+    def ranked_in(self) -> MappingProxyType:
+        """Per node with incoming edges, its origin codes, ordered as in ``ranked_out``."""
+        return self._ranked(False)
+
     @cached_property
     def weights(self) -> np.ndarray:
         """Dense float64 weight matrix in node order, zero for absent edges."""
@@ -151,15 +178,11 @@ def _topk(graph: MobilityGraph, k: int, direction: str) -> MobilityGraph:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     outward = direction == "out"
-    candidates: dict[str, list[tuple[int, str]]] = {}
-    for (origin, dest), weight in graph.edges.items():
-        node, partner = (origin, dest) if outward else (dest, origin)
-        candidates.setdefault(node, []).append((weight, partner))
     kept: dict[tuple[str, str], int] = {}
-    for node, cands in candidates.items():
-        cands.sort(key=lambda wc: (-wc[0], wc[1]))
-        for weight, partner in cands[:k]:
-            kept[(node, partner) if outward else (partner, node)] = weight
+    for node, ranked in (graph.ranked_out if outward else graph.ranked_in).items():
+        for partner in ranked[:k]:
+            pair = (node, partner) if outward else (partner, node)
+            kept[pair] = graph.edges[pair]
     return MobilityGraph(graph.nodes, kept, graph.label, direction, k)
 
 

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import multiprocessing
-import os
-import resource
 
 import numpy as np
 import pytest
@@ -360,30 +358,6 @@ def scalar_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
-def one_cpu(monkeypatch) -> None:
-    """An affinity mask of one CPU, under which starting a process fails the test."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was started"))
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """An affinity mask of two CPUs; collects the pid of every process forked."""
-    pids = []
-    fork = os.fork
-
-    def counted() -> int:
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-@pytest.fixture
 def chain_samples(one_cpu, monkeypatch) -> list[np.ndarray]:
     """The rows of every _rewire_chains call, in call order; blocks run in this process."""
     rows = []
@@ -476,7 +450,11 @@ class TestBatchedEnsemble:
 
 
 class TestPooledEnsemble:
-    """Multi-block ensembles run their blocks in forked worker processes."""
+    """Multi-block ensembles run their blocks in this process, whatever the affinity mask.
+
+    ``tourflow analyze`` runs Top-k units in parallel lanes instead; its
+    tests (``tests/test_cli.py::TestLanes``) check forked lanes.
+    """
 
     graph = SWAP_GRAPHS["hub-heavy"]
     size = 4 * BATCH_MIN_ENSEMBLE
@@ -492,54 +470,21 @@ class TestPooledEnsemble:
         return motif_zscores(self.graph, ensemble_size=self.size, seed=21, swaps_per_edge=5)
 
     @pytest.mark.parametrize("small_blocks", ["_CHAIN_BLOCK", "_BITMAP_BYTES"], indirect=True)
-    def test_pooled_ensemble_equals_in_process_one(self, monkeypatch, forks: list) -> None:
-        pooled_counts = census._null_counts(self.graph, self.size, 21, 5)
-        pooled = self.scores()
-        assert len(forks) == 4  # two workers per ensemble
-        assert multiprocessing.active_children() == []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert census._null_counts(self.graph, self.size, 21, 5).tolist() == pooled_counts.tolist()
-        assert self.scores() == pooled
-        assert len(forks) == 4
-        assert pooled_counts.tolist() == rewired_counts(self.graph, 21, self.size, 5)
+    def test_multi_block_ensemble_starts_no_process(self, two_cpus: list) -> None:
+        counts = census._null_counts(self.graph, self.size, 21, 5)
+        assert two_cpus == []
+        assert counts.tolist() == rewired_counts(self.graph, 21, self.size, 5)
 
     @pytest.mark.parametrize("size", [2, BATCH_MIN_ENSEMBLE - 1, BATCH_MIN_ENSEMBLE])
-    def test_ensembles_of_one_block_start_no_process(self, size: int, forks: list) -> None:
+    def test_ensembles_of_one_block_start_no_process(self, size: int, two_cpus: list) -> None:
         # Below BATCH_MIN_ENSEMBLE rewire runs per sample; at it, one block.
         motif_zscores(self.graph, ensemble_size=size, seed=21, swaps_per_edge=5)
-        assert forks == []
+        assert two_cpus == []
 
     def test_one_cpu_starts_no_process(self, one_cpu, scalar_calls: list) -> None:
         self.scores()
         assert len(scalar_calls) == 1
         assert multiprocessing.active_children() == []
-
-    def test_divergence_is_caught_through_the_pool(self, monkeypatch, forks: list) -> None:
-        monkeypatch.setattr(
-            census, "rewire", lambda graph, seed, swaps: rewire(graph, seed + 1, swaps))
-        with pytest.raises(RuntimeError, match="diverged"):
-            self.scores()
-        assert forks
-        assert multiprocessing.active_children() == []
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, forks: list) -> None:
-        def broken(*args):
-            raise ValueError("kernel failed in a worker")
-
-        # Only the workers run the kernel; they inherit the patch by fork.
-        monkeypatch.setattr(census, "_rewire_chains", broken)
-        with pytest.raises(ValueError, match="kernel failed in a worker"):
-            self.scores()
-        assert forks
-        assert multiprocessing.active_children() == []
-
-    def test_worker_cpu_time_counts_in_the_caller(self, forks: list) -> None:
-        # Workers that are not this process's children (a forkserver's, say)
-        # would escape RUSAGE_CHILDREN, and so a benchmark's cpu_s.
-        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-        self.scores()
-        assert forks
-        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
 
 
 class TestZPercentDiff:

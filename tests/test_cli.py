@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import multiprocessing
+import os
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from tourflow.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_UNEXPECTED,
     RunConfig,
     cmd_export,
     cmd_plot,
@@ -32,6 +37,7 @@ from tourflow.cli import (
     load_config,
     main,
 )
+from tourflow.seeds import derive_seed
 
 from oracles import random_digraph
 
@@ -197,7 +203,10 @@ class TestAnalyze:
         assert not (out / "correlations.csv").exists()
         assert not list(out.glob("zdiff_*"))
 
-    def test_each_observed_census_is_counted_once(self, tmp_path: Path, monkeypatch) -> None:
+    def test_each_observed_census_is_counted_once(
+        self, tmp_path: Path, monkeypatch, one_cpu
+    ) -> None:
+        # Counted in this process, so every unit runs here.
         calls = []
 
         def counted(graph):
@@ -593,7 +602,11 @@ class TestBundleCommit:
         assert "injected failure" in capsys.readouterr().err
         assert snapshot(out) == before
 
-    def test_diverged_rewiring_keeps_earlier_bundle(self, tmp_path: Path, monkeypatch) -> None:
+    def test_diverged_rewiring_keeps_earlier_bundle(
+        self, tmp_path: Path, monkeypatch, one_cpu
+    ) -> None:
+        # Seeds are recorded in this process, so every unit runs here; see
+        # TestLanes for a divergence in a forked lane.
         base = bundle_args(tmp_path)
         out = tmp_path / "out"
         assert main(["build", *base]) == EXIT_OK
@@ -623,3 +636,184 @@ class TestBundleCommit:
         assert main(["build", *base, "--set", "seed=1",
                      "--set", f"dataset_b_flows={missing}"]) == EXIT_PARSE
         assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command", ["build", "analyze"])
+    def test_output_dir_in_use_is_left_alone(self, tmp_path: Path, command: str, capsys) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        before = snapshot(out)
+        lock = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main([command, *base, "--set", "seed=1"]) == EXIT_UNEXPECTED
+        finally:
+            os.close(lock)
+        assert f"output_dir {out} is in use by another tourflow run" in capsys.readouterr().err
+        assert snapshot(out) == before
+        assert main([command, *base, "--set", "seed=1"]) == EXIT_OK
+
+
+def unit_seed(name: str, direction: str, k: int) -> int:
+    """The seed analyze's rewire cross-check draws sample 0 of a unit's ensemble with (seed 0)."""
+    return derive_seed(derive_seed(derive_seed(0, "census"), name, direction, k), 0)
+
+
+class TestLanes:
+    """Analyze runs its Top-k units in one lane per CPU, itself being lane 0.
+
+    With k = 1..3, lane 0 runs every Out unit and the forked lane every
+    In unit, of each dataset.
+    """
+
+    @pytest.mark.parametrize("datasets", ["a", "ab"])
+    def test_lanes_give_the_one_cpu_bundle(
+        self, tmp_path: Path, datasets: str, two_cpus: list, monkeypatch
+    ) -> None:
+        base = bundle_args(tmp_path, datasets)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        assert len(two_cpus) == 1
+        assert multiprocessing.active_children() == []
+        lanes = snapshot(out)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["analyze", *base]) == EXIT_OK
+        assert len(two_cpus) == 1  # one CPU forks nothing
+        assert snapshot(out) == lanes
+
+    def test_deal_balances_the_lanes(self) -> None:
+        for datasets, k_values, load in (("ab", range(1, 11), 110), ("ab", (1, 2, 3), 12),
+                                         ("a", (1, 2, 3), 6)):
+            units = [(name, None, direction, k) for name in datasets
+                     for direction in ("out", "in") for k in k_values]
+            lanes = cli._deal(units, 2)
+            assert sorted(lanes[0] + lanes[1]) == list(range(len(units)))
+            assert [sum(units[i][3] for i in lane) for lane in lanes] == [load, load]
+            assert [len(lane) for lane in lanes] == [len(units) // 2] * 2
+        assert cli._deal(units, 1) == [list(range(len(units)))]
+
+    @pytest.mark.parametrize("datasets, failing, message", [
+        ("a", {("a", "in", 2)}, "dataset a, top-2 in"),
+        # Both lanes fail; the earlier unit's message wins, in either lane.
+        ("a", {("a", "out", 3), ("a", "in", 1)}, "dataset a, top-3 out"),
+        ("ab", {("b", "out", 1), ("a", "in", 1)}, "dataset a, top-1 in"),
+        ("ab", {("a", "out", 3), ("b", "in", 1)}, "dataset a, top-3 out"),
+        # Dataset a's regional units run before any unit of b fails.
+        ("ab", {("a", "regional", 3), ("b", "in", 1)}, "dataset a, regional top-3 out"),
+    ])
+    def test_failed_unit_gives_the_serial_message(
+        self, tmp_path: Path, monkeypatch, capsys, two_cpus: list,
+        datasets: str, failing: set, message: str
+    ) -> None:
+        base = bundle_args(tmp_path, datasets)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        before = snapshot(out)
+        scc, regional_flows = cli.scc, cli.regional_flows
+
+        def broken(graph):
+            if (graph.label, graph.direction, graph.k) in failing:
+                raise ValueError("injected failure")
+            return scc(graph)
+
+        def broken_regional(graph, region_map):
+            if (graph.label, "regional", graph.k) in failing:
+                raise ValueError("injected failure")
+            return regional_flows(graph, region_map)
+
+        monkeypatch.setattr(cli, "scc", broken)
+        monkeypatch.setattr(cli, "regional_flows", broken_regional)
+        errors = []
+        for mask in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
+            capsys.readouterr()
+            assert main(["analyze", *base, "--set", "seed=1"]) == EXIT_DOMAIN
+            errors.append(capsys.readouterr().err)
+            assert snapshot(out) == before
+            assert not list(out.glob("*.tmp"))
+            assert multiprocessing.active_children() == []
+        assert len(two_cpus) == 2  # one lane forked by each two-CPU analyze
+        assert errors[0] == errors[1] == f"error: analyze {message}: injected failure\n"
+
+    def test_divergence_in_a_child_lane_is_caught(
+        self, tmp_path: Path, monkeypatch, two_cpus: list
+    ) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        before = snapshot(out)
+        rewire = census.rewire
+        bad = unit_seed("a", "in", 2)
+
+        def diverging(graph, seed, swaps):
+            return rewire(graph, seed + (seed == bad), swaps)
+
+        monkeypatch.setattr(census, "rewire", diverging)
+        forked = len(two_cpus)
+        with pytest.raises(RuntimeError, match="diverged"):
+            main(["analyze", *base, "--set", f"ensemble_size={census.BATCH_MIN_ENSEMBLE}"])
+        assert len(two_cpus) == forked + 1
+        assert snapshot(out) == before
+        assert not list(out.glob("*.tmp"))
+        assert multiprocessing.active_children() == []
+
+    def test_exception_that_does_not_pickle_still_fails_the_run(
+        self, tmp_path: Path, monkeypatch, two_cpus: list
+    ) -> None:
+        class Unpicklable(Exception):
+            pass  # local, so pickle cannot find its class by name
+
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        before = snapshot(out)
+        scc = cli.scc
+
+        def broken(graph):
+            if graph.direction == "in":
+                raise Unpicklable("lost in transit")
+            return scc(graph)
+
+        monkeypatch.setattr(cli, "scc", broken)
+        with pytest.raises(RuntimeError, match="Unpicklable: lost in transit"):
+            main(["analyze", *base])
+        assert snapshot(out) == before
+        assert multiprocessing.active_children() == []
+
+    def test_lane_that_dies_fails_the_run(
+        self, tmp_path: Path, monkeypatch, two_cpus: list
+    ) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        before = snapshot(out)
+        scc = cli.scc
+
+        def dying(graph):
+            if graph.direction == "in":
+                os._exit(3)
+            return scc(graph)
+
+        monkeypatch.setattr(cli, "scc", dying)
+        with pytest.raises(RuntimeError, match="analyze lane 1 exited with code 3 before reporting"):
+            main(["analyze", *base])
+        # What the lane staged before it died is unknown, so its *.tmp files stay.
+        assert {name: data for name, data in snapshot(out).items()
+                if not name.endswith(".tmp")} == before
+        assert multiprocessing.active_children() == []
+
+    def test_lane_cpu_time_counts_in_the_caller(self, tmp_path: Path, two_cpus: list) -> None:
+        # Lanes that are not this process's children would escape
+        # RUSAGE_CHILDREN, and so a benchmark's cpu_s.
+        base = [*bundle_args(tmp_path), "--set", f"ensemble_size={4 * census.BATCH_MIN_ENSEMBLE}",
+                "--set", "swaps_per_edge=20"]
+        assert main(["build", *base]) == EXIT_OK
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert main(["analyze", *base]) == EXIT_OK
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert two_cpus
+        assert after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime

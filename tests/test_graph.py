@@ -106,6 +106,34 @@ class TestTopK:
                 expected[(o, node)] = w
         assert topk_in(g, 3).edges == expected
 
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 9), max_weight=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_every_k_matches_per_node_sort_oracle(
+        self, seed: int, n: int, max_weight: int
+    ) -> None:
+        # Few distinct weights, so most partners tie; the ranking cached by
+        # the first call serves every later k, descending as well.
+        g = random_digraph(np.random.default_rng(seed), n, 0.5, max_weight)
+        for k in (*range(n, 0, -1), *range(1, n + 1)):
+            for extract, outward in ((topk_out, True), (topk_in, False)):
+                expected: dict[tuple[str, str], int] = {}
+                for node in g.nodes:
+                    ranked = sorted((-w, d if outward else o) for (o, d), w in g.edges.items()
+                                    if (o if outward else d) == node)
+                    for w, partner in ranked[:k]:
+                        expected[(node, partner) if outward else (partner, node)] = -w
+                sg = extract(g, k)
+                assert sg.edges == expected
+                assert (sg.direction, sg.k) == ("out" if outward else "in", k)
+
+    def test_ranked_partners_are_cached_and_read_only(self) -> None:
+        g = MobilityGraph.build({("AA", "BB"): 3, ("AA", "CC"): 3, ("BB", "CC"): 5})
+        assert g.ranked_out is g.ranked_out
+        assert dict(g.ranked_out) == {"AA": ("BB", "CC"), "BB": ("CC",)}
+        assert dict(g.ranked_in) == {"BB": ("AA",), "CC": ("BB", "AA")}
+        with pytest.raises(TypeError):
+            g.ranked_in["CC"] = ()
+
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_edge_count_identity(self, seed: int, k: int) -> None:
