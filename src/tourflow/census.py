@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MobilityGraph
-from .metrics import sig6
+from .metrics import flagged_csv, sig6
 from .seeds import derive_seed
 
 TRIAD_NAMES = (
@@ -423,10 +423,4 @@ def z_percent_diff(a: MotifZScores, b: MotifZScores) -> dict[str, float | None]:
 
 
 def z_percent_diff_csv(diff: dict[str, float | None]) -> str:
-    lines = ["class,percent_diff,flag"]
-    for name in CONNECTED_TRIADS:
-        value = diff[name]
-        text = "" if value is None else sig6(value)
-        flag = "undefined" if value is None else ""
-        lines.append(f"{name},{text},{flag}")
-    return "\n".join(lines) + "\n"
+    return flagged_csv("class,percent_diff,flag", ((name, diff[name]) for name in CONNECTED_TRIADS))

@@ -16,10 +16,10 @@ process is lane 0, and every other lane is a forked child process.
 from __future__ import annotations
 
 import argparse
-import csv
 import fcntl
 import hashlib
 import json
+import math
 import os
 import pickle
 import sys
@@ -33,12 +33,12 @@ from .compare import FeatureMatrix, avg_distance_matrix, country_correlations, f
 from .errors import ConfigError, ConvergenceError, ParseError, TourflowError
 from .graph import EXPORT_FORMATS, MobilityGraph, export_graph, topk_in, topk_out
 from .ingest import (
-    _open_lines,
     build_mobility_graph,
     filter_countries,
     infer_homes,
     parse_checkins,
     parse_flow_matrix,
+    read_table,
 )
 from .metrics import MEASURES, centrality_table, scc, structural_report
 from .plots import bar_svg, heatmap_svg, strip_svg
@@ -99,21 +99,16 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
+# Each config key is read by the parser of its default's type.
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_k_values, str: str.strip}
+
+
 def _coerce(key: str, text: str) -> object:
-    kinds = {f.name: f.type for f in fields(RunConfig)}
-    if key not in kinds:
+    if key not in _DEFAULTS:
         raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key == "k_values":
-            return _parse_k_values(text)
-        if key == "strict":
-            return _parse_bool(text)
-        if key in ("checkin_threshold", "pagerank_max_iter", "ensemble_size",
-                   "swaps_per_edge", "seed", "n_clusters"):
-            return int(text)
-        if key in ("pagerank_damping", "pagerank_tol"):
-            return float(text)
-        return text.strip()
+        return _PARSERS[type(_DEFAULTS[key])](text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -124,7 +119,7 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -572,17 +567,14 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     return EXIT_OK
 
 
-def _read_report_rows(path: Path) -> list[list[str]]:
-    with _open_lines(path) as lines:
-        kept = [line for line in lines if line.strip() and not line.startswith("#")]
-    return list(csv.reader(kept))
-
-
 def _number(cell: str, what: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError as exc:
         raise ParseError(f"{what} must be numeric: {exc}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {value}")
+    return value
 
 
 def _plot_heatmap(rows: list[list[str]], title: str, meta: str) -> str:
@@ -630,7 +622,8 @@ def cmd_plot(report: str, kind: str, out: str, config: RunConfig | None = None) 
     if kind not in PLOT_KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
     path = Path(report)
-    rows = _read_report_rows(path)
+    with read_table(path, "report") as reader:
+        rows = list(reader)
     meta = _meta_text(config) + f" | source: {path.name}"
     title = path.stem
     if kind == "heatmap":

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import MobilityGraph
+from .metrics import matrix_csv, number_groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,11 +28,7 @@ class DistanceMatrix:
     normalization: str
 
     def to_csv(self) -> str:
-        lines = ["country," + ",".join(self.countries)]
-        for i, code in enumerate(self.countries):
-            row = ",".join(f"{v:.12g}" for v in self.values[i])
-            lines.append(f"{code},{row}")
-        return "\n".join(lines) + "\n"
+        return matrix_csv("country", self.countries, self.values)
 
 
 def distance_matrix(subgraph: MobilityGraph, normalization: str | None = None) -> DistanceMatrix:
@@ -161,12 +158,7 @@ def average_linkage(dm: DistanceMatrix, n_clusters: int) -> ClusterAssignment:
     for merge in average_linkage_merges(dm)[: n - n_clusters]:
         joined = members.pop(merge.left) + members.pop(merge.right)
         members[merge.new_id] = joined
-    groups = sorted((sorted(group) for group in members.values()), key=lambda g: (-len(g), g[0]))
-    cluster: dict[str, int] = {}
-    for cid, group in enumerate(groups):
-        for code in group:
-            cluster[code] = cid
-    return ClusterAssignment(dm.countries, cluster, tuple(len(g) for g in groups))
+    return ClusterAssignment(dm.countries, *number_groups(members.values()))
 
 
 def filter_singletons(assignment: ClusterAssignment) -> ClusterAssignment:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import MobilityGraph
-from .metrics import CentralityTable, ComponentAssignment, sig6
+from .metrics import CentralityTable, ComponentAssignment, flagged_csv, matrix_csv
 
 NUMERIC_FEATURES = ("in_strength", "out_strength", "betweenness", "pagerank")
 
@@ -97,11 +97,7 @@ class AveragedDistances:
     values: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["country," + ",".join(self.countries)]
-        for i, code in enumerate(self.countries):
-            row = ",".join(f"{v:.12g}" for v in self.values[i])
-            lines.append(f"{code},{row}")
-        return "\n".join(lines) + "\n"
+        return matrix_csv("country", self.countries, self.values)
 
 
 def _euclidean_distances(values: np.ndarray) -> np.ndarray:
@@ -159,13 +155,7 @@ class CorrelationReport:
         return len(self.countries)
 
     def to_csv(self) -> str:
-        lines = ["country,rho,flag"]
-        for code in self.countries:
-            value = self.rho[code]
-            text = "" if value is None else sig6(value)
-            flag = "undefined" if value is None else ""
-            lines.append(f"{code},{text},{flag}")
-        return "\n".join(lines) + "\n"
+        return flagged_csv("country,rho,flag", ((code, self.rho[code]) for code in self.countries))
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:

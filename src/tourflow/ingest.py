@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import ParseError
 from .graph import _COUNTRY_CODES, MobilityGraph, is_country_code
@@ -249,17 +249,45 @@ def build_mobility_graph(
     return MobilityGraph(tuple(sorted(kept)), edges, label)
 
 
-def _flow_rows(lines: list[str]) -> Iterator[list[str]]:
-    """CSV rows of the lines, which keep their own ends (read with newline="").
+def _data_lines(lines: Iterator[str], on_comment: Callable[[str], object] | None) -> Iterator[str]:
+    for line in lines:
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            if on_comment is not None:
+                on_comment(stripped[1:].strip())
+        elif stripped:
+            yield line
 
-    csv needs those ends to tell a bare ``\\r`` line end from one inside a
-    field.  A line csv cannot read raises :class:`ParseError`.
+
+@contextmanager
+def read_table(
+    source: str | Path | IO[str],
+    what: str,
+    header: tuple[str, ...] | None = None,
+    on_comment: Callable[[str], object] | None = None,
+) -> Iterator[Iterator[list[str]]]:
+    """The CSV rows of a strict table: a flow matrix, region map or report.
+
+    Blank and ``#`` lines are skipped; each comment's text after the ``#``
+    goes to ``on_comment`` as soon as it is read, before any later row.
+    Lines keep their ends (``newline=""``), which csv needs to tell a
+    bare ``\\r`` line end from one inside a field.  A line csv cannot
+    read raises ``ParseError("<what> line N is malformed: ...")``, N
+    counting the lines that are neither blank nor comments.  Given a
+    ``header``, the first row must be it, and the rows after it are read.
     """
-    reader = csv.reader(lines)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"flow matrix line {reader.line_num} is malformed: {exc}") from None
+    with _open_lines(source) as lines:
+        reader = csv.reader(_data_lines(lines, on_comment))
+        try:
+            if header is not None:
+                first = next(reader, None)
+                if first is None:
+                    raise ParseError(f"{what} is empty; expected header {','.join(header)}")
+                if tuple(col.strip() for col in first) != header:
+                    raise ParseError(f"{what} header must be {','.join(header)}")
+            yield reader
+        except csv.Error as exc:
+            raise ParseError(f"{what} line {reader.line_num} is malformed: {exc}") from None
 
 
 def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> MobilityGraph:
@@ -271,28 +299,16 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
     (possibly isolated) nodes; :func:`tourflow.graph.export_graph`
     writes such a line so graphs round-trip exactly.
     """
-    with _open_lines(source) as lines:
-        nodes: set[str] = set()
-        data_lines: list[str] = []
-        for raw in lines:
-            stripped = raw.strip()
-            if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if body.startswith("nodes:"):
-                    for code in body[len("nodes:"):].split():
-                        if not is_country_code(code):
-                            raise ParseError(f"invalid country code {code!r} in nodes line")
-                        nodes.add(code)
-                continue
-            if stripped:
-                data_lines.append(raw)
-        reader = _flow_rows(data_lines)
-        try:
-            header = [col.strip() for col in next(reader)]
-        except StopIteration:
-            raise ParseError("flow matrix is empty; expected header origin,destination,count") from None
-        if header != ["origin", "destination", "count"]:
-            raise ParseError("flow matrix header must be origin,destination,count")
+    nodes: set[str] = set()
+
+    def add_nodes(comment: str) -> None:
+        if comment.startswith("nodes:"):
+            for code in comment[len("nodes:"):].split():
+                if not is_country_code(code):
+                    raise ParseError(f"invalid country code {code!r} in nodes line")
+                nodes.add(code)
+
+    with read_table(source, "flow matrix", ("origin", "destination", "count"), add_nodes) as reader:
         edges: dict[tuple[str, str], int] = {}
         for rownum, row in enumerate(reader, start=2):
             if len(row) != 3:
@@ -314,4 +330,4 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
             edges[pair] = count
             nodes.add(origin)
             nodes.add(dest)
-        return MobilityGraph(tuple(sorted(nodes)), edges, label)
+    return MobilityGraph(tuple(sorted(nodes)), edges, label)

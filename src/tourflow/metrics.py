@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,35 @@ MEASURES = ("in_degree", "out_degree", "in_strength", "out_strength", "pagerank"
 def sig6(value: float) -> str:
     """Render a number with 6 significant digits (CSV report precision)."""
     return f"{value:.6g}"
+
+
+def matrix_csv(corner: str, labels: Sequence[str], values: np.ndarray, spec: str = ".12g") -> str:
+    """A square labelled matrix: a header row of labels after ``corner``,
+    then one row per label, each cell formatted with ``spec``."""
+    lines = [corner + "," + ",".join(labels)]
+    for label, row in zip(labels, values):
+        lines.append(label + "," + ",".join(f"{v:{spec}}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def flagged_csv(header: str, items: Iterable[tuple[str, float | None]]) -> str:
+    """``label,value,flag`` rows under ``header``: a value in :func:`sig6`
+    and no flag, or, for None, a blank value flagged ``undefined``."""
+    lines = [header]
+    for label, value in items:
+        lines.append(f"{label},,undefined" if value is None else f"{label},{sig6(value)},")
+    return "\n".join(lines) + "\n"
+
+
+def number_groups(groups: Iterable[Iterable[str]]) -> tuple[dict[str, int], tuple[int, ...]]:
+    """Reproducible group ids: each code's id and each id's group size.
+
+    Ids run 0, 1, ... by decreasing group size, ties broken by the
+    smallest member code.
+    """
+    ordered = sorted((sorted(group) for group in groups), key=lambda g: (-len(g), g[0]))
+    ids = {code: gid for gid, group in enumerate(ordered) for code in group}
+    return ids, tuple(len(group) for group in ordered)
 
 
 @dataclass(frozen=True)
@@ -361,14 +391,9 @@ class ComponentAssignment:
 
 def scc(graph: MobilityGraph) -> ComponentAssignment:
     """Strongly connected components with deterministic component ids."""
-    raw = _tarjan_components(graph.successors)
-    named = [sorted(graph.nodes[i] for i in members) for members in raw]
-    named.sort(key=lambda ms: (-len(ms), ms[0]))
-    assignment: dict[str, int] = {}
-    for cid, members in enumerate(named):
-        for code in members:
-            assignment[code] = cid
-    return ComponentAssignment(graph.nodes, assignment, tuple(len(ms) for ms in named))
+    nodes = graph.nodes
+    components = ([nodes[i] for i in members] for members in _tarjan_components(graph.successors))
+    return ComponentAssignment(nodes, *number_groups(components))
 
 
 def competition_ranks(values: dict[str, float]) -> dict[str, int]:

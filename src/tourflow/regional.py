@@ -9,7 +9,6 @@ supported country to one of the six continents.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +19,8 @@ import numpy as np
 
 from .errors import ParseError
 from .graph import MobilityGraph, is_country_code
-from .ingest import _open_lines
+from .ingest import read_table
+from .metrics import matrix_csv
 
 
 @dataclass(frozen=True)
@@ -36,29 +36,23 @@ class RegionMap:
 
     @classmethod
     def from_csv(cls, source: str | Path | IO[str]) -> "RegionMap":
-        with _open_lines(source) as lines:
-            rows = list(csv.reader(lines))
-        if not rows:
-            raise ParseError("region map is empty; expected header country,region")
-        if [col.strip() for col in rows[0]] != ["country", "region"]:
-            raise ParseError("region map header must be country,region")
+        """Read a ``country,region`` CSV; blank and ``#`` lines are skipped."""
         regions: list[str] = []
         assignment: dict[str, str] = {}
-        for rownum, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"region map row {rownum} has {len(row)} fields, expected 2")
-            country, region = row[0].strip(), row[1].strip()
-            if not is_country_code(country):
-                raise ParseError(f"invalid country code {country!r} in region map row {rownum}")
-            if not region:
-                raise ParseError(f"empty region name in region map row {rownum}")
-            if country in assignment:
-                raise ParseError(f"country {country} mapped twice in region map row {rownum}")
-            if region not in regions:
-                regions.append(region)
-            assignment[country] = region
+        with read_table(source, "region map", ("country", "region")) as reader:
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != 2:
+                    raise ParseError(f"region map row {rownum} has {len(row)} fields, expected 2")
+                country, region = row[0].strip(), row[1].strip()
+                if not is_country_code(country):
+                    raise ParseError(f"invalid country code {country!r} in region map row {rownum}")
+                if not region:
+                    raise ParseError(f"empty region name in region map row {rownum}")
+                if country in assignment:
+                    raise ParseError(f"country {country} mapped twice in region map row {rownum}")
+                if region not in regions:
+                    regions.append(region)
+                assignment[country] = region
         if not assignment:
             raise ParseError("region map contains no countries")
         return cls(tuple(regions), assignment)
@@ -90,14 +84,8 @@ class RegionalFlowMatrix:
     mode: str
 
     def to_csv(self) -> str:
-        lines = ["region," + ",".join(self.regions)]
-        for i, region in enumerate(self.regions):
-            if self.mode == "raw":
-                row = ",".join(str(int(v)) for v in self.values[i])
-            else:
-                row = ",".join(f"{v:.12g}" for v in self.values[i])
-            lines.append(f"{region},{row}")
-        return "\n".join(lines) + "\n"
+        spec = "d" if self.mode == "raw" else ".12g"
+        return matrix_csv("region", self.regions, self.values, spec)
 
 
 def regional_flows(graph: MobilityGraph, region_map: RegionMap) -> RegionalFlowMatrix:

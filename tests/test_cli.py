@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import resource
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,21 @@ class TestConfig:
     def test_missing_file_rejected(self, tmp_path: Path) -> None:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
+
+    def test_non_utf8_file_rejected(self, tmp_path: Path, capsys) -> None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=1\noutput_dir=\xff\n")
+        assert main(["build", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: cannot read config file {cfg}" in capsys.readouterr().err
+
+    def test_every_key_parses_to_its_default_type(self) -> None:
+        text = {bool: "no", int: "7", float: "0.5", tuple: "3,1", str: " x "}
+        defaults = RunConfig()
+        keys = [f.name for f in fields(RunConfig)]
+        config = load_config(None, [f"{key}={text[type(getattr(defaults, key))]}" for key in keys])
+        for key in keys:
+            assert type(getattr(config, key)) is type(getattr(defaults, key)), key
+            assert getattr(config, key) != getattr(defaults, key), key
 
     def test_hash_tracks_content(self) -> None:
         a = load_config(None)
@@ -318,6 +334,10 @@ class TestPlot:
         pytest.param("strip", "country,rho,flag\nAA,abc,\n", id="strip-value"),
         pytest.param("strip", "country,rho,flag\nAA\n", id="strip-short-row"),
         pytest.param("bar", "class,count\n030T,xyz\n", id="bar-value"),
+        pytest.param("heatmap", "country,AA,AB\nAA,0,nan\nAB,1,0\n", id="heatmap-nan"),
+        pytest.param("strip", "country,rho,flag\nAA,inf,\nAB,0.5,\n", id="strip-inf"),
+        pytest.param("bar", "class,real,mean,std,z,flag\n030T,9,4,1,-inf,\n", id="bar-inf"),
+        pytest.param("bar", "class,real,mean,std,z,flag\n030T,9,4,1,NaN,\n", id="bar-nan"),
     ])
     def test_wrong_shape_is_parse_error(self, tmp_path: Path, kind: str, text: str) -> None:
         report = tmp_path / "bad.csv"

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 from tourflow import (
     CheckinTable,
     ParseError,
+    RegionMap,
     build_mobility_graph,
     filter_countries,
     infer_homes,
     parse_checkins,
     parse_flow_matrix,
 )
+from tourflow.cli import EXIT_OK, EXIT_PARSE, main
 from tourflow.graph import is_country_code
 from tourflow.ingest import _is_int_literal, _parse_timestamp
 
@@ -218,7 +220,7 @@ class TestStreamingParse:
         pytest.param("u3,US", id="width"),
         pytest.param("u3,Germany,300", id="code"),
         pytest.param("u3,US,2019-02-30T12:00:00Z", id="timestamp"),
-        pytest.param("u3," + "U" * (1 << 17) + ",300", id="oversized-field"),
+        pytest.param("u3," + "U" * ((1 << 17) + 1) + ",300", id="oversized-field"),
     ])
     def test_strict_line_number_of_each_malformed_kind(self, row: str) -> None:
         # Line 1 header, 2-3 one row with a quoted line break, 4 blank, 5 the bad row.
@@ -446,6 +448,15 @@ class TestFuzz:
         except ParseError:
             pass
 
+    @given(payload=_fuzz_payload("country,region"))
+    @settings(max_examples=300, deadline=None)
+    def test_region_map_from_csv(self, fuzz_file, payload: bytes) -> None:
+        fuzz_file.write_bytes(payload)
+        try:
+            RegionMap.from_csv(fuzz_file)
+        except ParseError:
+            pass
+
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
     @given(payload=st.one_of(_fuzz_payload("user_id,country,timestamp"),
@@ -471,13 +482,38 @@ class TestFuzz:
     @pytest.mark.parametrize("row", [
         b"AA,AB,1\r0",  # a bare \r ends the row, so "0" is a row of one field
         b"AA,AB," + b"9" * 5000,  # more digits than int() converts
-        b'AA,AB,"' + b"1" * (1 << 17) + b'"',  # over csv's field size limit
     ])
     def test_unreadable_flow_rows_are_parse_errors(self, tmp_path: Path, row: bytes) -> None:
         path = tmp_path / "flows.csv"
         path.write_bytes(b"origin,destination,count\n" + row + b"\n")
         with pytest.raises(ParseError):
             parse_flow_matrix(path)
+
+    @pytest.mark.parametrize("what", ["flow matrix", "region map", "report"])
+    def test_oversized_field_exits_2(self, tmp_path: Path, what: str, capsys) -> None:
+        flows = tmp_path / "flows.csv"
+        flows.write_text("origin,destination,count\nAA,AB,2\nAB,AC,1\nAC,AA,3\n")
+        out = tmp_path / "out"
+        base = ["--set", f"dataset_a_flows={flows}", "--set", f"output_dir={out}"]
+        assert main(["build", *base]) == EXIT_OK
+        built = {path.name: path.read_bytes() for path in out.iterdir()}
+        field = "1" * ((1 << 17) + 1)  # over csv's field size limit
+        bad = tmp_path / "bad.csv"
+        svg = tmp_path / "plot.svg"
+        if what == "flow matrix":
+            bad.write_text(f"origin,destination,count\nAA,AB,{field}\n")
+            args = ["build", *base, "--set", f"dataset_b_flows={bad}"]
+        elif what == "region map":
+            bad.write_text(f"country,region\nAA,{field}\n")
+            args = ["analyze", *base, "--set", f"region_map={bad}"]
+        else:
+            bad.write_text(f"country,rho,flag\nAA,{field},\n")
+            args = ["plot", "--report", str(bad), "--kind", "strip", "--out", str(svg)]
+        capsys.readouterr()
+        assert main(args) == EXIT_PARSE
+        assert f"input error: {what} line 2 is malformed" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == built
+        assert not svg.exists()
 
     @pytest.mark.parametrize("fmt, row", [
         ("csv", "u1," + "U" * (1 << 17) + ",1"),  # over csv's field size limit
