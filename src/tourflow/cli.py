@@ -7,8 +7,9 @@ carries a metadata header (tool version, config hash, seed), a command
 commits all of its files or none, and repeated runs with the same config
 produce byte-identical bundles.
 
-``analyze`` runs its Top-k units (one dataset, direction and k each) in
-one lane per CPU of the process's affinity mask: the ``analyze``
+``analyze`` runs its Top-k units (one dataset, direction and k each),
+and ``build`` parses a check-in log in byte pieces, in one lane per CPU
+of the process's affinity mask (:mod:`tourflow.lanes`): the command's
 process is lane 0, and every other lane is a forked child process.
 ``taskset`` limits them; there is no setting.
 """
@@ -21,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -40,6 +40,7 @@ from .ingest import (
     parse_flow_matrix,
     read_table,
 )
+from .lanes import cpu_count, run_lanes
 from .metrics import MEASURES, centrality_table, scc, structural_report
 from .plots import bar_svg, heatmap_svg, strip_svg
 from .regional import RegionMap, mean_abs_share_diff, regional_flows, share_diff, to_shares
@@ -404,72 +405,35 @@ def _run_lane(
     return results, None
 
 
-def _child_lane(
-    config: RunConfig, bundle: _Bundle, units: list[_Unit], indices: list[int], conn
-) -> None:
-    """A forked lane: run its units, then send back their results and the files it staged."""
-    bundle.hashes = {}
-    results, failure = _run_lane(config, bundle, units, indices)
-    if failure is not None:
-        index, exc = failure
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            failure = index, RuntimeError(f"{type(exc).__name__}: {exc}")
-    conn.send((results, failure, bundle.hashes))
-    conn.close()
-
-
 def _run_topk_units(
     config: RunConfig, bundle: _Bundle, units: list[_Unit]
 ) -> tuple[dict[int, tuple], tuple[int, BaseException] | None]:
     """Run every Top-k unit; return the results by unit index, and the earliest failure.
 
-    This process runs lane 0 of ``_deal`` and a forked child each other
-    lane.  A child stages its files into ``bundle``'s directory and
-    sends back only its results and staged names, which are merged
-    into ``bundle`` before this returns.  The failure, (index,
-    exception) or None, is the earliest unit that raised: as each lane
-    runs its units in index order and stops at its first failure, every
-    unit before it has a result, and a serial run would raise it too.
+    The units are dealt to one lane per CPU (``_deal``), run by
+    :func:`tourflow.lanes.run_lanes`.  A forked lane stages its files
+    into ``bundle``'s directory and sends back only its results and
+    staged names, which are merged into ``bundle`` before this returns.
+    The failure, (index, exception) or None, is the earliest unit that
+    raised: as each lane runs its units in index order and stops at its
+    first failure, every unit before it has a result, and a serial run
+    would raise it too.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    lanes = _deal(units, min(cpus, len(units)))
-    children = []
-    try:
-        if len(lanes) > 1:
-            import multiprocessing
+    dealt = _deal(units, min(cpu_count(), len(units)))
 
-            # fork: a child inherits the graphs and the bundle instead of
-            # being sent them, and its CPU time counts in this process's
-            # RUSAGE_CHILDREN.  Process and Pipe start no thread here, and
-            # the pipeline starts none, so forking is safe.
-            context = multiprocessing.get_context("fork")
-            for indices in lanes[1:]:
-                reader, writer = context.Pipe(duplex=False)
-                child = context.Process(
-                    target=_child_lane, args=(config, bundle, units, indices, writer))
-                child.start()
-                writer.close()
-                children.append((child, reader))
-        results, failure = _run_lane(config, bundle, units, lanes[0])
-        failures = [failure] if failure else []
-        for lane, (child, reader) in enumerate(children, start=1):
-            try:
-                done, failure, staged = reader.recv()
-            except EOFError:
-                child.join()
-                # The files it had staged are unknown; the run fails all the same.
-                failure = min(lanes[lane]), RuntimeError(
-                    f"analyze lane {lane} exited with code {child.exitcode} before reporting")
-                done, staged = {}, {}
-            bundle.hashes.update(staged)
-            results.update(done)
-            failures += [failure] if failure else []
-    finally:
-        for child, reader in children:
-            reader.close()
-            child.join()
+    def lane(number: int) -> tuple[dict[int, tuple], tuple[int, BaseException] | None, dict]:
+        if number:  # a forked lane reports the files it staged, not lane 0's
+            bundle.hashes = {}
+        return (*_run_lane(config, bundle, units, dealt[number]), bundle.hashes)
+
+    results: dict[int, tuple] = {}
+    failures = []
+    for number, (outcome, died) in enumerate(run_lanes(lane, len(dealt), "analyze")):
+        # The files a lane that died had staged are unknown; the run fails all the same.
+        done, failure, staged = outcome if died is None else ({}, (min(dealt[number]), died), {})
+        bundle.hashes.update(staged)
+        results.update(done)
+        failures += [failure] if failure else []
     return results, min(failures, key=lambda failure: failure[0], default=None)
 
 
@@ -623,7 +587,7 @@ def cmd_plot(report: str, kind: str, out: str, config: RunConfig | None = None) 
         raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
     path = Path(report)
     with read_table(path, "report") as reader:
-        rows = list(reader)
+        rows = [row for _, row in reader]
     meta = _meta_text(config) + f" | source: {path.name}"
     title = path.stem
     if kind == "heatmap":

@@ -28,10 +28,18 @@ def sig6(value: float) -> str:
 
 def matrix_csv(corner: str, labels: Sequence[str], values: np.ndarray, spec: str = ".12g") -> str:
     """A square labelled matrix: a header row of labels after ``corner``,
-    then one row per label, each cell formatted with ``spec``."""
+    then one row per label, each cell formatted with ``spec``.
+
+    A row is formatted by one ``%`` string, which for ``.12g`` and ``d``
+    gives the bytes of ``format(cell, spec)``.  ``%d`` would truncate a
+    float where ``d`` rejects it, so ``d`` takes integer matrices only.
+    """
+    if spec == "d" and values.dtype.kind not in "iu":
+        raise ValueError(f"format d needs an integer matrix, got {values.dtype}")
     lines = [corner + "," + ",".join(labels)]
+    row_format = ",".join(["%" + spec] * len(labels))
     for label, row in zip(labels, values):
-        lines.append(label + "," + ",".join(f"{v:{spec}}" for v in row))
+        lines.append(label + "," + row_format % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
 
 

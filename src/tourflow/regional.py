@@ -40,16 +40,16 @@ class RegionMap:
         regions: list[str] = []
         assignment: dict[str, str] = {}
         with read_table(source, "region map", ("country", "region")) as reader:
-            for rownum, row in enumerate(reader, start=2):
+            for line, row in reader:
                 if len(row) != 2:
-                    raise ParseError(f"region map row {rownum} has {len(row)} fields, expected 2")
+                    raise ParseError(f"region map line {line} has {len(row)} fields, expected 2")
                 country, region = row[0].strip(), row[1].strip()
                 if not is_country_code(country):
-                    raise ParseError(f"invalid country code {country!r} in region map row {rownum}")
+                    raise ParseError(f"invalid country code {country!r} in region map line {line}")
                 if not region:
-                    raise ParseError(f"empty region name in region map row {rownum}")
+                    raise ParseError(f"empty region name in region map line {line}")
                 if country in assignment:
-                    raise ParseError(f"country {country} mapped twice in region map row {rownum}")
+                    raise ParseError(f"country {country} mapped twice in region map line {line}")
                 if region not in regions:
                     regions.append(region)
                 assignment[country] = region

@@ -391,6 +391,20 @@ class TestExport:
               "--out", str(target)])
         assert parse_flow_matrix(target).edges == parse_flow_matrix(graph).edges
 
+    def test_bad_row_names_its_physical_line(self, tmp_path: Path, capsys) -> None:
+        lines = self.build_graph(tmp_path).read_text().splitlines(keepends=True)
+        assert [line[0] for line in lines[:5]] == ["#"] * 4 + ["o"]  # meta, nodes, header
+        code = lines[5].split(",")[0]
+        # Lines 1-4 comments, 5 the header, 6 an edge, 7 blank, 8 the self-loop.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines[:6] + ["\n", f"{code},{code},5\n"] + lines[6:]))
+        target = tmp_path / "bad.dot"
+        assert main(["export", "--graph", str(bad), "--format", "dot",
+                     "--out", str(target)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"input error: self-loop {code}->{code} in flow matrix line 8\n")
+        assert not target.exists()
+
     def test_unknown_format_rejected(self, tmp_path: Path) -> None:
         with pytest.raises(ConfigError, match="unknown export format"):
             cmd_export(str(tmp_path / "g.csv"), "yaml", str(tmp_path / "g.yaml"))

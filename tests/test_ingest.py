@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
+import os
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from tourflow import (
     parse_checkins,
     parse_flow_matrix,
 )
+from tourflow import ingest
 from tourflow.cli import EXIT_OK, EXIT_PARSE, main
 from tourflow.graph import is_country_code
 from tourflow.ingest import _is_int_literal, _parse_timestamp
@@ -247,6 +251,205 @@ class TestStreamingParse:
         assert len(table.user_country_counts) == 10
         # Keeping a record per row would need tens of MB here.
         assert peak < 2_000_000
+
+
+@contextmanager
+def lanes_of(cpus: int, piece_bytes: int = 1):
+    """An affinity mask of ``cpus`` CPUs and log pieces from ``piece_bytes`` up.
+
+    Yields the pids of the processes forked meanwhile.
+    """
+    pids: list[int] = []
+    fork = os.fork
+
+    def counted() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(os, "fork", counted)
+        patch.setattr(ingest, "_MIN_PIECE_BYTES", piece_bytes)
+        yield pids
+    assert multiprocessing.active_children() == []
+
+
+def in_order(table: CheckinTable) -> tuple[list, int]:
+    """A table's users and countries in dict order, and its skipped count."""
+    return [(user, list(counts.items())) for user, counts in
+            table.user_country_counts.items()], table.skipped
+
+
+def serial_outcome(path: Path, fmt: str = "csv", strict: bool = True) -> tuple[list, int] | str:
+    """The table of a one-CPU parse, or its error message."""
+    with lanes_of(1) as pids:
+        try:
+            return in_order(parse_checkins(path, fmt=fmt, strict=strict))
+        except ParseError as exc:
+            return str(exc)
+        finally:
+            assert pids == []
+
+
+def piece_outcome(
+    path: Path, cpus: int, fmt: str = "csv", strict: bool = True, piece_bytes: int = 1
+) -> tuple[tuple[list, int] | str, int]:
+    """The table of a parse in up to ``cpus`` pieces, or its error message; and the forks made."""
+    with lanes_of(cpus, piece_bytes) as pids:
+        try:
+            return in_order(parse_checkins(path, fmt=fmt, strict=strict)), len(pids)
+        except ParseError as exc:
+            return str(exc), len(pids)
+
+
+def ndjson_line(user: str, country: str, stamp: str | None) -> str:
+    event = {"user_id": user, "country": country}
+    if stamp is not None:
+        event["timestamp"] = stamp
+    return json.dumps(event)
+
+
+# Line ends of a log file: csv and the text layer also end a line at a lone \r.
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+class TestPieces:
+    """A log file parsed in byte pieces, one lane each, gives the one-piece table."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    @given(events=_EVENTS, ends=st.lists(_ENDS, min_size=14, max_size=14),
+           blanks=st.sets(st.integers(0, 13)), cpus=st.integers(2, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_pieces_give_the_serial_table(
+        self, fuzz_file, fmt: str, events, ends, blanks, cpus: int
+    ) -> None:
+        # No quotes: a field with a comma is cut at it, one more way to be malformed.
+        lines = (["user_id,country,timestamp"] if fmt == "csv" else []) + [
+            (",".join([user, country] if stamp is None else [user, country, stamp])
+             if fmt == "csv" else ndjson_line(user, country, stamp))
+            for user, country, stamp in events]
+        fuzz_file.write_text("".join(
+            line + ends[i] + ("\n" if i in blanks else "") for i, line in enumerate(lines)),
+            newline="")
+        serial = serial_outcome(fuzz_file, fmt, strict=False)
+        assert piece_outcome(fuzz_file, cpus, fmt, strict=False)[0] == serial
+        assert isinstance(serial, tuple)
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    def test_a_piece_per_line(self, tmp_path: Path, fmt: str) -> None:
+        # As many CPUs as bytes: every \n ends a piece, after a CRLF, a blank
+        # line and the header line alike; lone \r ends stay inside pieces.
+        rows = [("u1", "US", "1"), ("u2", "FR", "2"), ("u1", "FR", "x"), ("u3", "DE", "3"),
+                ("u2", "US", "4"), ("u1", "US", "5"), ("u4", "us", "6"), ("u3", "US", "7")]
+        lines = ["user_id,country,timestamp"] if fmt == "csv" else []
+        lines += [",".join(row) if fmt == "csv" else ndjson_line(*row) for row in rows]
+        ends = ["\r\n", "\n", "\n\n", "\r", "\r\n\r\n", "\n", "\r", "\n", "\n"]
+        path = tmp_path / f"log.{fmt}"
+        path.write_text("".join(line + end for line, end in zip(lines, ends)), newline="")
+        size = path.stat().st_size
+        serial = serial_outcome(path, fmt, strict=False)
+        assert serial == ([("u1", [("US", 2)]), ("u2", [("FR", 1), ("US", 1)]),
+                           ("u3", [("DE", 1), ("US", 1)])], 2)
+        with lanes_of(size) as pids:
+            assert in_order(parse_checkins(path, fmt=fmt, strict=False)) == serial
+        newlines = path.read_bytes().count(b"\n")
+        assert len(pids) == newlines - 1  # each \n but the last ends a piece
+
+    def test_csv_holding_a_quote_is_one_piece(self, tmp_path: Path) -> None:
+        path = tmp_path / "log.csv"
+        path.write_text('user_id,country,timestamp\n"u1",US,1\nu2,"F\nR",2\nu3,DE,3\n')
+        serial = serial_outcome(path, strict=False)
+        assert serial == ([("u1", [("US", 1)]), ("u3", [("DE", 1)])], 1)
+        with lanes_of(64) as pids:
+            assert in_order(parse_checkins(path, strict=False)) == serial
+        assert pids == []
+
+    def test_stream_is_one_piece(self) -> None:
+        with lanes_of(64) as pids:
+            table = parse_checkins(csv_stream(["u1,US,1", "u2,FR,2", "u3,DE,3"]))
+        assert (table.record_count, pids) == (3, [])
+
+    def test_one_cpu_forks_nothing(self, tmp_path: Path, one_cpu, monkeypatch) -> None:
+        monkeypatch.setattr(ingest, "_MIN_PIECE_BYTES", 1)
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,country,timestamp\n" + "u1,US,1\n" * 1000)
+        assert parse_checkins(path).record_count == 1000
+
+    def test_pieces_follow_the_cpu_count_and_the_floor(self, tmp_path: Path) -> None:
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,country,timestamp\n" + "u1,US,1\n" * 1000)  # 8026 bytes
+        for cpus, floor, forks in ((4, 1, 3), (4, 2500, 2), (4, 4013, 1), (4, 4014, 0), (2, 1, 1)):
+            with lanes_of(cpus, floor) as pids:
+                assert parse_checkins(path).record_count == 1000
+            assert len(pids) == forks
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    @pytest.mark.parametrize("faults", [
+        pytest.param({2: "malformed"}, id="malformed-in-piece-2"),
+        pytest.param({1: "malformed", 2: "not-utf8"}, id="malformed-then-not-utf8"),
+        pytest.param({1: "not-utf8", 2: "malformed"}, id="not-utf8-then-malformed"),
+    ])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_failing_piece_gives_the_serial_error(
+        self, tmp_path: Path, fmt: str, faults: dict, strict: bool
+    ) -> None:
+        # Pieces 0, 1 and 2 of 1000 rows each, over 8 KiB, so that the text
+        # layer's read-ahead stays inside a piece; row 500 of a piece carries
+        # its fault.
+        def row(i: int) -> bytes:
+            return (b"u%d,US,%d" % (i, i) if fmt == "csv" else
+                    b'{"user_id": "u%d", "country": "US", "timestamp": %d}' % (i, i))
+
+        pieces = [[row(1000 * p + i) for i in range(1000)] for p in range(3)]
+        for p, fault in faults.items():
+            if fault == "malformed":
+                pieces[p][500] = b"u,Germany,1" if fmt == "csv" else b"[1]"
+            else:
+                pieces[p][500] += b"\xff"
+        header = b"user_id,country,timestamp\n" if fmt == "csv" else b""
+        path = tmp_path / "log"
+        path.write_bytes(header + b"".join(line + b"\n" for piece in pieces for line in piece))
+        serial = serial_outcome(path, fmt, strict)
+        assert piece_outcome(path, 3, fmt, strict) == (serial, 2)
+        first = min(faults)
+        if strict and faults[first] == "malformed":
+            assert serial == f"malformed check-in row at line {1000 * first + 501 + bool(header)}"
+        elif "not-utf8" in faults.values():
+            assert serial == f"{path} is not valid UTF-8: invalid start byte"
+        else:
+            assert serial[1] == 1
+
+    def test_bad_header_gives_the_serial_error(self, tmp_path: Path) -> None:
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,country\n" + "u1,US,1\n" * 100)
+        assert piece_outcome(path, 4) == (serial_outcome(path), 0)  # read before any fork
+        assert serial_outcome(path) == (
+            "check-in CSV must start with header user_id,country,timestamp[,venue_id]")
+
+    def test_lane_that_dies_fails_build(self, tmp_path: Path, monkeypatch) -> None:
+        log = tmp_path / "log.csv"
+        log.write_text("user_id,country,timestamp\n" + "u1,US,1\nu2,FR,2\n" * 500)
+        out = tmp_path / "out"
+        base = ["--set", f"dataset_a_checkins={log}", "--set", f"output_dir={out}",
+                "--set", "checkin_threshold=0"]
+        assert main(["build", *base]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        fold, parent = ingest._fold, os.getpid()
+
+        def dying(rows, strict):
+            if os.getpid() != parent:
+                os._exit(3)
+            return fold(rows, strict)
+
+        monkeypatch.setattr(ingest, "_fold", dying)
+        with lanes_of(2) as pids:
+            with pytest.raises(RuntimeError,
+                               match="check-in parse lane 1 exited with code 3 before reporting"):
+                main(["build", *base, "--set", "seed=1"])
+        assert len(pids) == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestInferHomes:

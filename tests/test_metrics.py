@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourflow import (
@@ -22,7 +22,7 @@ from tourflow import (
     topk_in,
     topk_out,
 )
-from tourflow.metrics import competition_ranks, geodesic_stats, transitivity
+from tourflow.metrics import competition_ranks, geodesic_stats, matrix_csv, transitivity
 
 from oracles import (
     codes_for,
@@ -324,3 +324,32 @@ class TestRanksAndTable:
         g = MobilityGraph.build({("AA", "BB"): 2})
         with pytest.raises(ValueError, match="unknown measure"):
             centrality_table(g).to_csv("closeness")
+
+
+class TestMatrixCsv:
+    """``matrix_csv`` formats a row with one % string; every cell keeps its format(cell, spec) bytes."""
+
+    @given(value=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(value=-0.0)
+    @example(value=5e-324)
+    @example(value=-2.2250738585072014e-308)
+    @example(value=float("nan"))
+    @example(value=float("-inf"))
+    @example(value=1e16)
+    @example(value=123456789012.5)
+    @settings(max_examples=2000, deadline=None)
+    def test_percent_g_equals_format_spec(self, value: float) -> None:
+        assert "%.12g" % value == f"{value:.12g}"
+
+    def test_rows_equal_per_cell_formatting(self) -> None:
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((117, 117)) * 10.0 ** rng.integers(-320, 300, (117, 117))
+        values.flat[:6] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 0.0]
+        labels = [f"{chr(65 + i // 26)}{chr(65 + i % 26)}" for i in range(117)]
+        expected = ["country," + ",".join(labels)] + [
+            label + "," + ",".join(f"{v:.12g}" for v in row) for label, row in zip(labels, values)]
+        assert matrix_csv("country", labels, values) == "\n".join(expected) + "\n"
+
+    def test_integer_format_needs_an_integer_matrix(self) -> None:
+        with pytest.raises(ValueError, match="integer matrix"):
+            matrix_csv("region", ["A"], np.array([[1.5]]), "d")

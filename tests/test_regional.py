@@ -70,6 +70,11 @@ class TestRegionMap:
         with pytest.raises(ParseError, match="country code"):
             RegionMap.from_csv(io.StringIO("country,region\nFRA,Europe\n"))
 
+    def test_error_names_the_physical_line(self) -> None:
+        text = "# regions\ncountry,region\n\nFR,Europe\n# more\nFRA,Europe\n"
+        with pytest.raises(ParseError, match="region map line 6$"):
+            RegionMap.from_csv(io.StringIO(text))
+
     def test_empty_map_rejected(self) -> None:
         with pytest.raises(ParseError, match="no countries"):
             RegionMap.from_csv(io.StringIO("country,region\n"))
@@ -121,6 +126,20 @@ class TestRegionalFlows:
         lines = text.splitlines()
         assert lines[0] == "region," + ",".join(REGION_ORDER)
         assert lines[1].split(",")[1] == "6406"
+
+    def test_raw_cells_keep_their_format_spec_bytes(self) -> None:
+        # to_csv formats raw cells with %d, which would truncate a float cell.
+        region_map = RegionMap.default()
+        codes = tuple(sorted(region_map.assignment))
+        rng = np.random.default_rng(11)
+        edges = {(codes[a], codes[b]): int(rng.integers(1, 10**12))
+                 for a, b in rng.integers(0, len(codes), (2000, 2)) if a != b}
+        matrix = regional_flows(MobilityGraph(codes, edges), region_map)
+        assert matrix.values.dtype.kind == "i"
+        expected = ["region," + ",".join(matrix.regions)] + [
+            region + "," + ",".join(f"{v:d}" for v in row)
+            for region, row in zip(matrix.regions, matrix.values)]
+        assert matrix.to_csv() == "\n".join(expected) + "\n"
 
 
 class TestShares:
