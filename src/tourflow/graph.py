@@ -54,9 +54,9 @@ class MobilityGraph:
     outgoing ones.  Both are None for a full graph.
 
     A graph is never changed after construction: its node index, arc
-    arrays, neighbour lists, ranked partners and weight matrix are built
-    on first use and cached, and the cached arrays and mappings are
-    read-only.
+    arrays, neighbour lists, ranked partners, weight matrix and
+    shortest-path pass are built on first use and cached, and the cached
+    arrays and mappings are read-only.
     """
 
     nodes: tuple[str, ...]
@@ -158,6 +158,14 @@ class MobilityGraph:
     def ranked_in(self) -> MappingProxyType:
         """Per node with incoming edges, its origin codes, ordered as in ``ranked_out``."""
         return self._ranked(False)
+
+    @cached_property
+    def shortest_paths(self) -> tuple[np.ndarray, int, int, int]:
+        """Betweenness per node position, then the sum, count and maximum of the
+        geodesic distances; see :func:`tourflow.metrics.shortest_path_pass`."""
+        from .metrics import shortest_path_pass  # metrics imports this module
+
+        return shortest_path_pass(self)
 
     @cached_property
     def weights(self) -> np.ndarray:

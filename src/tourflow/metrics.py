@@ -9,14 +9,13 @@ pairs is reported alongside instead of being folded into the mean.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .graph import MobilityGraph
+from .graph import MobilityGraph, _read_only
 
 MEASURES = ("in_degree", "out_degree", "in_strength", "out_strength", "pagerank", "betweenness")
 
@@ -158,35 +157,15 @@ def transitivity(graph: MobilityGraph) -> float:
 
 
 def geodesic_stats(graph: MobilityGraph) -> tuple[float, int, int]:
-    """(average geodesic, diameter, unreachable ordered pairs) via BFS.
+    """(average geodesic, diameter, unreachable ordered pairs).
 
     The average and diameter consider reachable ordered pairs s != t
-    only; with no such pair both are reported as 0.
+    only; with no such pair both are reported as 0.  They come from the
+    graph's one shortest-path pass (:func:`shortest_path_pass`).
     """
-    succ = graph.successors
-    n = len(succ)
-    total = 0
-    reachable = 0
-    diameter = 0
-    for source in range(n):
-        dist = [-1] * n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in succ[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for target in range(n):
-            if target != source and dist[target] > 0:
-                total += dist[target]
-                reachable += 1
-                if dist[target] > diameter:
-                    diameter = dist[target]
-    unreachable = n * (n - 1) - reachable
-    avg = total / reachable if reachable else 0.0
-    return avg, diameter, unreachable
+    _, total, reachable, diameter = graph.shortest_paths
+    n = len(graph.nodes)
+    return (total / reachable if reachable else 0.0), diameter, n * (n - 1) - reachable
 
 
 def degree_centralization(graph: MobilityGraph, direction: str) -> float:
@@ -291,38 +270,104 @@ def pagerank(
 def betweenness(graph: MobilityGraph) -> dict[str, float]:
     """Unnormalised betweenness on directed unweighted geodesics.
 
-    Brandes' accumulation: one BFS per source, dependencies pushed back
-    through the shortest-path DAG.  Endpoints are excluded.
+    Brandes' accumulation: dependencies pushed back through each
+    source's shortest-path DAG, from the graph's one shortest-path pass
+    (:func:`shortest_path_pass`).  Endpoints are excluded.
     """
-    succ = graph.successors
-    n = len(succ)
-    score = [0.0] * n
-    for source in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0.0] * n
-        sigma[source] = 1.0
-        dist = [-1] * n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            stack.append(u)
-            for v in succ[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            for u in preds[w]:
-                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
-            if w != source:
-                score[w] += delta[w]
-    return {code: score[i] for i, code in enumerate(graph.nodes)}
+    return dict(zip(graph.nodes, graph.shortest_paths[0].tolist()))
+
+
+# Sources per block of the shortest-path pass: as many as keep both
+# sources x arcs (the arc visits) and sources x nodes (the cells) within
+# this budget.  A pass holds at most about 29 bytes per budgeted visit,
+# under 2 MiB.  Measured on 2 vCPUs over the 40 Top-1..10 subgraphs of
+# the seed-0 topk-sweep inputs (117 nodes): 0.18 s and a tracemalloc
+# peak of at most 0.58 MB, where 1 << 14 took 0.31 s at 0.29 MB and one
+# block of all sources 0.15 s at 0.99 MB.  At 676 nodes, where a sparse
+# subgraph fills the budget with cells, the peak was 1.89 MB.
+_BLOCK_VISITS = 1 << 16
+_UNREACHED = np.iinfo(np.int32).max
+
+
+def shortest_path_pass(graph: MobilityGraph) -> tuple[np.ndarray, int, int, int]:
+    """Brandes' betweenness and the geodesic totals of every source, in one pass.
+
+    Returns the unnormalised betweenness per node position (read-only),
+    the sum of the distances over reachable ordered pairs s != t, the
+    number of such pairs and the largest such distance.
+
+    Brandes, "A faster algorithm for betweenness centrality", 2001, run
+    as a level-synchronous BFS over a block of sources at once on the
+    sorted arcs.  Every float addition happens in the order of the
+    serial algorithm (one BFS per source in node order, successors
+    ascending), so the scores are bit-identical to it:
+
+    - ``sigma`` gets the frontier's counts in arc order, frontier in
+      visit order and successors ascending;
+    - a new node's visit order is its first appearance in that order
+      (``np.minimum.at`` of the arc index);
+    - ``delta`` gets each level's terms, deepest level first, in
+      descending visit order of the arc's head (the serial stack pops);
+    - the scores get each source's dependencies in source order.
+
+    ``np.add.at`` adds in index order; no matrix product or float
+    reduction is used, as both may reorder additions.
+    """
+    n = len(graph.nodes)
+    tails, heads = graph.arcs
+    heads = heads.astype(np.int32)
+    first_arc = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=n), out=first_arc[1:])
+    out_degree = np.diff(first_arc)
+    block = max(1, _BLOCK_VISITS // max(len(heads), n, 1))
+    score = np.zeros(n)
+    total = reachable = diameter = 0
+    for first in range(0, n, block):
+        rows = min(block, n - first)
+        # Cells are flat (row, node) keys row * n + node; row r is source first + r.
+        base = np.arange(rows, dtype=np.int32) * n
+        nodes = np.arange(first, first + rows, dtype=np.int32)
+        frontier = sources = base + nodes
+        sigma = np.zeros(rows * n)
+        sigma[frontier] = 1.0
+        # A reached cell's first arc in its level's arc order; _UNREACHED before.
+        seen_at = np.full(rows * n, _UNREACHED, dtype=np.int32)
+        seen_at[frontier] = 0
+        levels: list[tuple[np.ndarray, np.ndarray]] = []
+        depth = 0
+        while True:
+            counts = out_degree[nodes]
+            ends = np.cumsum(counts, dtype=np.int32)
+            succ = heads[np.repeat(first_arc[nodes] - ends + counts, counts)
+                         + np.arange(ends[-1], dtype=np.int32)]
+            head_cells = np.repeat(base, counts) + succ
+            # Arcs into cells not yet reached are exactly the DAG arcs.
+            dag = seen_at[head_cells] == _UNREACHED
+            if not dag.any():
+                break
+            tail_cells = np.repeat(frontier, counts)[dag]
+            head_cells, succ = head_cells[dag], succ[dag]
+            np.add.at(sigma, head_cells, sigma[tail_cells])
+            arc_order = np.arange(len(head_cells), dtype=np.int32)
+            np.minimum.at(seen_at, head_cells, arc_order)
+            new = seen_at[head_cells] == arc_order
+            frontier, nodes = head_cells[new], succ[new]
+            base = frontier - nodes
+            levels.append((tail_cells, head_cells))
+            depth += 1
+            total += depth * len(frontier)
+            reachable += len(frontier)
+        diameter = max(diameter, depth)
+        delta = np.zeros(rows * n)
+        for tail_cells, head_cells in reversed(levels):
+            pops = np.argsort(-seen_at[head_cells], kind="stable")
+            tail_cells, head_cells = tail_cells[pops], head_cells[pops]
+            terms = sigma[tail_cells] / sigma[head_cells] * (1.0 + delta[head_cells])
+            np.add.at(delta, tail_cells, terms)
+        delta[sources] = 0.0
+        for row in delta.reshape(rows, n):
+            score += row
+    return _read_only(score), total, reachable, diameter
 
 
 def _tarjan_components(succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:

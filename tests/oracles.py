@@ -3,7 +3,9 @@
 Everything here is deliberately written along a different algorithmic
 route than the package: exhaustive enumeration, dense linear algebra,
 and from-scratch recomputation, so agreement between the two is
-meaningful evidence rather than a tautology.
+meaningful evidence rather than a tautology.  The serial breadth-first
+searches are the exception in kind: they fix the order of every float
+addition that the package's vectorised pass must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -116,6 +118,14 @@ def index_edges(graph: MobilityGraph) -> set[tuple[int, int]]:
     return {(index[o], index[d]) for o, d in graph.edges}
 
 
+def successor_lists(graph: MobilityGraph) -> list[list[int]]:
+    """Per node position, its successors' positions ascending, built from ``edges``."""
+    succ: list[list[int]] = [[] for _ in graph.nodes]
+    for i, j in sorted(index_edges(graph)):
+        succ[i].append(j)
+    return succ
+
+
 # ---------------------------------------------------------------------------
 # geodesics (Floyd-Warshall route)
 
@@ -145,6 +155,81 @@ def floyd_warshall_stats(graph: MobilityGraph) -> tuple[float, int, int]:
     avg = sum(finite) / len(finite) if finite else 0.0
     diameter = int(max(finite)) if finite else 0
     return avg, diameter, unreachable
+
+
+# ---------------------------------------------------------------------------
+# serial breadth-first searches, one source at a time: the exact order of
+# every floating-point addition the package's shortest-path pass must keep
+
+
+def bfs_geodesic_stats(graph: MobilityGraph) -> tuple[float, int, int]:
+    """(average geodesic, diameter, unreachable ordered pairs), one BFS per source.
+
+    The average and diameter consider reachable ordered pairs s != t
+    only; with no such pair both are reported as 0.
+    """
+    succ = successor_lists(graph)
+    n = len(succ)
+    total = 0
+    reachable = 0
+    diameter = 0
+    for source in range(n):
+        dist = [-1] * n
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in succ[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for target in range(n):
+            if target != source and dist[target] > 0:
+                total += dist[target]
+                reachable += 1
+                if dist[target] > diameter:
+                    diameter = dist[target]
+    unreachable = n * (n - 1) - reachable
+    avg = total / reachable if reachable else 0.0
+    return avg, diameter, unreachable
+
+
+def serial_brandes_betweenness(graph: MobilityGraph) -> dict[str, float]:
+    """Unnormalised directed betweenness by Brandes' algorithm, one source at a time.
+
+    Sources run in node order and successors ascending; dependencies are
+    pushed back in stack-pop order and added to the scores per source,
+    so every float addition happens in the order the package promises.
+    """
+    succ = successor_lists(graph)
+    n = len(succ)
+    score = [0.0] * n
+    for source in range(n):
+        stack: list[int] = []
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        sigma[source] = 1.0
+        dist = [-1] * n
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            stack.append(u)
+            for v in succ[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            for u in preds[w]:
+                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
+            if w != source:
+                score[w] += delta[w]
+    return {code: score[i] for i, code in enumerate(graph.nodes)}
 
 
 # ---------------------------------------------------------------------------

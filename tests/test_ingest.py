@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,7 +30,7 @@ from tourflow import (
 from tourflow import ingest
 from tourflow.cli import EXIT_OK, EXIT_PARSE, main
 from tourflow.graph import is_country_code
-from tourflow.ingest import _is_int_literal, _parse_timestamp
+from tourflow.ingest import _is_int_literal, _valid_timestamp
 
 from oracles import COUNTRY_CODE_RE, INT_LITERAL_RE, codes_for, regex_parse_timestamp
 
@@ -82,7 +83,8 @@ class TestParseCheckins:
             "2017-07-14T02:40:00+00:00",
             "2017-07-14T02:40:00",
         ]
-        assert [_parse_timestamp(stamp) for stamp in stamps] == [1500000000] * 4
+        assert [regex_parse_timestamp(stamp) for stamp in stamps] == [1500000000] * 4
+        assert all(_valid_timestamp(stamp) for stamp in stamps)
         rows = [f"u{i},US,{stamp}" for i, stamp in enumerate(stamps)]
         table = parse_checkins(csv_stream(rows))
         assert table.record_count == 4
@@ -169,18 +171,39 @@ class TestFastChecks:
     @example(text="+")
     @example(text=" 7\n")
     @example(text="9" * 5000)
+    @example(text="-" + "9" * 4300)
+    @example(text="9" * 640 + " ")
+    @example(text="0001-01-01T00:00:00+23:59")
+    @example(text="9999-12-31T23:59:59.999999-23:59")
+    @example(text="2017-07-14T02:40:00ZZ")
+    @example(text="Z")
     @settings(max_examples=500, deadline=None)
     def test_integer_timestamp_check_equals_regex(self, text: str) -> None:
         assert _is_int_literal(text.strip()) == bool(INT_LITERAL_RE.match(text.strip()))
         try:
-            expected: int | None = regex_parse_timestamp(text)
+            regex_parse_timestamp(text)
         except (ValueError, OverflowError):
-            expected = None
+            expected = False
+        else:
+            expected = True
+        assert _valid_timestamp(text) == expected
+
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    def test_digit_limit_decides_long_integer_timestamps(self, limit: int) -> None:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
         try:
-            actual: int | None = _parse_timestamp(text)
-        except (ValueError, OverflowError):
-            actual = None
-        assert actual == expected
+            for digits in (639, 640, 641, 4300, 4301):
+                try:
+                    regex_parse_timestamp("9" * digits)
+                except ValueError:
+                    expected = False
+                else:
+                    expected = True
+                assert _valid_timestamp("9" * digits) == expected
+                assert expected == (not limit or digits <= limit)
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_oversized_integer_timestamp_is_a_skipped_row(self) -> None:
         text = "\n".join(["user_id,country,timestamp", "u1,US,1", "u2,US," + "9" * 5000]) + "\n"
@@ -719,8 +742,10 @@ class TestFuzz:
         assert not svg.exists()
 
     @pytest.mark.parametrize("fmt, row", [
-        ("csv", "u1," + "U" * (1 << 17) + ",1"),  # over csv's field size limit
-        ("ndjson", "[" * 100_000),  # nested deeper than json's recursion limit
+        # over csv's field size limit, so csv raises and the reader resumes
+        pytest.param("csv", "u1," + "U" * ((1 << 17) + 1) + ",1", id="csv-oversized-field"),
+        # over json's recursion limit
+        pytest.param("ndjson", "[" * 100_000, id="ndjson-deep-nesting"),
     ])
     def test_unreadable_checkin_rows_are_malformed(self, fmt: str, row: str) -> None:
         header = "user_id,country,timestamp" if fmt == "csv" else (

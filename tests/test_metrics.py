@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,16 +23,22 @@ from tourflow import (
     topk_in,
     topk_out,
 )
+from tourflow import metrics
 from tourflow.metrics import competition_ranks, geodesic_stats, matrix_csv, transitivity
 
 from oracles import (
+    bfs_geodesic_stats,
+    circulant_graph,
     codes_for,
     exhaustive_betweenness,
     floyd_warshall_stats,
+    gravity_graph,
     index_edges,
     kosaraju_scc,
     pagerank_linear_solve,
     random_digraph,
+    serial_brandes_betweenness,
+    successor_lists,
 )
 
 
@@ -154,6 +161,142 @@ class TestBetweenness:
         expected = exhaustive_betweenness(g)
         for code, value in betweenness(g).items():
             assert value == pytest.approx(expected[code], abs=1e-9)
+
+
+@st.composite
+def digraphs(draw, max_nodes: int = 40) -> MobilityGraph:
+    """A digraph on 1..max_nodes nodes, possibly without arcs, with isolated nodes and sinks."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    arcs = draw(st.sets(pairs, max_size=min(n * (n - 1), 4 * n)))
+    codes = codes_for(n)
+    return MobilityGraph(codes, {(codes[i], codes[j]): 1 for i, j in arcs})
+
+
+def layered_graph(rng: np.random.Generator, width: int, depth: int) -> MobilityGraph:
+    """A source, ``depth`` layers of ``width`` nodes and a sink; each node
+    reaches 1..width random nodes of the next layer."""
+    n = width * depth + 2
+    codes = codes_for(n)
+    inner = [list(range(1 + d * width, 1 + (d + 1) * width)) for d in range(depth)]
+    layers = [[0], *inner, [n - 1]]
+    edges = {}
+    for here, there in zip(layers, layers[1:]):
+        for u in here:
+            chosen = rng.choice(there, size=rng.integers(1, len(there) + 1), replace=False)
+            edges.update({(codes[u], codes[int(v)]): 1 for v in chosen})
+        for v in there:  # every node of the next layer is reached
+            edges.setdefault((codes[int(rng.choice(here))], codes[v]), 1)
+    return MobilityGraph(codes, edges)
+
+
+def path_counts(graph: MobilityGraph, source: int, reverse: bool) -> tuple[list[int], list[float]]:
+    """Shortest-path counts from ``source``, exact and as floats added in BFS
+    order (successors ascending, or descending with ``reverse``)."""
+    succ = successor_lists(graph)
+    n = len(succ)
+    exact, approx, dist = [0] * n, [0.0] * n, [-1] * n
+    exact[source], approx[source], dist[source] = 1, 1.0, 0
+    queue = [source]
+    for u in queue:
+        for v in (reversed(succ[u]) if reverse else succ[u]):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                exact[v] += exact[u]
+                approx[v] += approx[u]
+    return exact, approx
+
+
+def assert_serial_values(graph: MobilityGraph) -> None:
+    """The one pass gives the serial algorithms' values, every float bit for bit."""
+    assert betweenness(graph) == serial_brandes_betweenness(graph)
+    assert geodesic_stats(graph) == bfs_geodesic_stats(graph)
+
+
+class TestShortestPathPass:
+    """One numpy pass per graph equals the serial Brandes and BFS loops exactly (``==``)."""
+
+    @given(graph=digraphs())
+    @example(graph=MobilityGraph(("AA",), {}))
+    @example(graph=MobilityGraph(codes_for(5), {}))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_serial_loops(self, graph: MobilityGraph) -> None:
+        assert_serial_values(graph)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("source", ["circulant", "gravity"])
+    def test_topk_subgraphs(self, source: str, k: int) -> None:
+        graph = (circulant_graph() if source == "circulant"
+                 else gravity_graph(np.random.default_rng(117), 117))
+        for sg in (topk_out(graph, k), topk_in(graph, k)):
+            assert_serial_values(sg)
+
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_last_bits_decide_competition_ranks(self, k: int) -> None:
+        # Every country of a circulant Top-k subgraph has the same
+        # betweenness in exact arithmetic.  The floats differ in their last
+        # bits, so the competition ranks written to the bundle follow the
+        # order of every addition.
+        sg = topk_out(circulant_graph(), k)
+        values = betweenness(sg)
+        assert len({round(value, 6) for value in values.values()}) == 1
+        assert len(set(values.values())) > 1
+        assert competition_ranks(values) == competition_ranks(serial_brandes_betweenness(sg))
+
+    def test_path_counts_beyond_float_precision(self) -> None:
+        graph = layered_graph(np.random.default_rng(53), 8, 30)
+        exact, ascending = path_counts(graph, 0, reverse=False)
+        _, descending = path_counts(graph, 0, reverse=True)
+        assert max(exact) > 2**53
+        # Counts are no longer exact, and the order of the additions shows.
+        assert any(float(e) != a for e, a in zip(exact, ascending))
+        assert ascending != descending
+        assert_serial_values(graph)
+
+    @pytest.mark.parametrize("budget", [1, 2, 25, 59, 200])
+    def test_blocks_cut_mid_graph(self, monkeypatch, budget: int) -> None:
+        # 13 nodes and at most 2 * 13 arcs per graph: blocks of 1 to 7 sources.
+        monkeypatch.setattr(metrics, "_BLOCK_VISITS", budget)
+        for seed in range(4):
+            graph = random_digraph(np.random.default_rng(600 + seed), 13, 0.15)
+            assert_serial_values(graph)
+
+    def test_blocks_at_the_module_budget(self) -> None:
+        # The complete digraph on 60 nodes runs in blocks of 18, 18, 18 and 6 sources.
+        codes = codes_for(60)
+        graph = MobilityGraph(codes, {(a, b): 1 for a in codes for b in codes if a != b})
+        assert metrics._BLOCK_VISITS // len(graph.edges) == 18
+        assert_serial_values(graph)
+
+    @pytest.mark.parametrize("out_degree", [1, 3, 10])
+    def test_memory_at_676_nodes(self, out_degree: int) -> None:
+        codes = codes_for(676)
+        rng = np.random.default_rng(676 + out_degree)
+        edges = {}
+        for i, code in enumerate(codes):
+            for j in rng.choice(675, size=out_degree, replace=False):
+                edges[(code, codes[(i + 1 + int(j)) % 676])] = 1
+        graph = MobilityGraph(codes, edges)
+        graph.arcs  # built before tracing: the pass's own memory is measured
+        tracemalloc.start()
+        try:
+            metrics.shortest_path_pass(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # the budget's comment states under 2 MiB
+
+    def test_structural_report_and_centralities_share_one_pass(self, monkeypatch) -> None:
+        calls = []
+        shortest_path_pass = metrics.shortest_path_pass
+        monkeypatch.setattr(metrics, "shortest_path_pass",
+                            lambda graph: calls.append(graph) or shortest_path_pass(graph))
+        sg = topk_out(random_digraph(np.random.default_rng(8), 20, 0.3), 3)
+        structural_report(sg)
+        centrality_table(sg)
+        assert calls == [sg]
 
 
 class TestDegreeCentralization:
