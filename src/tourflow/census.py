@@ -146,17 +146,6 @@ def _check_swaps(edge_count: int, swaps_per_edge: int) -> None:
         raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
 
 
-def _edge_slots(graph: MobilityGraph, swaps_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices (sources, destinations) of the sorted edges, for rewiring.
-
-    Each slot keeps its source for good; a swap exchanges the
-    destinations of two slots.  The arrays are the graph's read-only
-    ``arcs``.
-    """
-    _check_swaps(len(graph.edges), swaps_per_edge)
-    return graph.arcs
-
-
 def _binary_graph(graph: MobilityGraph, src: list[int], dst: list[int]) -> MobilityGraph:
     codes = graph.nodes
     edges = {(codes[a], codes[b]): 1 for a, b in zip(src, dst)}
@@ -173,7 +162,8 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
     every accepted swap.  Weights are discarded; the result is a binary
     graph with unit weights.
     """
-    src, dst = (slots.tolist() for slots in _edge_slots(graph, swaps_per_edge))
+    _check_swaps(len(graph.edges), swaps_per_edge)
+    src, dst = (slots.tolist() for slots in graph.arcs)
     n = len(graph.nodes)
     present = {a * n + b for a, b in zip(src, dst)}
     edge_count = len(src)
@@ -223,9 +213,10 @@ def _rewire_chains(
 ) -> np.ndarray:
     """Row c holds the slot destinations of the rewired sample drawn with ``seeds[c]``.
 
-    The arcs ``src[i] -> dst0[i]`` on n nodes are those of
-    ``_edge_slots(graph, swaps_per_edge)``, and row c equals the
-    destinations of ``rewire(graph, seeds[c], swaps_per_edge)``.  All
+    The arcs ``src[i] -> dst0[i]`` on n nodes are the graph's sorted
+    ``arcs``; each slot keeps its source for good, and a swap exchanges
+    the destinations of two slots.  Row c equals the destinations of
+    ``rewire(graph, seeds[c], swaps_per_edge)``.  All
     chains advance together, one swap step per Python iteration, on
     numpy arrays.  Chain c owns ``dst[c*E:(c+1)*E]`` and the presence
     bitmap ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked
@@ -283,7 +274,7 @@ def _null_counts(
     samples are held at a time.
     """
     n = len(graph.nodes)
-    src, dst0 = _edge_slots(graph, swaps_per_edge)
+    src, dst0 = graph.arcs  # rewire, called first on either path, checks them
     per_block = min(_CHAIN_BLOCK, _BITMAP_BYTES // (n * n), ensemble_size)
     if per_block < BATCH_MIN_ENSEMBLE:
         # Rewiring keeps every out-degree, so the sorted arcs of a sample

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -145,24 +146,12 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _meta_text(config: RunConfig | None, header: bool = False) -> str:
-    """The tool version, config hash and seed (the version alone without a config).
-
-    ``header`` renders one ``# key: value`` line per field, the header of
-    every CSV report; otherwise the fields are joined by `` | `` into one
-    comment.
-    """
+def _meta_text(config: RunConfig | None) -> str:
+    """The tool version, config hash and seed (the version alone without a config), one line."""
     items = [f"tool: tourflow {__version__}"]
     if config is not None:
         items += [f"config: {config_hash(config)}", f"seed: {config.seed}"]
-    if header:
-        return "".join(f"# {item}\n" for item in items)
     return " | ".join(items)
-
-
-def _meta_dict(config: RunConfig) -> dict:
-    return {"tool": "tourflow", "version": __version__,
-            "config": config_hash(config), "seed": config.seed}
 
 
 def _write_output(out: str, payload: bytes) -> None:
@@ -170,8 +159,12 @@ def _write_output(out: str, payload: bytes) -> None:
     target = Path(out)
     target.parent.mkdir(parents=True, exist_ok=True)
     temp = target.with_name(target.name + ".tmp")
-    temp.write_bytes(payload)
-    temp.replace(target)
+    try:
+        temp.write_bytes(payload)
+        temp.replace(target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     print(f"wrote {target}")
 
 
@@ -191,22 +184,30 @@ class _Bundle:
     Used as a context manager.  Entering it takes an exclusive ``flock``
     on the output directory itself, so a second command on the same
     directory fails before it stages anything; forked children share
-    the lock.  ``write`` stages each payload at once as ``<name>.tmp``
-    in the output directory.  Leaving the block normally renames every
-    staged file into place, the manifest last, then deletes the files
-    that the previous manifest of the same name listed and the new one
-    does not.  Leaving it by an exception unlinks the staged files, so
-    the directory holds what it held before.  ``hashes`` maps each
-    staged name to its SHA-256; a process that stages files for this
-    bundle reports them there.  ``header`` holds the manifest's fields
-    before ``files``.
+    the lock.  Holding the lock, it removes any ``.staging`` entry a
+    dead run left in the output directory and creates a fresh
+    ``.staging`` directory, into which every process of the command
+    writes each file at once.  Leaving the block normally hashes each
+    staged file into the manifest, renames every file into place, the
+    manifest last, removes ``.staging``, then deletes the files that the
+    previous manifest of the same name listed and the new one does not;
+    ``files`` then holds the committed names.  Leaving it by an
+    exception removes ``.staging``, so the directory holds what it held
+    before.  Every file carries the config's metadata: CSVs a ``# key:
+    value`` header, JSON a leading ``"meta"`` object.  ``fields`` are
+    the manifest's entries between ``meta`` and ``files``.
     """
 
-    def __init__(self, outdir: Path, manifest: str, header: dict) -> None:
-        self.outdir = outdir
+    def __init__(self, config: RunConfig, manifest: str, fields: dict) -> None:
+        self.outdir = Path(config.output_dir)
+        self.staging = self.outdir / ".staging"
         self.manifest = manifest
-        self.header = header
-        self.hashes: dict[str, str] = {}
+        self.fields = fields
+        self.meta = {"tool": "tourflow", "version": __version__,
+                     "config": config_hash(config), "seed": config.seed}
+        self.comment = (f"# tool: tourflow {__version__}\n# config: {self.meta['config']}\n"
+                        f"# seed: {config.seed}\n")
+        self.files: list[str] = []
 
     def __enter__(self) -> _Bundle:
         self.created = not self.outdir.exists()
@@ -218,16 +219,20 @@ class _Bundle:
             os.close(self._lock)
             raise OSError(
                 f"output_dir {self.outdir} is in use by another tourflow run") from None
+        try:
+            self._remove_staging()
+            self.staging.mkdir()
+        except BaseException:
+            os.close(self._lock)
+            raise
         return self
 
-    def _staged(self, name: str) -> Path:
-        return self.outdir / (name + ".tmp")
+    def write_csv(self, name: str, text: str) -> None:
+        (self.staging / name).write_bytes((self.comment + text).encode("utf-8"))
 
-    def write(self, name: str, data: str | bytes) -> None:
-        payload = data.encode("utf-8") if isinstance(data, str) else data
-        # Recorded first, so that a write that fails half-way is unlinked too.
-        self.hashes[name] = hashlib.sha256(payload).hexdigest()
-        self._staged(name).write_bytes(payload)
+    def write_json(self, name: str, fields: dict) -> None:
+        text = json.dumps({"meta": self.meta, **fields}, indent=2) + "\n"
+        (self.staging / name).write_bytes(text.encode("utf-8"))
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
@@ -242,18 +247,28 @@ class _Bundle:
         finally:
             os.close(self._lock)
 
+    def _remove_staging(self) -> None:
+        """Remove ``.staging``; a file or symlink there is unlinked, never followed."""
+        if self.staging.is_dir() and not self.staging.is_symlink():
+            shutil.rmtree(self.staging)
+        else:
+            self.staging.unlink(missing_ok=True)
+
     def _commit(self) -> None:
         previous = _listed_files(self.outdir / self.manifest)
-        files = dict(sorted(self.hashes.items()))
-        self.write(self.manifest, json.dumps({**self.header, "files": files}, indent=2) + "\n")
-        for name in self.hashes:
-            self._staged(name).replace(self.outdir / name)
-        for name in sorted(previous - self.hashes.keys()):
+        names = sorted(os.listdir(self.staging))
+        files = {name: hashlib.sha256((self.staging / name).read_bytes()).hexdigest()
+                 for name in names}
+        self.write_json(self.manifest, {**self.fields, "files": files})
+        self.files = [*names, self.manifest]
+        for name in self.files:
+            (self.staging / name).replace(self.outdir / name)
+        self.staging.rmdir()
+        for name in sorted(previous - set(self.files)):
             (self.outdir / name).unlink(missing_ok=True)
 
     def _discard(self) -> None:
-        for name in self.hashes:
-            self._staged(name).unlink(missing_ok=True)
+        self._remove_staging()
         if self.created:
             self.outdir.rmdir()
 
@@ -305,16 +320,14 @@ def _build_one(config: RunConfig, name: str) -> tuple[MobilityGraph, dict] | Non
 def cmd_build(config: RunConfig) -> int:
     """Build mobility graphs for the configured datasets."""
     dataset_stats: dict[str, dict] = {}  # filled in as each graph is staged
-    header = {"meta": _meta_dict(config), "datasets": dataset_stats}
-    with _Bundle(Path(config.output_dir), "build_manifest.json", header) as bundle:
+    with _Bundle(config, "build_manifest.json", {"datasets": dataset_stats}) as bundle:
         for name in DATASET_NAMES:
             result = _build_one(config, name)
             if result is None:
                 continue
             graph, stats = result
             filename = f"graph_{name}.csv"
-            bundle.write(filename, _meta_text(config, header=True)
-                         + export_graph(graph, "csv").decode("utf-8"))
+            bundle.write_csv(filename, export_graph(graph, "csv").decode("utf-8"))
             dataset_stats[name] = {**stats, "file": filename}
             print(f"dataset {name}: {graph.node_count} nodes, {graph.edge_count} edges -> "
                   f"{bundle.outdir / filename}")
@@ -331,13 +344,12 @@ def _topk_unit(
     Returns the subgraph's motif z-scores and, for k in 1..3 (the
     averaged distances' inputs), its feature matrix.
     """
-    meta = _meta_text(config, header=True)
     tag = f"{name}_{direction}_{k}"
     try:
         sg = (topk_out if direction == "out" else topk_in)(graph, k)
         report = structural_report(sg)
-        bundle.write(f"structural_{tag}.json", report.to_json(meta=_meta_dict(config)))
-        bundle.write(f"structural_{tag}.csv", meta + report.to_csv())
+        bundle.write_json(f"structural_{tag}.json", report.to_dict())
+        bundle.write_csv(f"structural_{tag}.csv", report.to_csv())
         table = centrality_table(
             sg,
             damping=config.pagerank_damping,
@@ -345,15 +357,15 @@ def _topk_unit(
             max_iter=config.pagerank_max_iter,
         )
         for measure in MEASURES:
-            bundle.write(f"centrality_{tag}_{measure}.csv", meta + table.to_csv(measure))
+            bundle.write_csv(f"centrality_{tag}_{measure}.csv", table.to_csv(measure))
         comps = scc(sg)
-        bundle.write(f"scc_{tag}.csv", meta + comps.to_csv())
+        bundle.write_csv(f"scc_{tag}.csv", comps.to_csv())
         dm = distance_matrix(sg)
-        bundle.write(f"distance_{tag}.csv", meta + dm.to_csv())
+        bundle.write_csv(f"distance_{tag}.csv", dm.to_csv())
         clusters = filter_singletons(average_linkage(dm, config.n_clusters))
-        bundle.write(f"clusters_{tag}.csv", meta + clusters.to_csv())
+        bundle.write_csv(f"clusters_{tag}.csv", clusters.to_csv())
         observed = triad_census(sg)
-        bundle.write(f"triads_{tag}.csv", meta + observed.to_csv())
+        bundle.write_csv(f"triads_{tag}.csv", observed.to_csv())
         zscores = motif_zscores(
             sg,
             observed=observed,
@@ -361,7 +373,7 @@ def _topk_unit(
             seed=derive_seed(derive_seed(config.seed, "census"), name, direction, k),
             swaps_per_edge=config.swaps_per_edge,
         )
-        bundle.write(f"motifs_{tag}.csv", meta + zscores.to_csv())
+        bundle.write_csv(f"motifs_{tag}.csv", zscores.to_csv())
         return zscores, feature_matrix(sg, table, comps) if k <= 3 else None
     except (TourflowError, ValueError) as exc:
         exc.args = (f"analyze dataset {name}, top-{k} {direction}: {exc}",)
@@ -412,26 +424,19 @@ def _run_topk_units(
 
     The units are dealt to one lane per CPU (``_deal``), run by
     :func:`tourflow.lanes.run_lanes`.  A forked lane stages its files
-    into ``bundle``'s directory and sends back only its results and
-    staged names, which are merged into ``bundle`` before this returns.
+    into ``bundle``'s staging directory and sends back only its results.
     The failure, (index, exception) or None, is the earliest unit that
     raised: as each lane runs its units in index order and stops at its
     first failure, every unit before it has a result, and a serial run
     would raise it too.
     """
     dealt = _deal(units, min(cpu_count(), len(units)))
-
-    def lane(number: int) -> tuple[dict[int, tuple], tuple[int, BaseException] | None, dict]:
-        if number:  # a forked lane reports the files it staged, not lane 0's
-            bundle.hashes = {}
-        return (*_run_lane(config, bundle, units, dealt[number]), bundle.hashes)
-
+    outcomes = run_lanes(lambda number: _run_lane(config, bundle, units, dealt[number]),
+                         len(dealt), "analyze")
     results: dict[int, tuple] = {}
     failures = []
-    for number, (outcome, died) in enumerate(run_lanes(lane, len(dealt), "analyze")):
-        # The files a lane that died had staged are unknown; the run fails all the same.
-        done, failure, staged = outcome if died is None else ({}, (min(dealt[number]), died), {})
-        bundle.hashes.update(staged)
+    for number, (outcome, died) in enumerate(outcomes):
+        done, failure = outcome if died is None else ({}, (min(dealt[number]), died))
         results.update(done)
         failures += [failure] if failure else []
     return results, min(failures, key=lambda failure: failure[0], default=None)
@@ -446,7 +451,6 @@ def _analyze_dataset(
     ``topk`` holds the results of its Top-k units by (direction, k), out
     before in, k ascending.
     """
-    meta = _meta_text(config, header=True)
     top_k = max(config.k_values)
     shares = {}
     for direction in ("out", "in"):
@@ -457,13 +461,13 @@ def _analyze_dataset(
         except (TourflowError, ValueError) as exc:
             exc.args = (f"analyze dataset {name}, regional top-{top_k} {direction}: {exc}",)
             raise
-        bundle.write(f"regional_{name}_{direction}_raw.csv", meta + raw.to_csv())
-        bundle.write(f"regional_{name}_{direction}_share.csv", meta + share.to_csv())
+        bundle.write_csv(f"regional_{name}_{direction}_raw.csv", raw.to_csv())
+        bundle.write_csv(f"regional_{name}_{direction}_share.csv", share.to_csv())
         shares[direction] = share
     averaged = None
     if {1, 2, 3} <= set(config.k_values):
         averaged = avg_distance_matrix([features for _, features in topk.values() if features])
-        bundle.write(f"avgdist_{name}.csv", meta + averaged.to_csv())
+        bundle.write_csv(f"avgdist_{name}.csv", averaged.to_csv())
     motifs = {unit: zscores for unit, (zscores, _) in topk.items()}
     return {"motifs": motifs, "shares": shares, "averaged": averaged}
 
@@ -486,11 +490,9 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     if not graphs:
         raise ConfigError("no graphs to analyze: run `tourflow build` first or pass --graph-a")
     region_map = RegionMap.from_csv(config.region_map) if config.region_map else RegionMap.default()
-    meta = _meta_text(config, header=True)
-    header = {"meta": _meta_dict(config), "datasets": sorted(graphs)}
     units = [(name, graph, direction, k) for name, graph in graphs.items()
              for direction in ("out", "in") for k in config.k_values]
-    with _Bundle(Path(config.output_dir), "analyze_manifest.json", header) as bundle:
+    with _Bundle(config, "analyze_manifest.json", {"datasets": sorted(graphs)}) as bundle:
         topk, failure = _run_topk_units(config, bundle, units)
         results = {}
         for name, graph in graphs.items():
@@ -506,28 +508,26 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
             first, second = results["a"], results["b"]
             for (direction, k), scores_a in first["motifs"].items():
                 diff = z_percent_diff(scores_a, second["motifs"][(direction, k)])
-                bundle.write(f"zdiff_{direction}_{k}.csv", meta + z_percent_diff_csv(diff))
+                bundle.write_csv(f"zdiff_{direction}_{k}.csv", z_percent_diff_csv(diff))
             share_summaries = {}
             for direction in ("out", "in"):
                 share_a = first["shares"][direction]
                 share_b = second["shares"][direction]
-                bundle.write(f"sharediff_{direction}.csv",
-                             meta + share_diff(share_a, share_b).to_csv())
+                bundle.write_csv(f"sharediff_{direction}.csv",
+                                 share_diff(share_a, share_b).to_csv())
                 share_summaries[direction] = mean_abs_share_diff(share_a, share_b)
             summary["mean_abs_share_diff_pct_points"] = share_summaries
             if first["averaged"] is not None and second["averaged"] is not None:
                 correlations = country_correlations(first["averaged"], second["averaged"])
-                bundle.write("correlations.csv", meta + correlations.to_csv())
+                bundle.write_csv("correlations.csv", correlations.to_csv())
                 defined = [v for v in correlations.rho.values() if v is not None]
                 summary["correlation"] = {
                     "common_countries": correlations.common_count,
                     "defined": len(defined),
                     "mean_rho": sum(defined) / len(defined) if defined else None,
                 }
-        bundle.write("analysis_summary.json",
-                     json.dumps({"meta": _meta_dict(config), **summary}, indent=2) + "\n")
-    print(f"analyzed {len(graphs)} dataset(s) -> {bundle.outdir} "
-          f"({len(bundle.hashes)} files)")
+        bundle.write_json("analysis_summary.json", summary)
+    print(f"analyzed {len(graphs)} dataset(s) -> {bundle.outdir} ({len(bundle.files)} files)")
     return EXIT_OK
 
 

@@ -8,7 +8,6 @@ pairs is reported alongside instead of being folded into the mean.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -109,10 +108,6 @@ class StructuralReport:
                 else value
             )
         return out
-
-    def to_json(self, meta: dict | None = None) -> str:
-        payload = {"meta": meta, **self.to_dict()} if meta is not None else self.to_dict()
-        return json.dumps(payload, indent=2) + "\n"
 
     def to_csv(self) -> str:
         lines = ["metric,value"]

@@ -334,7 +334,7 @@ SWAP_GRAPHS = {
 
 def sample_arcs(g: MobilityGraph, samples) -> list[dict[tuple[str, str], int]]:
     """The arcs of each null sample, given by the destinations of its slots."""
-    src, _ = census._edge_slots(g, 1)
+    src, _ = g.arcs
     return [census._binary_graph(g, src, dst.tolist()).edges for dst in samples]
 
 

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import resource
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -355,6 +356,19 @@ class TestPlot:
         assert code == EXIT_PARSE
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path: Path, capsys) -> None:
+        report = tmp_path / "correlations.csv"
+        report.write_text("country,rho,flag\nAA,0.5,\n", encoding="utf-8")
+        target = tmp_path / "rho.svg"
+        target.mkdir()
+        (target / "keep.txt").write_text("mine\n")
+        code = main(["plot", "--report", str(report), "--kind", "strip", "--out", str(target)])
+        assert code == EXIT_UNEXPECTED
+        assert "Is a directory" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.tmp"))
+        assert [path.name for path in target.iterdir()] == ["keep.txt"]
+        assert (target / "keep.txt").read_text() == "mine\n"
+
 
 class TestExport:
     def build_graph(self, tmp_path: Path) -> Path:
@@ -408,6 +422,18 @@ class TestExport:
     def test_unknown_format_rejected(self, tmp_path: Path) -> None:
         with pytest.raises(ConfigError, match="unknown export format"):
             cmd_export(str(tmp_path / "g.csv"), "yaml", str(tmp_path / "g.yaml"))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path: Path, capsys) -> None:
+        graph = self.build_graph(tmp_path)
+        target = tmp_path / "target.svg"
+        target.mkdir()
+        (target / "keep.txt").write_text("mine\n")
+        code = main(["export", "--graph", str(graph), "--format", "dot", "--out", str(target)])
+        assert code == EXIT_UNEXPECTED
+        assert "Is a directory" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.tmp"))
+        assert [path.name for path in target.iterdir()] == ["keep.txt"]
+        assert (target / "keep.txt").read_text() == "mine\n"
 
 
 CYCLE3 = {("AA", "AB"): 3, ("AB", "AC"): 2, ("AC", "AA"): 1}
@@ -689,6 +715,89 @@ class TestBundleCommit:
         assert main([command, *base, "--set", "seed=1"]) == EXIT_OK
 
 
+class TestStaging:
+    """Every file is staged in output_dir/.staging, which a run that holds the lock owns."""
+
+    def test_run_that_dies_leaves_no_stray_file(self, tmp_path: Path, monkeypatch) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        scc = cli.scc
+
+        def dying(graph):
+            if (graph.direction, graph.k) == ("in", 3):
+                os._exit(3)  # dies as under SIGKILL: no handler, no unwinding
+            return scc(graph)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(cli, "scc", dying)
+        run = multiprocessing.get_context("fork").Process(target=main, args=(["analyze", *base],))
+        run.start()
+        run.join(timeout=120)
+        assert run.exitcode == 3
+        assert set(os.listdir(out)) > {"build_manifest.json", "graph_a.csv"}  # what it staged
+        monkeypatch.setattr(cli, "scc", scc)
+        assert main(["analyze", *base, "--set", "k_values=1"]) == EXIT_OK
+        assert not (out / ".staging").exists()
+        assert set(snapshot(out)) == listed(out)
+
+    @pytest.mark.parametrize("kind", ["directory", "file", "symlink"])
+    def test_stale_staging_is_removed_not_followed(self, tmp_path: Path, kind: str) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "graph_b.csv").write_text("mine\n")
+        if kind == "directory":
+            (out / ".staging").mkdir()
+            for name in ("graph_b.csv", "structural_a_out_9.csv"):
+                (out / ".staging" / name).write_text("stale\n")
+        elif kind == "file":
+            (out / ".staging").write_text("stale\n")
+        else:
+            (out / ".staging").symlink_to(elsewhere)
+        assert main(["build", *base]) == EXIT_OK
+        assert not os.path.lexists(out / ".staging")
+        assert set(snapshot(out)) == {"build_manifest.json", "graph_a.csv"}
+        assert snapshot(elsewhere) == {"graph_b.csv": b"mine\n"}
+
+    def test_staging_that_cannot_be_removed_fails_the_run(
+        self, tmp_path: Path, monkeypatch, capsys
+    ) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        before = snapshot(out)
+        (out / ".staging").mkdir()
+        (out / ".staging" / "graph_a.csv").write_text("stale\n")
+
+        def refused(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(shutil, "rmtree", refused)
+        assert main(["build", *base, "--set", "seed=1"]) == EXIT_UNEXPECTED
+        assert "Permission denied" in capsys.readouterr().err
+        assert snapshot(out / ".staging") == {"graph_a.csv": b"stale\n"}
+        (out / ".staging" / "graph_a.csv").unlink()
+        (out / ".staging").rmdir()
+        assert snapshot(out) == before
+
+    def test_manifest_hashes_what_every_lane_staged(
+        self, tmp_path: Path, capsys, two_cpus: list
+    ) -> None:
+        out = run_build_analyze(tmp_path, sample_edges())
+        assert len(two_cpus) == 1
+        manifest = json.loads((out / "analyze_manifest.json").read_text())
+        assert list(manifest) == ["meta", "datasets", "files"]
+        assert list(manifest["files"]) == sorted(manifest["files"])
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert not (out / ".staging").exists()
+        count = len(manifest["files"]) + 1
+        assert capsys.readouterr().out.endswith(f"-> {out} ({count} files)\n")
+
+
 def unit_seed(name: str, direction: str, k: int) -> int:
     """The seed analyze's rewire cross-check draws sample 0 of a unit's ensemble with (seed 0)."""
     return derive_seed(derive_seed(derive_seed(0, "census"), name, direction, k), 0)
@@ -767,7 +876,6 @@ class TestLanes:
             assert main(["analyze", *base, "--set", "seed=1"]) == EXIT_DOMAIN
             errors.append(capsys.readouterr().err)
             assert snapshot(out) == before
-            assert not list(out.glob("*.tmp"))
             assert multiprocessing.active_children() == []
         assert len(two_cpus) == 2  # one lane forked by each two-CPU analyze
         assert errors[0] == errors[1] == f"error: analyze {message}: injected failure\n"
@@ -792,7 +900,6 @@ class TestLanes:
             main(["analyze", *base, "--set", f"ensemble_size={census.BATCH_MIN_ENSEMBLE}"])
         assert len(two_cpus) == forked + 1
         assert snapshot(out) == before
-        assert not list(out.glob("*.tmp"))
         assert multiprocessing.active_children() == []
 
     def test_exception_that_does_not_pickle_still_fails_the_run(
@@ -835,9 +942,7 @@ class TestLanes:
         monkeypatch.setattr(cli, "scc", dying)
         with pytest.raises(RuntimeError, match="analyze lane 1 exited with code 3 before reporting"):
             main(["analyze", *base])
-        # What the lane staged before it died is unknown, so its *.tmp files stay.
-        assert {name: data for name, data in snapshot(out).items()
-                if not name.endswith(".tmp")} == before
+        assert snapshot(out) == before
         assert multiprocessing.active_children() == []
 
     def test_lane_cpu_time_counts_in_the_caller(self, tmp_path: Path, two_cpus: list) -> None:
