@@ -566,11 +566,8 @@ def _plot_bar(rows: list[list[str]], title: str, meta: str) -> str:
     if len(rows) < 2 or len(rows[0]) < 2:
         raise ParseError("bar plot needs a CSV with a label column and a value column")
     header = rows[0]
-    try:
-        column = header.index("z") if "z" in header else (
-            header.index("percent_diff") if "percent_diff" in header else 1)
-    except ValueError:  # pragma: no cover - guarded above
-        column = 1
+    column = header.index("z") if "z" in header else (
+        header.index("percent_diff") if "percent_diff" in header else 1)
     labels, values = [], []
     for row in rows[1:]:
         if len(row) > column and row[column]:

@@ -137,9 +137,6 @@ class ClusterAssignment:
     def count(self) -> int:
         return len(self.sizes)
 
-    def is_singleton(self, cluster_id: int) -> bool:
-        return self.sizes[cluster_id] == 1
-
     def to_csv(self) -> str:
         lines = ["country,cluster_id,ignored"]
         for code in self.countries:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -32,14 +31,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _grouped(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """``values`` grouped by ``keys`` into n tuples, each in array order."""
-    groups: list[list[int]] = [[] for _ in range(n)]
-    for key, value in zip(keys.tolist(), values.tolist()):
-        groups[key].append(value)
-    return tuple(map(tuple, groups))
-
-
 @dataclass(frozen=True)
 class MobilityGraph:
     """A weighted directed graph over country codes.
@@ -53,10 +44,10 @@ class MobilityGraph:
     node kept at most ``k`` incoming edges, ``"out"`` at most ``k``
     outgoing ones.  Both are None for a full graph.
 
-    A graph is never changed after construction: its node index, arc
-    arrays, neighbour lists, ranked partners, weight matrix and
-    shortest-path pass are built on first use and cached, and the cached
-    arrays and mappings are read-only.
+    A graph is never changed after construction.  Its node index, its
+    sorted arcs and weight matrix (the one adjacency every analysis
+    reads) and its shortest-path pass are built on first use and cached;
+    the cached arrays are read-only.
     """
 
     nodes: tuple[str, ...]
@@ -125,44 +116,10 @@ class MobilityGraph:
         return _read_only(src), _read_only(dst)
 
     @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the positions of its successors, ascending (the arcs are sorted)."""
-        return _grouped(len(self.nodes), *self.arcs)
-
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the positions of its predecessors, ascending (the arcs are sorted)."""
-        return _grouped(len(self.nodes), *reversed(self.arcs))
-
-    def _ranked(self, outward: bool) -> MappingProxyType:
-        partners: dict[str, list[tuple[int, str]]] = {}
-        for (origin, dest), weight in self.edges.items():
-            node, partner = (origin, dest) if outward else (dest, origin)
-            partners.setdefault(node, []).append((-weight, partner))
-        # Codes only: a tuple of pairs per edge would hold about 90 bytes
-        # per edge for the life of the graph, a code reference 8.
-        return MappingProxyType({
-            node: tuple(partner for _, partner in sorted(ranked))
-            for node, ranked in partners.items()})
-
-    @cached_property
-    def ranked_out(self) -> MappingProxyType:
-        """Per node with outgoing edges, its destination codes, heaviest edge first.
-
-        Ties on weight go to the smaller code.  Nodes appear in the order
-        of their first edge in ``edges``.
-        """
-        return self._ranked(True)
-
-    @cached_property
-    def ranked_in(self) -> MappingProxyType:
-        """Per node with incoming edges, its origin codes, ordered as in ``ranked_out``."""
-        return self._ranked(False)
-
-    @cached_property
-    def shortest_paths(self) -> tuple[np.ndarray, int, int, int]:
-        """Betweenness per node position, then the sum, count and maximum of the
-        geodesic distances; see :func:`tourflow.metrics.shortest_path_pass`."""
+    def shortest_paths(self) -> tuple[np.ndarray, int, int, int, np.ndarray]:
+        """Betweenness per node position, the sum, count and maximum of the
+        geodesic distances, then the bit-packed rows of which nodes each
+        source reaches; see :func:`tourflow.metrics.shortest_path_pass`."""
         from .metrics import shortest_path_pass  # metrics imports this module
 
         return shortest_path_pass(self)
@@ -185,12 +142,19 @@ def _topk(graph: MobilityGraph, k: int, direction: str) -> MobilityGraph:
     """Keep each node's k heaviest edges in ``direction``, ties to the smaller partner code."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    outward = direction == "out"
-    kept: dict[tuple[str, str], int] = {}
-    for node, ranked in (graph.ranked_out if outward else graph.ranked_in).items():
-        for partner in ranked[:k]:
-            pair = (node, partner) if outward else (partner, node)
-            kept[pair] = graph.edges[pair]
+    tails, heads = graph.arcs
+    node, partner = (tails, heads) if direction == "out" else (heads, tails)
+    # Each node's arcs, heaviest first (float64 weights, exact below 2**53),
+    # ties to the smaller partner position, which follows the sorted codes;
+    # then each arc's rank among its node's arcs.
+    order = np.lexsort((partner, -graph.weights[tails, heads], node))
+    counts = np.bincount(node, minlength=len(graph.nodes))
+    rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[node[order]]
+    keep = np.zeros(len(order), dtype=bool)
+    keep[order] = rank < k
+    codes, edges = graph.nodes, graph.edges
+    pairs = ((codes[o], codes[d]) for o, d in zip(tails[keep].tolist(), heads[keep].tolist()))
+    kept = {pair: edges[pair] for pair in pairs}
     return MobilityGraph(graph.nodes, kept, graph.label, direction, k)
 
 
@@ -235,8 +199,8 @@ def _to_csv(graph: MobilityGraph) -> str:
 
 
 def _to_dot(graph: MobilityGraph) -> str:
-    name = graph.label if graph.label else "mobility"
-    lines = ["digraph " + quoteattr(name) + " {"]
+    name = (graph.label or "mobility").replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{name}" {{']
     for code in graph.nodes:
         lines.append(f'  "{code}";')
     for origin, dest, weight in sorted_edges(graph):

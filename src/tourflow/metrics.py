@@ -140,7 +140,10 @@ def transitivity(graph: MobilityGraph) -> float:
     counted as sum over nodes of C(degree, 2) in the projection.
     """
     n = len(graph.nodes)
-    neigh = [set(succ).union(pred) for succ, pred in zip(graph.successors, graph.predecessors)]
+    neigh: list[set[int]] = [set() for _ in range(n)]
+    for u, v in zip(*(end.tolist() for end in graph.arcs)):
+        neigh[u].add(v)
+        neigh[v].add(u)
     triples = sum(len(s) * (len(s) - 1) // 2 for s in neigh)
     if triples == 0:
         return 0.0
@@ -158,7 +161,7 @@ def geodesic_stats(graph: MobilityGraph) -> tuple[float, int, int]:
     only; with no such pair both are reported as 0.  They come from the
     graph's one shortest-path pass (:func:`shortest_path_pass`).
     """
-    _, total, reachable, diameter = graph.shortest_paths
+    _, total, reachable, diameter, _ = graph.shortest_paths
     n = len(graph.nodes)
     return (total / reachable if reachable else 0.0), diameter, n * (n - 1) - reachable
 
@@ -174,8 +177,7 @@ def degree_centralization(graph: MobilityGraph, direction: str) -> float:
     n = len(graph.nodes)
     if n < 3:
         raise ValueError(f"degree centralization needs >= 3 nodes, got {n}")
-    neighbours = graph.successors if direction == "out" else graph.predecessors
-    degrees = [len(ends) for ends in neighbours]
+    degrees = np.bincount(graph.arcs[0 if direction == "out" else 1], minlength=n).tolist()
     top = max(degrees)
     return sum(top - d for d in degrees) / (n - 1) ** 2
 
@@ -284,12 +286,14 @@ _BLOCK_VISITS = 1 << 16
 _UNREACHED = np.iinfo(np.int32).max
 
 
-def shortest_path_pass(graph: MobilityGraph) -> tuple[np.ndarray, int, int, int]:
-    """Brandes' betweenness and the geodesic totals of every source, in one pass.
+def shortest_path_pass(graph: MobilityGraph) -> tuple[np.ndarray, int, int, int, np.ndarray]:
+    """Brandes' betweenness, the geodesic totals and the reachability of every source, in one pass.
 
     Returns the unnormalised betweenness per node position (read-only),
     the sum of the distances over reachable ordered pairs s != t, the
-    number of such pairs and the largest such distance.
+    number of such pairs, the largest such distance, and per source the
+    nodes it reaches (itself included) as one ``np.packbits`` row,
+    n * ceil(n / 8) bytes (read-only).
 
     Brandes, "A faster algorithm for betweenness centrality", 2001, run
     as a level-synchronous BFS over a block of sources at once on the
@@ -316,6 +320,7 @@ def shortest_path_pass(graph: MobilityGraph) -> tuple[np.ndarray, int, int, int]
     out_degree = np.diff(first_arc)
     block = max(1, _BLOCK_VISITS // max(len(heads), n, 1))
     score = np.zeros(n)
+    reached = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     total = reachable = diameter = 0
     for first in range(0, n, block):
         rows = min(block, n - first)
@@ -353,6 +358,7 @@ def shortest_path_pass(graph: MobilityGraph) -> tuple[np.ndarray, int, int, int]
             total += depth * len(frontier)
             reachable += len(frontier)
         diameter = max(diameter, depth)
+        reached[first:first + rows] = np.packbits((seen_at != _UNREACHED).reshape(rows, n), axis=1)
         delta = np.zeros(rows * n)
         for tail_cells, head_cells in reversed(levels):
             pops = np.argsort(-seen_at[head_cells], kind="stable")
@@ -362,55 +368,7 @@ def shortest_path_pass(graph: MobilityGraph) -> tuple[np.ndarray, int, int, int]
         delta[sources] = 0.0
         for row in delta.reshape(rows, n):
             score += row
-    return _read_only(score), total, reachable, diameter
-
-
-def _tarjan_components(succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Strongly connected components, iteratively, in Tarjan's order.
-
-    Uses Nuutila's variant: only potential roots sit on the component
-    stack, and assigned nodes are never revisited.
-    """
-    n = len(succ)
-    preorder = [-1] * n
-    lowlink = [0] * n
-    assigned = [False] * n
-    root_stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for start in range(n):
-        if preorder[start] >= 0:
-            continue
-        walk = [start]
-        while walk:
-            v = walk[-1]
-            if preorder[v] < 0:
-                preorder[v] = counter
-                counter += 1
-            descend = False
-            for w in succ[v]:
-                if preorder[w] < 0:
-                    walk.append(w)
-                    descend = True
-                    break
-            if descend:
-                continue
-            low = preorder[v]
-            for w in succ[v]:
-                if not assigned[w]:
-                    low = min(low, lowlink[w] if preorder[w] > preorder[v] else preorder[w])
-            lowlink[v] = low
-            walk.pop()
-            if low == preorder[v]:
-                members = [v]
-                while root_stack and preorder[root_stack[-1]] > preorder[v]:
-                    members.append(root_stack.pop())
-                for node in members:
-                    assigned[node] = True
-                components.append(members)
-            else:
-                root_stack.append(v)
-    return components
+    return _read_only(score), total, reachable, diameter, _read_only(reached)
 
 
 @dataclass(frozen=True)
@@ -438,10 +396,23 @@ class ComponentAssignment:
 
 
 def scc(graph: MobilityGraph) -> ComponentAssignment:
-    """Strongly connected components with deterministic component ids."""
+    """Strongly connected components with deterministic component ids.
+
+    Two nodes share a component when each reaches the other, read from
+    the reachability rows of the graph's one shortest-path pass
+    (:func:`shortest_path_pass`); on a graph without a cached pass this
+    runs the pass, O(n * m) numpy work.
+    """
     nodes = graph.nodes
-    components = ([nodes[i] for i in members] for members in _tarjan_components(graph.successors))
-    return ComponentAssignment(nodes, *number_groups(components))
+    reach = np.unpackbits(graph.shortest_paths[4], axis=1, count=len(nodes)).view(bool)
+    mutual = reach & reach.T
+    # Each node's first mutually reachable node names its component.  A
+    # (0, 0) matrix has no argmax, so the empty graph gets no names.
+    names = mutual.argmax(axis=1).tolist() if nodes else []
+    components: dict[int, list[str]] = {}
+    for code, name in zip(nodes, names):
+        components.setdefault(name, []).append(code)
+    return ComponentAssignment(nodes, *number_groups(components.values()))
 
 
 def competition_ranks(values: dict[str, float]) -> dict[str, int]:

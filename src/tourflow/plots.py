@@ -3,13 +3,17 @@
 No plotting library is used: the emitters build the SVG text directly
 with fixed-precision coordinates, derive any jitter from a hash of the
 item label, and carry no timestamps, so the same input always produces
-byte-identical output.
+byte-identical output.  Labels and titles are escaped as XML text, and
+the metadata comment never holds ``--``, so any label gives well-formed
+SVG.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 _BLUE = (33, 102, 172)
 _WHITE = (247, 247, 247)
@@ -48,7 +52,8 @@ def _document(width: float, height: float, body: list[str], meta: str | None) ->
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
     ]
     if meta:
-        head.append(f"<!-- {meta} -->")
+        # "--" may not occur inside an XML comment.
+        head.append(f"<!-- {re.sub('-(?=-)', '- ', meta)} -->")
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
@@ -72,13 +77,14 @@ def heatmap_svg(
     flat = [float(v) for row in values for v in row]
     low, high = min(flat), max(flat)
     signed = low < 0.0
+    row_labels, col_labels = list(map(escape, row_labels)), list(map(escape, col_labels))
     cell = 34.0
     left, top = 110.0, 50.0
     width = left + cols * cell + 20.0
     height = top + rows * cell + 70.0
     body: list[str] = []
     if title:
-        body.append(f'<text x="{left:.1f}" y="24" {_TITLE_FONT}>{title}</text>')
+        body.append(f'<text x="{left:.1f}" y="24" {_TITLE_FONT}>{escape(title)}</text>')
     for j, label in enumerate(col_labels):
         x = left + j * cell + cell / 2.0
         y = top + rows * cell + 14.0
@@ -97,7 +103,7 @@ def heatmap_svg(
             body.append(
                 f'<rect class="cell" x="{x:.1f}" y="{y0:.1f}" width="{cell:.1f}" '
                 f'height="{cell:.1f}" fill="{fill}" stroke="#888" stroke-width="0.5">'
-                f"<title>{row_labels[i]},{col_labels[j]}: {value:.6g}</title></rect>"
+                f"<title>{label},{col_labels[j]}: {value:.6g}</title></rect>"
             )
     return _document(width, height, body, meta)
 
@@ -130,7 +136,7 @@ def strip_svg(
     scale = (bottom - top) / (high - low)
     body: list[str] = []
     if title:
-        body.append(f'<text x="20" y="24" {_TITLE_FONT}>{title}</text>')
+        body.append(f'<text x="20" y="24" {_TITLE_FONT}>{escape(title)}</text>')
     body.append(
         f'<line x1="{axis_x:.1f}" y1="{top:.1f}" x2="{axis_x:.1f}" y2="{bottom:.1f}" '
         'stroke="#333" stroke-width="1"/>'
@@ -150,7 +156,7 @@ def strip_svg(
         y = bottom - (value - low) * scale
         body.append(
             f'<circle class="mark" cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="#2166ac" '
-            f'fill-opacity="0.75"><title>{label}: {value:.6g}</title></circle>'
+            f'fill-opacity="0.75"><title>{escape(label)}: {value:.6g}</title></circle>'
         )
     return _document(width, height, body, meta)
 
@@ -177,12 +183,12 @@ def bar_svg(
     zero_y = bottom - (0.0 - low) * scale
     body: list[str] = []
     if title:
-        body.append(f'<text x="20" y="24" {_TITLE_FONT}>{title}</text>')
+        body.append(f'<text x="20" y="24" {_TITLE_FONT}>{escape(title)}</text>')
     body.append(
         f'<line x1="{left - 10.0:.1f}" y1="{zero_y:.1f}" '
         f'x2="{left + slot * len(labels):.1f}" y2="{zero_y:.1f}" stroke="#333" stroke-width="1"/>'
     )
-    for i, (label, value) in enumerate(zip(labels, numbers)):
+    for i, (label, value) in enumerate(zip(map(escape, labels), numbers)):
         x = left + i * slot + 6.0
         y = bottom - (value - low) * scale
         bar_top = min(y, zero_y)

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import resource
 import shutil
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
@@ -315,6 +316,16 @@ class TestPlot:
         assert cmd_plot(str(report), "bar", str(target)) == EXIT_OK
         assert target.read_text().count('class="bar"') == 1
 
+    def test_markup_in_labels_and_file_name_gives_well_formed_svg(self, tmp_path: Path) -> None:
+        report = tmp_path / "a--b.csv"
+        report.write_text("country,rho,flag\nA&B,0.5,\n<C>,0.25,\n", encoding="utf-8")
+        target = tmp_path / "rho.svg"
+        assert cmd_plot(str(report), "strip", str(target)) == EXIT_OK
+        root = ET.parse(target).getroot()
+        assert {el.text for el in root.iter() if el.tag.endswith("title")} == {
+            "A&B: 0.5", "<C>: 0.25"}
+        assert "source: a- -b.csv -->" in target.read_text()
+
     def test_rerender_is_byte_identical(self, tmp_path: Path) -> None:
         report = tmp_path / "correlations.csv"
         report.write_text("country,rho,flag\nAA,0.5,\nAB,0.25,\n", encoding="utf-8")
@@ -388,6 +399,14 @@ class TestExport:
         lines = target.read_text().splitlines()
         assert lines[0].startswith("// tool: tourflow ")
         assert lines[1].startswith("digraph ")
+
+    def test_dot_name_is_quoted_as_a_dot_string(self, tmp_path: Path) -> None:
+        graph = tmp_path / 'my"g&h.csv'
+        graph.write_bytes(self.build_graph(tmp_path).read_bytes())
+        target = tmp_path / "graph.dot"
+        assert main(["export", "--graph", str(graph), "--format", "dot",
+                     "--out", str(target)]) == EXIT_OK
+        assert target.read_text().splitlines()[1] == r'digraph "my\"g&h" {'
 
     def test_graphml_output_keeps_xml_declaration_first(self, tmp_path: Path) -> None:
         graph = self.build_graph(tmp_path)

@@ -25,7 +25,8 @@ from tourflow import (
     topk_out,
 )
 from tourflow import metrics
-from tourflow.metrics import competition_ranks, geodesic_stats, matrix_csv, transitivity
+from tourflow.metrics import (
+    competition_ranks, geodesic_stats, matrix_csv, number_groups, transitivity)
 
 from oracles import (
     bfs_geodesic_stats,
@@ -297,6 +298,7 @@ class TestShortestPathPass:
         sg = topk_out(random_digraph(np.random.default_rng(8), 20, 0.3), 3)
         structural_report(sg)
         centrality_table(sg)
+        scc(sg)
         assert calls == [sg]
 
 
@@ -328,6 +330,13 @@ class TestDegreeCentralization:
         assert degree_centralization(g, "in") == pytest.approx(expected, abs=1e-12)
 
 
+def assert_kosaraju_partition(graph: MobilityGraph) -> None:
+    """``scc`` has Kosaraju's components (the oracle's), with ids by ``number_groups``."""
+    result = scc(graph)
+    assert (result.countries, result.component, result.sizes) == (
+        graph.nodes, *number_groups(kosaraju_scc(graph)))
+
+
 class TestScc:
     def test_dag_gives_singletons(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 1, ("BB", "CC"): 1})
@@ -351,13 +360,14 @@ class TestScc:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partition_matches_kosaraju(self, seed: int) -> None:
-        g = random_digraph(np.random.default_rng(300 + seed), 50, 0.06)
-        expected = {frozenset(members) for members in kosaraju_scc(g)}
-        result = scc(g)
-        groups: dict[int, set[str]] = {}
-        for code, cid in result.component.items():
-            groups.setdefault(cid, set()).add(code)
-        assert {frozenset(ms) for ms in groups.values()} == expected
+        assert_kosaraju_partition(random_digraph(np.random.default_rng(300 + seed), 50, 0.06))
+
+    @given(graph=digraphs())
+    @example(graph=MobilityGraph((), {}))
+    @example(graph=MobilityGraph(("AA",), {}))
+    @settings(max_examples=300, deadline=None)
+    def test_partition_matches_kosaraju_on_any_digraph(self, graph: MobilityGraph) -> None:
+        assert_kosaraju_partition(graph)
 
 
 class TestStructuralReport:

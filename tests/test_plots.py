@@ -69,6 +69,23 @@ class TestTitles:
             assert svg.count("font-size=\"14\"") == 1
 
 
+class TestEscaping:
+    @pytest.mark.parametrize("render", [
+        lambda label: heatmap_svg([[1.0]], [label], [label], title=label),
+        lambda label: strip_svg([label], [0.5], title=label),
+        lambda label: bar_svg([label], [1.0], title=label),
+    ], ids=["heatmap", "strip", "bar"])
+    def test_markup_in_labels_and_titles_is_text(self, render) -> None:
+        root = parse(render("A&B <x>"))
+        texts = [el.text for el in root.iter() if el.text and "A&B" in el.text]
+        assert texts and all("A&B <x>" in text for text in texts)
+
+    def test_meta_comment_holds_no_double_hyphen(self) -> None:
+        svg = strip_svg(["AA"], [0.5], meta="source: a--b---c.csv")
+        parse(svg)
+        assert "<!-- source: a- -b- - -c.csv -->" in svg
+
+
 class TestBar:
     def test_one_rect_per_value(self) -> None:
         svg = bar_svg(["a", "b", "c"], [1.0, -2.0, 3.0])
