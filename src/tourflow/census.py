@@ -194,18 +194,27 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
     return _binary_graph(graph, src, dst)
 
 
-# Chains advance in lockstep (_rewire_chains) in blocks of at most
-# _CHAIN_BLOCK chains, and of no more than fit a presence bitmap of
-# _BITMAP_BYTES (n * n bytes per chain); each chain draws _STEP_WINDOW
-# swap steps at a time.  These bound the kernel's memory, whatever the
-# ensemble size.  Where a block would hold fewer than
-# BATCH_MIN_ENSEMBLE chains, rewire runs once per sample instead: the
-# two break even at about 16 chains (100 swaps per edge, 117-node
-# Top-k graphs, 2-vCPU Xeon host).
+# Chains advance in lockstep (_rewire_chains) in blocks, and the arrays
+# of a block that grow with its chain count fit in _BLOCK_BYTES.  Per
+# chain (_chain_bytes) they are the n * n presence bitmap, E destinations
+# of 8 bytes, a window of _DRAW_WINDOW swap steps drawn as int32 (4 KiB)
+# and _STEP_WINDOW of those steps as slot and row indices (2 KiB):
+# 22.6 KB for a 117-node Top-3 graph (E = 351), so up to 115 chains make
+# one block.  An ensemble runs as the fewest even blocks that fit.
+# Where a block would hold fewer than BATCH_MIN_ENSEMBLE chains, from
+# 386 nodes at E = 3n, rewire runs once per sample instead.  The kernel
+# overtakes rewire at about 10 chains (100 swaps per edge, 117-node
+# Top-1 and Top-3 graphs, 2-vCPU Xeon host); 16 leaves a margin.
 BATCH_MIN_ENSEMBLE = 16
-_CHAIN_BLOCK = 128
-_BITMAP_BYTES = 1 << 20
-_STEP_WINDOW = 256
+_BLOCK_BYTES = 5 << 19  # 2.5 MiB
+_DRAW_WINDOW = 512
+_STEP_WINDOW = 64
+
+
+def _chain_bytes(n: int, edge_count: int) -> int:
+    """Bytes of one chain's arrays in ``_rewire_chains``; see _BLOCK_BYTES."""
+    index = np.dtype(np.intp).itemsize
+    return n * n + edge_count * index + 2 * _DRAW_WINDOW * 4 + 2 * _STEP_WINDOW * 2 * index
 
 
 def _rewire_chains(
@@ -221,9 +230,11 @@ def _rewire_chains(
     numpy arrays.  Chain c owns ``dst[c*E:(c+1)*E]`` and the presence
     bitmap ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked
     present so that a proposed self-loop fails the duplicate test.
-    Every chain draws from its own generator, in windows of
-    ``_STEP_WINDOW`` steps; windowed ``integers`` draws concatenate to
-    the one-shot draw, so each sample is bit-identical to ``rewire``'s.
+    Every chain draws from its own generator, ``_DRAW_WINDOW`` steps at
+    a time as int32; windowed ``integers`` draws concatenate to the
+    one-shot int64 draw, so each sample is bit-identical to
+    ``rewire``'s.  Each draw window is transposed ``_STEP_WINDOW`` steps
+    at a time into two reused index buffers.
     """
     edge_count = len(src)
     _check_swaps(edge_count, swaps_per_edge)
@@ -237,30 +248,37 @@ def _rewire_chains(
     present = np.zeros(chains * n * n, dtype=bool)
     present[(node_base[:, None] + src * n + dst.reshape(chains, edge_count)).ravel()] = True
     present[(node_base[:, None] + np.arange(n) * (n + 1)).ravel()] = True
+    draws = np.empty((chains, _DRAW_WINDOW, 2), dtype=np.int32)
+    slot_window = np.empty((_STEP_WINDOW, 2, chains), dtype=np.intp)
+    row_window = np.empty((_STEP_WINDOW, 2 * chains), dtype=np.intp)
     remaining = edge_count * swaps_per_edge
     while remaining > 0:
-        take = min(remaining, _STEP_WINDOW)
+        take = min(remaining, _DRAW_WINDOW)
         remaining -= take
-        draws = np.empty((chains, 2 * take), dtype=np.intp)
         for chain, rng in enumerate(rngs):
-            draws[chain] = rng.integers(0, edge_count, size=2 * take)
-        # Row t holds the first slot that step t draws in every chain, then the second.
-        slots = draws.reshape(chains, take, 2).transpose(1, 2, 0).reshape(take, 2 * chains)
-        del draws  # before rows is allocated, so a window holds two arrays at most
-        rows = src[slots]
-        rows *= n
-        rows += node_base2
-        slots += edge_base2
-        for slot, row in zip(slots, rows):
-            ends = dst[slot]  # [b, d] of the picked arcs a->b, c->d
-            swapped = ends[flip]  # [d, b]
-            proposed = row + swapped  # [a->d, c->b]
-            taken = present[proposed]
-            rejected = taken | taken[flip]
-            # A rejected chain writes back the values it read.
-            present[row + ends] = rejected
-            present[proposed] = taken == rejected
-            dst[slot] = np.where(rejected, ends, swapped)
+            draws[chain, :take] = rng.integers(
+                0, edge_count, size=(take, 2), dtype=np.int32)
+        for start in range(0, take, _STEP_WINDOW):
+            width = min(take - start, _STEP_WINDOW)
+            # Row t holds the first slot that step start+t draws in every
+            # chain, then the second.
+            slot_window[:width] = draws[:, start:start + width].transpose(1, 2, 0)
+            slots = slot_window[:width].reshape(width, 2 * chains)
+            rows = row_window[:width]
+            np.take(src, slots, out=rows)
+            rows *= n
+            rows += node_base2
+            slots += edge_base2
+            for slot, row in zip(slots, rows):
+                ends = dst[slot]  # [b, d] of the picked arcs a->b, c->d
+                swapped = ends[flip]  # [d, b]
+                proposed = row + swapped  # [a->d, c->b]
+                taken = present[proposed]
+                rejected = taken | taken[flip]
+                # A rejected chain writes back the values it read.
+                present[row + ends] = rejected
+                present[proposed] = taken == rejected
+                dst[slot] = np.where(rejected, ends, swapped)
     return dst.reshape(chains, edge_count)
 
 
@@ -275,7 +293,7 @@ def _null_counts(
     """
     n = len(graph.nodes)
     src, dst0 = graph.arcs  # rewire, called first on either path, checks them
-    per_block = min(_CHAIN_BLOCK, _BITMAP_BYTES // (n * n), ensemble_size)
+    per_block = min(_BLOCK_BYTES // _chain_bytes(n, len(src)), ensemble_size)
     if per_block < BATCH_MIN_ENSEMBLE:
         # Rewiring keeps every out-degree, so the sorted arcs of a sample
         # run from the same sources as the graph's.
@@ -284,9 +302,9 @@ def _null_counts(
             for i in range(ensemble_size)
         ])
     # The kernel is exact only while Generator.integers, called window by
-    # window, yields the same stream as one call, which numpy does not
-    # promise across releases; sample 0 is drawn by rewire as well, and a
-    # mismatch stops the run.
+    # window and for int32, yields the same stream as one int64 call,
+    # which numpy does not promise across releases; sample 0 is drawn by
+    # rewire as well, and a mismatch stops the run.
     reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
     blocks = -(-ensemble_size // per_block)
     bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]

@@ -28,6 +28,7 @@ from oracles import (
     MUTUAL_PER_CLASS,
     NULL_PER_CLASS,
     brute_force_triad_census,
+    circulant_graph,
     codes_for,
     random_digraph,
 )
@@ -357,6 +358,11 @@ def scalar_calls(monkeypatch) -> list:
     return calls
 
 
+def block_budget(g: MobilityGraph, chains: int) -> int:
+    """The smallest _BLOCK_BYTES under which one block of g holds ``chains`` chains."""
+    return chains * census._chain_bytes(len(g.nodes), len(g.edges))
+
+
 @pytest.fixture
 def chain_samples(one_cpu, monkeypatch) -> list[np.ndarray]:
     """The rows of every _rewire_chains call, in call order; blocks run in this process."""
@@ -372,9 +378,22 @@ def chain_samples(one_cpu, monkeypatch) -> list[np.ndarray]:
     return rows
 
 
+@pytest.fixture
+def chain_seeds(monkeypatch) -> list[list[int]]:
+    """The seeds of every _rewire_chains call, one list per block, in call order."""
+    calls = []
+    kernel = census._rewire_chains
+
+    def recorded(n, src, dst0, seeds, swaps_per_edge):
+        calls.append(seeds)
+        return kernel(n, src, dst0, seeds, swaps_per_edge)
+
+    monkeypatch.setattr(census, "_rewire_chains", recorded)
+    return calls
+
+
 class TestBatchedEnsemble:
-    @pytest.mark.parametrize(
-        "size", [BATCH_MIN_ENSEMBLE - 1, BATCH_MIN_ENSEMBLE, census._CHAIN_BLOCK + 1])
+    @pytest.mark.parametrize("size", [BATCH_MIN_ENSEMBLE - 1, BATCH_MIN_ENSEMBLE, 129])
     @pytest.mark.parametrize("name", list(SWAP_GRAPHS))
     def test_every_sample_matches_rewire(
         self, name: str, size: int, scalar_calls: list, chain_samples: list
@@ -399,8 +418,7 @@ class TestBatchedEnsemble:
         self, scalar_calls: list, monkeypatch
     ) -> None:
         g = SWAP_GRAPHS["hub-heavy"]
-        n = len(g.nodes)
-        monkeypatch.setattr(census, "_BITMAP_BYTES", BATCH_MIN_ENSEMBLE * n * n - 1)
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, BATCH_MIN_ENSEMBLE) - 1)
         size = 2 * BATCH_MIN_ENSEMBLE
         counts = census._null_counts(g, size, 13, 2)
         assert scalar_calls == [(g, derive_seed(13, i), 2) for i in range(size)]
@@ -413,8 +431,7 @@ class TestBatchedEnsemble:
         size = BATCH_MIN_ENSEMBLE + 5
         batched = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
         assert len(scalar_calls) == 1
-        n = len(g.nodes)
-        monkeypatch.setattr(census, "_BITMAP_BYTES", BATCH_MIN_ENSEMBLE * n * n - 1)
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, BATCH_MIN_ENSEMBLE) - 1)
         fallback = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
         assert len(scalar_calls) == 1 + size
         assert fallback == batched
@@ -422,7 +439,13 @@ class TestBatchedEnsemble:
     def test_chains_match_rewire_over_several_windows(self) -> None:
         g = hub_heavy_digraph(61)
         seeds = [derive_seed(12, i) for i in range(5)]
-        swaps = 3 * census._STEP_WINDOW // len(g.edges) + 1
+        swaps = 3 * census._DRAW_WINDOW // len(g.edges) + 1
+        # Three full draw windows of several step windows each, then a
+        # last draw window that ends in a part of a step window.
+        steps = swaps * len(g.edges)
+        assert steps // census._DRAW_WINDOW == 3
+        assert census._DRAW_WINDOW // census._STEP_WINDOW > 1
+        assert steps % census._DRAW_WINDOW % census._STEP_WINDOW > 0
         batched = sample_arcs(g, census._rewire_chains(len(g.nodes), *g.arcs, seeds, swaps))
         assert batched == [rewire(g, seed, swaps).edges for seed in seeds]
 
@@ -434,19 +457,43 @@ class TestBatchedEnsemble:
         with pytest.raises(ValueError, match="swaps_per_edge must be >= 1"):
             census._rewire_chains(len(g.nodes), *g.arcs, [0, 1], 0)
 
-    @pytest.mark.parametrize("window", [1, 7, 128, 2 * census._STEP_WINDOW, 1000])
+    @pytest.mark.parametrize(
+        "window", [1, 7, 128, census._DRAW_WINDOW, 1000, 2 * census._DRAW_WINDOW])
     @pytest.mark.parametrize("edge_count", [2, 3, 117, 351, 70_000])
     def test_windowed_draws_concatenate_to_one_shot(self, edge_count: int, window: int) -> None:
-        # The kernel draws each chain's swap indices window by window, and
-        # rewire in chunks of 16384 swaps; both equal the one-shot draw
-        # only because the bit generator keeps its spare 32-bit half-word.
-        total = 2000
+        # The kernel draws each chain's swap indices window by window as
+        # int32 (2 * _DRAW_WINDOW per call), and rewire in chunks of 16384
+        # swaps as int64; both equal the one-shot int64 draw only because
+        # the bit generator keeps its spare 32-bit half-word and bounds
+        # ranges below 2**32 alike for both types.
+        total = 2500
         for seed in range(20):
             one_shot = np.random.default_rng(seed).integers(0, edge_count, size=total)
-            rng = np.random.default_rng(seed)
-            windowed = [rng.integers(0, edge_count, size=min(window, total - start))
-                        for start in range(0, total, window)]
-            assert np.array_equal(np.concatenate(windowed), one_shot)
+            for dtype in (np.int64, np.int32):
+                rng = np.random.default_rng(seed)
+                windowed = [rng.integers(0, edge_count, size=min(window, total - start), dtype=dtype)
+                            for start in range(0, total, window)]
+                assert np.array_equal(np.concatenate(windowed), one_shot)
+
+    def test_paper_scale_ensemble_is_one_block(self, chain_seeds: list) -> None:
+        # A 117-node Top-3 graph (351 arcs) and 100 chains.
+        g = topk_out(circulant_graph(), 3)
+        assert (len(g.nodes), len(g.edges)) == (117, 351)
+        census._null_counts(g, 100, 16, 1)
+        assert chain_seeds == [[derive_seed(16, i) for i in range(100)]]
+
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
+    def test_budgets_of_several_blocks_give_the_same_counts(
+        self, blocks: int, chain_seeds: list, monkeypatch
+    ) -> None:
+        g = SWAP_GRAPHS["hub-heavy"]
+        size = 4 * BATCH_MIN_ENSEMBLE
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, size // blocks))
+        counts = census._null_counts(g, size, 17, 3)
+        bounds = [size * b // blocks for b in range(blocks + 1)]
+        assert chain_seeds == [
+            [derive_seed(17, i) for i in range(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
+        assert counts.tolist() == rewired_counts(g, 17, size, 3)
 
 
 class TestPooledEnsemble:
@@ -459,17 +506,14 @@ class TestPooledEnsemble:
     graph = SWAP_GRAPHS["hub-heavy"]
     size = 4 * BATCH_MIN_ENSEMBLE
 
-    @pytest.fixture(autouse=True, params=["_CHAIN_BLOCK"])
-    def small_blocks(self, request, monkeypatch) -> None:
-        """Four blocks of BATCH_MIN_ENSEMBLE chains, by the block cap or by the bitmap cap."""
-        n = len(self.graph.nodes)
-        per_chain = 1 if request.param == "_CHAIN_BLOCK" else n * n
-        monkeypatch.setattr(census, request.param, BATCH_MIN_ENSEMBLE * per_chain)
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch) -> None:
+        """Four blocks of BATCH_MIN_ENSEMBLE chains, by the block byte budget."""
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(self.graph, BATCH_MIN_ENSEMBLE))
 
     def scores(self):
         return motif_zscores(self.graph, ensemble_size=self.size, seed=21, swaps_per_edge=5)
 
-    @pytest.mark.parametrize("small_blocks", ["_CHAIN_BLOCK", "_BITMAP_BYTES"], indirect=True)
     def test_multi_block_ensemble_starts_no_process(self, two_cpus: list) -> None:
         counts = census._null_counts(self.graph, self.size, 21, 5)
         assert two_cpus == []
