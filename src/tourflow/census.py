@@ -201,10 +201,12 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
 # and _STEP_WINDOW of those steps as slot and row indices (2 KiB):
 # 22.6 KB for a 117-node Top-3 graph (E = 351), so up to 115 chains make
 # one block.  An ensemble runs as the fewest even blocks that fit.
-# Where a block would hold fewer than BATCH_MIN_ENSEMBLE chains, from
-# 386 nodes at E = 3n, rewire runs once per sample instead.  The kernel
-# overtakes rewire at about 10 chains (100 swaps per edge, 117-node
-# Top-1 and Top-3 graphs, 2-vCPU Xeon host); 16 leaves a margin.
+# Where those blocks would hold fewer than BATCH_MIN_ENSEMBLE chains,
+# rewire runs once per sample instead: at E = 3n, from 373 nodes for
+# ensembles of 100 or 1000, and from 386 for 16.  A batched ensemble
+# also draws sample 0 with rewire (below); counting that draw, one
+# block overtakes rewire at 14 chains on a 117-node Top-3 graph and at
+# 16 on a Top-1 graph (100 swaps per edge, 2-vCPU Xeon host).
 BATCH_MIN_ENSEMBLE = 16
 _BLOCK_BYTES = 5 << 19  # 2.5 MiB
 _DRAW_WINDOW = 512
@@ -293,8 +295,8 @@ def _null_counts(
     """
     n = len(graph.nodes)
     src, dst0 = graph.arcs  # rewire, called first on either path, checks them
-    per_block = min(_BLOCK_BYTES // _chain_bytes(n, len(src)), ensemble_size)
-    if per_block < BATCH_MIN_ENSEMBLE:
+    blocks = -(-ensemble_size // max(_BLOCK_BYTES // _chain_bytes(n, len(src)), 1))
+    if ensemble_size // blocks < BATCH_MIN_ENSEMBLE:
         # Rewiring keeps every out-degree, so the sorted arcs of a sample
         # run from the same sources as the graph's.
         return np.array([
@@ -306,7 +308,6 @@ def _null_counts(
     # which numpy does not promise across releases; sample 0 is drawn by
     # rewire as well, and a mismatch stops the run.
     reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
-    blocks = -(-ensemble_size // per_block)
     bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
     counts = []
     for lo, hi in zip(bounds, bounds[1:]):

@@ -44,7 +44,14 @@ from .ingest import (
 from .lanes import cpu_count, run_lanes
 from .metrics import MEASURES, centrality_table, scc, structural_report
 from .plots import bar_svg, heatmap_svg, strip_svg
-from .regional import RegionMap, mean_abs_share_diff, regional_flows, share_diff, to_shares
+from .regional import (
+    RegionMap,
+    RegionalFlowMatrix,
+    mean_abs_share_diff,
+    regional_flows,
+    share_diff,
+    to_shares,
+)
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -337,14 +344,17 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def _topk_unit(
-    config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph, direction: str, k: int
-) -> tuple[MotifZScores, FeatureMatrix | None]:
+    config: RunConfig, bundle: _Bundle, region_map: RegionMap,
+    name: str, graph: MobilityGraph, direction: str, k: int,
+) -> tuple[MotifZScores, FeatureMatrix | None, RegionalFlowMatrix | None]:
     """Every report of one Top-k subgraph, staged through ``bundle``.
 
-    Returns the subgraph's motif z-scores and, for k in 1..3 (the
-    averaged distances' inputs), its feature matrix.
+    Returns the subgraph's motif z-scores; for k in 1..3 (the averaged
+    distances' inputs), its feature matrix; and for the largest k, whose
+    subgraph the regional reports read, its regional shares.
     """
     tag = f"{name}_{direction}_{k}"
+    stage = f"top-{k} {direction}"
     try:
         sg = (topk_out if direction == "out" else topk_in)(graph, k)
         report = structural_report(sg)
@@ -374,9 +384,16 @@ def _topk_unit(
             swaps_per_edge=config.swaps_per_edge,
         )
         bundle.write_csv(f"motifs_{tag}.csv", zscores.to_csv())
-        return zscores, feature_matrix(sg, table, comps) if k <= 3 else None
+        share = None
+        if k == max(config.k_values):
+            stage = f"regional top-{k} {direction}"
+            raw = regional_flows(sg, region_map)
+            share = to_shares(raw)
+            bundle.write_csv(f"regional_{name}_{direction}_raw.csv", raw.to_csv())
+            bundle.write_csv(f"regional_{name}_{direction}_share.csv", share.to_csv())
+        return zscores, feature_matrix(sg, table, comps) if k <= 3 else None, share
     except (TourflowError, ValueError) as exc:
-        exc.args = (f"analyze dataset {name}, top-{k} {direction}: {exc}",)
+        exc.args = (f"analyze dataset {name}, {stage}: {exc}",)
         raise
 
 
@@ -401,7 +418,8 @@ def _deal(units: list[_Unit], lanes: int) -> list[list[int]]:
 
 
 def _run_lane(
-    config: RunConfig, bundle: _Bundle, units: list[_Unit], indices: list[int]
+    config: RunConfig, bundle: _Bundle, region_map: RegionMap, units: list[_Unit],
+    indices: list[int],
 ) -> tuple[dict[int, tuple], tuple[int, BaseException] | None]:
     """Run the units at ``indices`` in order, stopping at the first that raises.
 
@@ -411,65 +429,38 @@ def _run_lane(
     results = {}
     for index in indices:
         try:
-            results[index] = _topk_unit(config, bundle, *units[index])
-        except BaseException as exc:  # raised by cmd_analyze once every lane has ended
+            results[index] = _topk_unit(config, bundle, region_map, *units[index])
+        except BaseException as exc:  # raised by _run_topk_units once every lane has ended
             return results, (index, exc)
     return results, None
 
 
 def _run_topk_units(
-    config: RunConfig, bundle: _Bundle, units: list[_Unit]
-) -> tuple[dict[int, tuple], tuple[int, BaseException] | None]:
-    """Run every Top-k unit; return the results by unit index, and the earliest failure.
+    config: RunConfig, bundle: _Bundle, region_map: RegionMap, units: list[_Unit]
+) -> list[tuple]:
+    """Run every Top-k unit; return their results in unit order.
 
     The units are dealt to one lane per CPU (``_deal``), run by
     :func:`tourflow.lanes.run_lanes`.  A forked lane stages its files
     into ``bundle``'s staging directory and sends back only its results.
-    The failure, (index, exception) or None, is the earliest unit that
-    raised: as each lane runs its units in index order and stops at its
-    first failure, every unit before it has a result, and a serial run
-    would raise it too.
+    Once every lane has ended, the exception of the earliest unit that
+    raised is raised: as each lane runs its units in index order and
+    stops at its first failure, every unit before it has a result, and
+    a serial run would raise it too.
     """
     dealt = _deal(units, min(cpu_count(), len(units)))
-    outcomes = run_lanes(lambda number: _run_lane(config, bundle, units, dealt[number]),
-                         len(dealt), "analyze")
+    outcomes = run_lanes(
+        lambda number: _run_lane(config, bundle, region_map, units, dealt[number]),
+        len(dealt), "analyze")
     results: dict[int, tuple] = {}
     failures = []
     for number, (outcome, died) in enumerate(outcomes):
         done, failure = outcome if died is None else ({}, (min(dealt[number]), died))
         results.update(done)
         failures += [failure] if failure else []
-    return results, min(failures, key=lambda failure: failure[0], default=None)
-
-
-def _analyze_dataset(
-    config: RunConfig, bundle: _Bundle, name: str, graph: MobilityGraph, region_map: RegionMap,
-    topk: dict[tuple[str, int], tuple[MotifZScores, FeatureMatrix | None]],
-) -> dict:
-    """A dataset's regional units and averaged distances; returns what the compare stage needs.
-
-    ``topk`` holds the results of its Top-k units by (direction, k), out
-    before in, k ascending.
-    """
-    top_k = max(config.k_values)
-    shares = {}
-    for direction in ("out", "in"):
-        extract = topk_out if direction == "out" else topk_in
-        try:
-            raw = regional_flows(extract(graph, top_k), region_map)
-            share = to_shares(raw)
-        except (TourflowError, ValueError) as exc:
-            exc.args = (f"analyze dataset {name}, regional top-{top_k} {direction}: {exc}",)
-            raise
-        bundle.write_csv(f"regional_{name}_{direction}_raw.csv", raw.to_csv())
-        bundle.write_csv(f"regional_{name}_{direction}_share.csv", share.to_csv())
-        shares[direction] = share
-    averaged = None
-    if {1, 2, 3} <= set(config.k_values):
-        averaged = avg_distance_matrix([features for _, features in topk.values() if features])
-        bundle.write_csv(f"avgdist_{name}.csv", averaged.to_csv())
-    motifs = {unit: zscores for unit, (zscores, _) in topk.items()}
-    return {"motifs": motifs, "shares": shares, "averaged": averaged}
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [results[index] for index in range(len(units))]
 
 
 def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | None = None) -> int:
@@ -493,32 +484,34 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     units = [(name, graph, direction, k) for name, graph in graphs.items()
              for direction in ("out", "in") for k in config.k_values]
     with _Bundle(config, "analyze_manifest.json", {"datasets": sorted(graphs)}) as bundle:
-        topk, failure = _run_topk_units(config, bundle, units)
-        results = {}
-        for name, graph in graphs.items():
-            # A serial run fails at a dataset's first failed Top-k unit,
-            # before its regional units and before the next dataset.
-            if failure is not None and units[failure[0]][0] == name:
-                raise failure[1]
-            mine = {(direction, k): topk[index]
-                    for index, (owner, _, direction, k) in enumerate(units) if owner == name}
-            results[name] = _analyze_dataset(config, bundle, name, graph, region_map, mine)
+        motifs, shares, features = {}, {}, {name: [] for name in graphs}
+        results = _run_topk_units(config, bundle, region_map, units)
+        for (name, _, direction, k), (zscores, matrix, share) in zip(units, results):
+            motifs[name, direction, k] = zscores
+            if matrix is not None:
+                features[name].append(matrix)
+            if share is not None:
+                shares[name, direction] = share
+        averaged = {}
+        if {1, 2, 3} <= set(config.k_values):
+            for name in graphs:
+                averaged[name] = avg_distance_matrix(features[name])
+                bundle.write_csv(f"avgdist_{name}.csv", averaged[name].to_csv())
         summary: dict = {"datasets": sorted(graphs)}
         if len(graphs) == 2:
-            first, second = results["a"], results["b"]
-            for (direction, k), scores_a in first["motifs"].items():
-                diff = z_percent_diff(scores_a, second["motifs"][(direction, k)])
-                bundle.write_csv(f"zdiff_{direction}_{k}.csv", z_percent_diff_csv(diff))
+            for (name, direction, k), scores_a in motifs.items():
+                if name == "a":
+                    diff = z_percent_diff(scores_a, motifs["b", direction, k])
+                    bundle.write_csv(f"zdiff_{direction}_{k}.csv", z_percent_diff_csv(diff))
             share_summaries = {}
             for direction in ("out", "in"):
-                share_a = first["shares"][direction]
-                share_b = second["shares"][direction]
+                share_a, share_b = shares["a", direction], shares["b", direction]
                 bundle.write_csv(f"sharediff_{direction}.csv",
                                  share_diff(share_a, share_b).to_csv())
                 share_summaries[direction] = mean_abs_share_diff(share_a, share_b)
             summary["mean_abs_share_diff_pct_points"] = share_summaries
-            if first["averaged"] is not None and second["averaged"] is not None:
-                correlations = country_correlations(first["averaged"], second["averaged"])
+            if averaged:
+                correlations = country_correlations(averaged["a"], averaged["b"])
                 bundle.write_csv("correlations.csv", correlations.to_csv())
                 defined = [v for v in correlations.rho.values() if v is not None]
                 summary["correlation"] = {

@@ -424,6 +424,21 @@ class TestBatchedEnsemble:
         assert scalar_calls == [(g, derive_seed(13, i), 2) for i in range(size)]
         assert counts.tolist() == rewired_counts(g, 13, size, 2)
 
+    def test_blocks_split_below_the_floor_fall_back_to_rewire(
+        self, scalar_calls: list, chain_seeds: list
+    ) -> None:
+        # A block of a 385-node graph with 3 arcs a node holds 16 chains,
+        # but 100 chains split evenly into 7 blocks of 14 or 15.
+        n = 385
+        codes = codes_for(n)
+        g = MobilityGraph(codes, {(codes[i], codes[(i + step) % n]): 1
+                                  for i in range(n) for step in (1, 2, 3)})
+        assert census._BLOCK_BYTES // census._chain_bytes(n, len(g.edges)) == BATCH_MIN_ENSEMBLE
+        counts = census._null_counts(g, 100, 18, 1)
+        assert chain_seeds == []
+        assert scalar_calls == [(g, derive_seed(18, i), 1) for i in range(100)]
+        assert counts.tolist() == rewired_counts(g, 18, 100, 1)
+
     def test_batched_and_fallback_ensembles_give_the_same_scores(
         self, scalar_calls: list, monkeypatch
     ) -> None:

@@ -18,11 +18,15 @@ import pytest
 
 from tourflow import (
     ConfigError,
+    RegionMap,
     census,
     cli,
     distance_matrix,
     parse_flow_matrix,
+    regional_flows,
     structural_report,
+    to_shares,
+    topk_in,
     topk_out,
     triad_census,
 )
@@ -236,15 +240,46 @@ class TestAnalyze:
         run_build_analyze(tmp_path, sample_edges())
         assert len(calls) == 6
 
+    def test_each_subgraph_is_extracted_once(self, tmp_path: Path, monkeypatch, one_cpu) -> None:
+        # Counted in this process, so every unit runs here.
+        calls = []
+        for direction, extract in (("out", topk_out), ("in", topk_in)):
+            def counted(graph, k, direction=direction, extract=extract):
+                calls.append((graph.label, direction, k))
+                return extract(graph, k)
+
+            monkeypatch.setattr(cli, f"topk_{direction}", counted)
+        base = bundle_args(tmp_path, "ab")
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base, "--set", "k_values=1,2,3,5"]) == EXIT_OK
+        assert sorted(calls) == sorted((name, direction, k) for name in "ab"
+                                       for direction in ("out", "in") for k in (1, 2, 3, 5))
+
+    def test_regional_reports_read_the_largest_k(self, tmp_path: Path) -> None:
+        base = [*bundle_args(tmp_path, "ab"), "--set", "k_values=2,5"]
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        regions = RegionMap.from_csv(tmp_path / "regions.csv")
+        graph = parse_flow_matrix(out / "graph_a.csv")
+        for direction, extract in (("out", topk_out), ("in", topk_in)):
+            raw = regional_flows(extract(graph, 5), regions)
+            assert raw.to_csv() != regional_flows(extract(graph, 3), regions).to_csv()
+            for name in "ab":
+                assert body(out / f"regional_{name}_{direction}_raw.csv") == raw.to_csv()
+                assert (body(out / f"regional_{name}_{direction}_share.csv")
+                        == to_shares(raw).to_csv())
+        assert (out / "sharediff_out.csv").exists()
+        assert not list(out.glob("avgdist_*"))
+        assert not (out / "correlations.csv").exists()
+        assert "correlation" not in json.loads((out / "analysis_summary.json").read_text())
+
     def test_outputs_match_direct_module_calls(self, tmp_path: Path) -> None:
         edges = sample_edges()
         out = run_build_analyze(tmp_path, edges)
         g = parse_flow_matrix(out / "graph_a.csv")
         sg = topk_out(g, 2)
-        written = (out / "distance_a_out_2.csv").read_text()
-        body = "".join(
-            line + "\n" for line in written.splitlines() if not line.startswith("#"))
-        assert body == distance_matrix(sg).to_csv()
+        assert body(out / "distance_a_out_2.csv") == distance_matrix(sg).to_csv()
         report = json.loads((out / "structural_a_out_2.json").read_text())
         expected = structural_report(sg)
         assert report["edge_count"] == expected.edge_count
@@ -552,8 +587,11 @@ class TestExitCodes:
         (CYCLE3, [], "n_clusters must lie in [1, 3], got 10"),
         (CYCLE3, ["--set", "n_clusters=3", "--set", "ensemble_size=1"],
          "ensemble_size must be >= 2"),
-        # Both arcs end in AC, so Top-1 In keeps one.
-        ({("AA", "AC"): 3, ("AB", "AC"): 2}, ["--set", "n_clusters=2"],
+        # Both arcs end in AC, so Top-1 In keeps one. The region map covers
+        # every code, so Top-3 Out, an earlier unit, writes its regional
+        # reports.
+        ({("AA", "AC"): 3, ("AB", "AC"): 2},
+         ["--set", "n_clusters=2", "--set", "region_map={regions}"],
          "top-1 in: rewiring needs >= 2 edges, got 1"),
         # PageRank settings, checked before the structural reports are written.
         (CYCLE3, ["--set", "n_clusters=3", "--set", "pagerank_damping=1.5"],
@@ -570,9 +608,11 @@ class TestExitCodes:
     ) -> None:
         flows = tmp_path / "flows.csv"
         write_flow_csv(flows, edges)
+        regions = write_region_map(tmp_path, {c for pair in edges for c in pair})
         out = tmp_path / "out"
         base = ["--set", f"dataset_a_flows={flows}", "--set", f"output_dir={out}",
-                "--set", "swaps_per_edge=2", *overrides]
+                "--set", "swaps_per_edge=2",
+                *(override.format(regions=regions) for override in overrides)]
         assert main(["build", *base]) == EXIT_OK
         built = sorted(out.iterdir())
         assert main(["analyze", *base]) == EXIT_DOMAIN
@@ -592,6 +632,12 @@ def bundle_args(tmp_path: Path, datasets: str = "a") -> list[str]:
     regions = write_region_map(tmp_path, {c for pair in edges for c in pair})
     return [*args, "--set", f"output_dir={tmp_path / 'out'}",
             "--set", f"region_map={regions}", *FAST]
+
+
+def body(path: Path) -> str:
+    """A bundle file's text without its metadata header."""
+    return "".join(line + "\n" for line in path.read_text().splitlines()
+                   if not line.startswith("#"))
 
 
 def snapshot(out: Path) -> dict[str, bytes]:
@@ -829,11 +875,16 @@ class TestLanes:
     In unit, of each dataset.
     """
 
-    @pytest.mark.parametrize("datasets", ["a", "ab"])
+    @pytest.mark.parametrize("datasets, overrides", [
+        pytest.param("a", [], id="a"),
+        pytest.param("ab", [], id="ab"),
+        # No k = 3: regional reports from Top-5, no averaged distances.
+        pytest.param("ab", ["--set", "k_values=2,5"], id="ab-k2,5"),
+    ])
     def test_lanes_give_the_one_cpu_bundle(
-        self, tmp_path: Path, datasets: str, two_cpus: list, monkeypatch
+        self, tmp_path: Path, datasets: str, overrides: list, two_cpus: list, monkeypatch
     ) -> None:
-        base = bundle_args(tmp_path, datasets)
+        base = [*bundle_args(tmp_path, datasets), *overrides]
         out = tmp_path / "out"
         assert main(["build", *base]) == EXIT_OK
         assert main(["analyze", *base]) == EXIT_OK
