@@ -8,10 +8,9 @@ commits all of its files or none, and repeated runs with the same config
 produce byte-identical bundles.
 
 ``analyze`` runs its Top-k units (one dataset, direction and k each),
-and ``build`` parses a check-in log in byte pieces, in one lane per CPU
-of the process's affinity mask (:mod:`tourflow.lanes`): the command's
-process is lane 0, and every other lane is a forked child process.
-``taskset`` limits them; there is no setting.
+and ``build`` parses a check-in log in byte pieces, through
+:func:`tourflow.lanes.run_lanes`, which deals them to one lane per CPU
+of the process's affinity mask and raises the earliest failure.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .ingest import (
     parse_flow_matrix,
     read_table,
 )
-from .lanes import cpu_count, run_lanes
+from .lanes import run_lanes
 from .metrics import MEASURES, centrality_table, scc, structural_report
 from .plots import bar_svg, heatmap_svg, strip_svg
 from .regional import (
@@ -344,14 +343,14 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def _topk_unit(
-    config: RunConfig, bundle: _Bundle, region_map: RegionMap,
+    config: RunConfig, bundle: _Bundle, region_map: RegionMap, averaged_k: set[int],
     name: str, graph: MobilityGraph, direction: str, k: int,
 ) -> tuple[MotifZScores, FeatureMatrix | None, RegionalFlowMatrix | None]:
     """Every report of one Top-k subgraph, staged through ``bundle``.
 
-    Returns the subgraph's motif z-scores; for k in 1..3 (the averaged
-    distances' inputs), its feature matrix; and for the largest k, whose
-    subgraph the regional reports read, its regional shares.
+    Returns the subgraph's motif z-scores; for k in ``averaged_k`` (the
+    averaged distances' inputs), its feature matrix; and for the largest
+    k, whose subgraph the regional reports read, its regional shares.
     """
     tag = f"{name}_{direction}_{k}"
     stage = f"top-{k} {direction}"
@@ -391,76 +390,10 @@ def _topk_unit(
             share = to_shares(raw)
             bundle.write_csv(f"regional_{name}_{direction}_raw.csv", raw.to_csv())
             bundle.write_csv(f"regional_{name}_{direction}_share.csv", share.to_csv())
-        return zscores, feature_matrix(sg, table, comps) if k <= 3 else None, share
+        return zscores, feature_matrix(sg, table, comps) if k in averaged_k else None, share
     except (TourflowError, ValueError) as exc:
         exc.args = (f"analyze dataset {name}, {stage}: {exc}",)
         raise
-
-
-# A Top-k unit: dataset name, its graph, direction and k.
-_Unit = tuple[str, MobilityGraph, str, int]
-
-
-def _deal(units: list[_Unit], lanes: int) -> list[list[int]]:
-    """The unit indices of each lane, each lane's in ascending order.
-
-    Longest processing time first: units taken by descending k (a unit's
-    cost grows with its subgraph's arcs), ties by index, each to the
-    least loaded lane, ties to the lowest lane.
-    """
-    loads = [0] * lanes
-    dealt: list[list[int]] = [[] for _ in range(lanes)]
-    for index in sorted(range(len(units)), key=lambda i: (-units[i][3], i)):
-        lane = loads.index(min(loads))
-        dealt[lane].append(index)
-        loads[lane] += units[index][3]
-    return [sorted(indices) for indices in dealt]
-
-
-def _run_lane(
-    config: RunConfig, bundle: _Bundle, region_map: RegionMap, units: list[_Unit],
-    indices: list[int],
-) -> tuple[dict[int, tuple], tuple[int, BaseException] | None]:
-    """Run the units at ``indices`` in order, stopping at the first that raises.
-
-    Returns each finished unit's result by index, and the index and
-    exception of the unit that raised, or None.
-    """
-    results = {}
-    for index in indices:
-        try:
-            results[index] = _topk_unit(config, bundle, region_map, *units[index])
-        except BaseException as exc:  # raised by _run_topk_units once every lane has ended
-            return results, (index, exc)
-    return results, None
-
-
-def _run_topk_units(
-    config: RunConfig, bundle: _Bundle, region_map: RegionMap, units: list[_Unit]
-) -> list[tuple]:
-    """Run every Top-k unit; return their results in unit order.
-
-    The units are dealt to one lane per CPU (``_deal``), run by
-    :func:`tourflow.lanes.run_lanes`.  A forked lane stages its files
-    into ``bundle``'s staging directory and sends back only its results.
-    Once every lane has ended, the exception of the earliest unit that
-    raised is raised: as each lane runs its units in index order and
-    stops at its first failure, every unit before it has a result, and
-    a serial run would raise it too.
-    """
-    dealt = _deal(units, min(cpu_count(), len(units)))
-    outcomes = run_lanes(
-        lambda number: _run_lane(config, bundle, region_map, units, dealt[number]),
-        len(dealt), "analyze")
-    results: dict[int, tuple] = {}
-    failures = []
-    for number, (outcome, died) in enumerate(outcomes):
-        done, failure = outcome if died is None else ({}, (min(dealt[number]), died))
-        results.update(done)
-        failures += [failure] if failure else []
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [results[index] for index in range(len(units))]
 
 
 def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | None = None) -> int:
@@ -481,11 +414,18 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     if not graphs:
         raise ConfigError("no graphs to analyze: run `tourflow build` first or pass --graph-a")
     region_map = RegionMap.from_csv(config.region_map) if config.region_map else RegionMap.default()
+    # The averaged distances read the Top-1, 2 and 3 feature matrices: all three or none.
+    averaged_k = {1, 2, 3} if {1, 2, 3} <= set(config.k_values) else set()
+    # A Top-k unit: dataset name, its graph, direction and k.  Its cost
+    # grows with its subgraph's arcs, so each lane is dealt units by k.
     units = [(name, graph, direction, k) for name, graph in graphs.items()
              for direction in ("out", "in") for k in config.k_values]
     with _Bundle(config, "analyze_manifest.json", {"datasets": sorted(graphs)}) as bundle:
         motifs, shares, features = {}, {}, {name: [] for name in graphs}
-        results = _run_topk_units(config, bundle, region_map, units)
+        # A forked lane stages its files into the bundle and sends back only its results.
+        results = run_lanes(
+            lambda i: _topk_unit(config, bundle, region_map, averaged_k, *units[i]),
+            [k for *_, k in units], "analyze")
         for (name, _, direction, k), (zscores, matrix, share) in zip(units, results):
             motifs[name, direction, k] = zscores
             if matrix is not None:
@@ -493,7 +433,7 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
             if share is not None:
                 shares[name, direction] = share
         averaged = {}
-        if {1, 2, 3} <= set(config.k_values):
+        if averaged_k:
             for name in graphs:
                 averaged[name] = avg_distance_matrix(features[name])
                 bundle.write_csv(f"avgdist_{name}.csv", averaged[name].to_csv())

@@ -142,13 +142,12 @@ class CorrelationReport:
     """Per-country Pearson correlation between two datasets.
 
     ``rho`` is None for countries whose distance rows are too short or
-    constant; ``compared_entries`` records how many off-diagonal
-    entries fed each correlation.
+    constant; each is taken over the ``common_count - 1`` off-diagonal
+    entries of the country's row.
     """
 
     countries: tuple[str, ...]
     rho: dict[str, float | None]
-    compared_entries: dict[str, int]
 
     @property
     def common_count(self) -> int:
@@ -188,11 +187,9 @@ def country_correlations(a: AveragedDistances, b: AveragedDistances) -> Correlat
     sub_b = b.values[np.ix_(rows_b, rows_b)]
     m = len(common)
     rho: dict[str, float | None] = {}
-    compared: dict[str, int] = {}
     mask = ~np.eye(m, dtype=bool)
     for i, code in enumerate(common):
         row_a = sub_a[i][mask[i]]
         row_b = sub_b[i][mask[i]]
         rho[code] = _pearson(row_a, row_b)
-        compared[code] = m - 1
-    return CorrelationReport(tuple(common), rho, compared)
+    return CorrelationReport(tuple(common), rho)

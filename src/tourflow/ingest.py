@@ -265,25 +265,23 @@ def _cuts(path: str | Path, fmt: str) -> list[int]:
 def _parse_pieces(
     path: str | Path, fmt: str, strict: bool, cuts: list[int]
 ) -> tuple[dict[str, dict[str, int]], int]:
-    """Parse each byte piece between ``cuts`` in a lane of its own, then merge them in order.
+    """Parse each byte piece between ``cuts``, then merge them in order.
 
-    Raises the first lane's exception, once every lane has ended.
+    The pieces weigh the same, so :func:`tourflow.lanes.run_lanes` gives
+    piece i to lane i, and raises the earliest piece's exception once
+    every lane has ended.
     """
     width = 0
     if fmt == "csv":
         with _open_lines(path) as lines:
             width = _csv_width(csv.reader(lines))
 
-    def piece(lane: int) -> tuple[dict[str, dict[str, int]], int]:
-        with _open_lines(path, (cuts[lane], cuts[lane + 1])) as lines:
-            rows = _csv_rows(lines, width if lane else 0) if fmt == "csv" else _ndjson_rows(lines)
+    def piece(i: int) -> tuple[dict[str, dict[str, int]], int]:
+        with _open_lines(path, (cuts[i], cuts[i + 1])) as lines:
+            rows = _csv_rows(lines, width if i else 0) if fmt == "csv" else _ndjson_rows(lines)
             return _fold(rows, strict)
 
-    outcomes = run_lanes(piece, len(cuts) - 1, "check-in parse")
-    for _, error in outcomes:
-        if error is not None:
-            raise error
-    (per_user, skipped), *rest = (table for table, _ in outcomes)
+    (per_user, skipped), *rest = run_lanes(piece, [1] * (len(cuts) - 1), "check-in parse")
     # Users, and each user's countries, keep the order of their first appearance.
     for more, more_skipped in rest:
         skipped += more_skipped

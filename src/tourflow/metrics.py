@@ -124,10 +124,10 @@ class StructuralReport:
 
 def dyad_census(graph: MobilityGraph) -> DyadCensus:
     """Classify every unordered node pair as mutual, asymmetric or null."""
-    edges = graph.edges
-    reciprocated = sum(1 for (o, d) in edges if (d, o) in edges)
+    adj = graph.weights > 0
+    reciprocated = int((adj & adj.T).sum())
     mutual = reciprocated // 2
-    asymmetric = len(edges) - reciprocated
+    asymmetric = graph.edge_count - reciprocated
     n = len(graph.nodes)
     null = n * (n - 1) // 2 - mutual - asymmetric
     return DyadCensus(mutual, asymmetric, null)
@@ -211,7 +211,7 @@ def structural_report(
         diameter=diameter,
         unreachable_pairs=unreachable,
         avg_degree=edge_count / n,
-        avg_strength=sum(subgraph.edges.values()) / n,
+        avg_strength=float(subgraph.weights.sum()) / n,
         degree_centralization=degree_centralization(subgraph, centralization_direction),
         centralization_direction=centralization_direction,
         dyads=census,
@@ -460,20 +460,17 @@ def centrality_table(
     max_iter: int = 1_000_000,
 ) -> CentralityTable:
     """Compute degree, strength, PageRank and betweenness per country."""
-    in_degree = dict.fromkeys(graph.nodes, 0.0)
-    out_degree = dict.fromkeys(graph.nodes, 0.0)
-    in_strength = dict.fromkeys(graph.nodes, 0.0)
-    out_strength = dict.fromkeys(graph.nodes, 0.0)
-    for (origin, dest), weight in graph.edges.items():
-        out_degree[origin] += 1.0
-        in_degree[dest] += 1.0
-        out_strength[origin] += float(weight)
-        in_strength[dest] += float(weight)
+    n = len(graph.nodes)
+
+    def per_node(counts: np.ndarray) -> dict[str, float]:
+        return dict(zip(graph.nodes, counts.astype(np.float64).tolist()))
+
+    src, dst = graph.arcs
     values = {
-        "in_degree": in_degree,
-        "out_degree": out_degree,
-        "in_strength": in_strength,
-        "out_strength": out_strength,
+        "in_degree": per_node(np.bincount(dst, minlength=n)),
+        "out_degree": per_node(np.bincount(src, minlength=n)),
+        "in_strength": per_node(graph.weights.sum(axis=0)),
+        "out_strength": per_node(graph.weights.sum(axis=1)),
         "pagerank": pagerank(graph, damping=damping, tol=tol, max_iter=max_iter),
         "betweenness": betweenness(graph),
     }

@@ -97,12 +97,12 @@ def regional_flows(graph: MobilityGraph, region_map: RegionMap) -> RegionalFlowM
     """
     region_map.check_covers(graph.nodes)
     position = {region: i for i, region in enumerate(region_map.regions)}
+    region = np.array([position[region_map.assignment[code]] for code in graph.nodes],
+                      dtype=np.intp)
     size = len(region_map.regions)
     values = np.zeros((size, size), dtype=np.int64)
-    for (origin, dest), weight in graph.edges.items():
-        r = position[region_map.assignment[origin]]
-        s = position[region_map.assignment[dest]]
-        values[r, s] += weight
+    src, dst = graph.arcs
+    np.add.at(values, (region[src], region[dst]), graph.weights[src, dst].astype(np.int64))
     return RegionalFlowMatrix(region_map.regions, values, "raw")
 
 

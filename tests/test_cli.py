@@ -255,6 +255,25 @@ class TestAnalyze:
         assert sorted(calls) == sorted((name, direction, k) for name in "ab"
                                        for direction in ("out", "in") for k in (1, 2, 3, 5))
 
+    def test_no_feature_matrix_without_averaged_distances(
+        self, tmp_path: Path, monkeypatch, one_cpu
+    ) -> None:
+        # k_values=2,5 lacks k = 1 and 3, so no distances are averaged.
+        calls = []
+        feature_matrix = cli.feature_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return feature_matrix(*args)
+
+        monkeypatch.setattr(cli, "feature_matrix", counted)
+        base = bundle_args(tmp_path, "a")
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base, "--set", "k_values=2,5"]) == EXIT_OK
+        assert calls == []
+        assert main(["analyze", *base]) == EXIT_OK
+        assert len(calls) == 6  # Top-1, 2 and 3, Out and In
+
     def test_regional_reports_read_the_largest_k(self, tmp_path: Path) -> None:
         base = [*bundle_args(tmp_path, "ab"), "--set", "k_values=2,5"]
         out = tmp_path / "out"
@@ -895,17 +914,6 @@ class TestLanes:
         assert main(["analyze", *base]) == EXIT_OK
         assert len(two_cpus) == 1  # one CPU forks nothing
         assert snapshot(out) == lanes
-
-    def test_deal_balances_the_lanes(self) -> None:
-        for datasets, k_values, load in (("ab", range(1, 11), 110), ("ab", (1, 2, 3), 12),
-                                         ("a", (1, 2, 3), 6)):
-            units = [(name, None, direction, k) for name in datasets
-                     for direction in ("out", "in") for k in k_values]
-            lanes = cli._deal(units, 2)
-            assert sorted(lanes[0] + lanes[1]) == list(range(len(units)))
-            assert [sum(units[i][3] for i in lane) for lane in lanes] == [load, load]
-            assert [len(lane) for lane in lanes] == [len(units) // 2] * 2
-        assert cli._deal(units, 1) == [list(range(len(units)))]
 
     @pytest.mark.parametrize("datasets, failing, message", [
         ("a", {("a", "in", 2)}, "dataset a, top-2 in"),
