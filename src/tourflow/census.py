@@ -19,6 +19,7 @@ after another, in the calling process.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,27 @@ def _check_swaps(edge_count: int, swaps_per_edge: int) -> None:
         raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge}")
 
 
+_DRAW_WINDOW = 512
+
+
+def _swap_draws(seed: int, edge_count: int, swaps_per_edge: int) -> Iterator[np.ndarray]:
+    """The slot pairs of the swap chain seeded with ``seed``, as ``(take, 2)`` int32 windows.
+
+    Row t of a window holds the two slots that the chain's next swap
+    step picks; the windows hold ``edge_count * swaps_per_edge`` steps,
+    at most ``_DRAW_WINDOW`` each.  ``rewire`` and ``_rewire_chains``
+    draw only here, so both make the same Generator calls for a chain.
+    int32 holds every slot: the 676 two-letter codes carry at most
+    676 * 675 arcs.
+    """
+    rng = np.random.default_rng(seed)
+    remaining = edge_count * swaps_per_edge
+    while remaining > 0:
+        take = min(remaining, _DRAW_WINDOW)
+        remaining -= take
+        yield rng.integers(0, edge_count, size=(take, 2), dtype=np.int32)
+
+
 def _binary_graph(graph: MobilityGraph, src: list[int], dst: list[int]) -> MobilityGraph:
     codes = graph.nodes
     edges = {(codes[a], codes[b]): 1 for a, b in zip(src, dst)}
@@ -166,17 +188,8 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
     src, dst = (slots.tolist() for slots in graph.arcs)
     n = len(graph.nodes)
     present = {a * n + b for a, b in zip(src, dst)}
-    edge_count = len(src)
-    rng = np.random.default_rng(seed)
-    remaining = edge_count * swaps_per_edge
-    chunk = 1 << 14
-    while remaining > 0:
-        take = min(remaining, chunk)
-        remaining -= take
-        draws = rng.integers(0, edge_count, size=2 * take).tolist()
-        for t in range(take):
-            i = draws[2 * t]
-            j = draws[2 * t + 1]
+    for window in _swap_draws(seed, len(src), swaps_per_edge):
+        for i, j in window.tolist():
             a, b = src[i], dst[i]
             c, d = src[j], dst[j]
             if a == d or c == b:
@@ -209,7 +222,6 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
 # 16 on a Top-1 graph (100 swaps per edge, 2-vCPU Xeon host).
 BATCH_MIN_ENSEMBLE = 16
 _BLOCK_BYTES = 5 << 19  # 2.5 MiB
-_DRAW_WINDOW = 512
 _STEP_WINDOW = 64
 
 
@@ -226,22 +238,20 @@ def _rewire_chains(
 
     The arcs ``src[i] -> dst0[i]`` on n nodes are the graph's sorted
     ``arcs``; each slot keeps its source for good, and a swap exchanges
-    the destinations of two slots.  Row c equals the destinations of
-    ``rewire(graph, seeds[c], swaps_per_edge)``.  All
-    chains advance together, one swap step per Python iteration, on
-    numpy arrays.  Chain c owns ``dst[c*E:(c+1)*E]`` and the presence
-    bitmap ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked
-    present so that a proposed self-loop fails the duplicate test.
-    Every chain draws from its own generator, ``_DRAW_WINDOW`` steps at
-    a time as int32; windowed ``integers`` draws concatenate to the
-    one-shot int64 draw, so each sample is bit-identical to
-    ``rewire``'s.  Each draw window is transposed ``_STEP_WINDOW`` steps
-    at a time into two reused index buffers.
+    the destinations of two slots.  All chains advance together, one
+    swap step per Python iteration, on numpy arrays.  Chain c owns
+    ``dst[c*E:(c+1)*E]`` and the presence bitmap
+    ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked present so
+    that a proposed self-loop fails the duplicate test.  Chain c takes
+    its draw windows from ``_swap_draws(seeds[c], ...)``, as ``rewire``
+    does, so row c equals the destinations of ``rewire(graph, seeds[c],
+    swaps_per_edge)``.  Each draw window is transposed ``_STEP_WINDOW``
+    steps at a time into two reused index buffers.
     """
     edge_count = len(src)
     _check_swaps(edge_count, swaps_per_edge)
     chains = len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    streams = [_swap_draws(seed, edge_count, swaps_per_edge) for seed in seeds]
     node_base = np.arange(chains, dtype=np.intp) * (n * n)
     edge_base2 = np.tile(np.arange(chains, dtype=np.intp) * edge_count, 2)
     node_base2 = np.tile(node_base, 2)
@@ -253,13 +263,10 @@ def _rewire_chains(
     draws = np.empty((chains, _DRAW_WINDOW, 2), dtype=np.int32)
     slot_window = np.empty((_STEP_WINDOW, 2, chains), dtype=np.intp)
     row_window = np.empty((_STEP_WINDOW, 2 * chains), dtype=np.intp)
-    remaining = edge_count * swaps_per_edge
-    while remaining > 0:
-        take = min(remaining, _DRAW_WINDOW)
-        remaining -= take
-        for chain, rng in enumerate(rngs):
-            draws[chain, :take] = rng.integers(
-                0, edge_count, size=(take, 2), dtype=np.int32)
+    for windows in zip(*streams):
+        take = len(windows[0])
+        for chain, window in enumerate(windows):
+            draws[chain, :take] = window
         for start in range(0, take, _STEP_WINDOW):
             width = min(take - start, _STEP_WINDOW)
             # Row t holds the first slot that step start+t draws in every
@@ -303,10 +310,10 @@ def _null_counts(
             _census_counts(n, src, rewire(graph, derive_seed(seed, i), swaps_per_edge).arcs[1])[3:]
             for i in range(ensemble_size)
         ])
-    # The kernel is exact only while Generator.integers, called window by
-    # window and for int32, yields the same stream as one int64 call,
-    # which numpy does not promise across releases; sample 0 is drawn by
-    # rewire as well, and a mismatch stops the run.
+    # Sample 0 is drawn by rewire as well, and a mismatch stops the run:
+    # both take the same draws, so this guards the kernel's swap logic
+    # against rewire's.  It is also a batched ensemble's only rewire
+    # call, which perfbench's traced census.rewire figures read.
     reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
     bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
     counts = []
@@ -318,6 +325,11 @@ def _null_counts(
         # CONNECTED_TRIADS is TRIAD_NAMES[3:].
         counts.extend(_census_counts(n, src, dst)[3:] for dst in samples)
     return np.array(counts)
+
+
+# A class is flagged relevant from this z-score and this real count on.
+RELEVANT_Z = 2.0
+RELEVANT_COUNT = 4
 
 
 @dataclass(frozen=True)
@@ -333,25 +345,22 @@ class MotifZScores:
     null_mean: dict[str, float]
     null_std: dict[str, float]
     z: dict[str, float | None]
-    ensemble_size: int
-    swaps_per_edge: int
-    seed: int
 
-    def relevant(self, z_min: float = 2.0, count_min: int = 4) -> dict[str, bool]:
-        """Annotation flags: high z-score backed by enough real triads."""
+    def relevant(self) -> dict[str, bool]:
+        """Annotation flags: z at least RELEVANT_Z, backed by RELEVANT_COUNT real triads."""
         return {
-            name: (self.z[name] is not None and self.z[name] >= z_min
-                   and self.real[name] >= count_min)
+            name: (self.z[name] is not None and self.z[name] >= RELEVANT_Z
+                   and self.real[name] >= RELEVANT_COUNT)
             for name in self.classes
         }
 
-    def to_csv(self, z_min: float = 2.0, count_min: int = 4) -> str:
+    def to_csv(self) -> str:
         """One row per class: ``class,real,mean,std,z,flag``.
 
         The flag column reads ``undefined`` when the null spread is
         zero, ``relevant`` when the annotation rule fires, else empty.
         """
-        flags = self.relevant(z_min, count_min)
+        flags = self.relevant()
         lines = ["class,real,mean,std,z,flag"]
         for name in self.classes:
             z = self.z[name]
@@ -408,9 +417,6 @@ def motif_zscores(
         null_mean={name: float(means[pos]) for pos, name in enumerate(CONNECTED_TRIADS)},
         null_std={name: float(stds[pos]) for pos, name in enumerate(CONNECTED_TRIADS)},
         z=z,
-        ensemble_size=ensemble_size,
-        swaps_per_edge=swaps_per_edge,
-        seed=seed,
     )
 
 

@@ -152,12 +152,12 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _meta_text(config: RunConfig | None) -> str:
-    """The tool version, config hash and seed (the version alone without a config), one line."""
+def _meta_items(config: RunConfig | None) -> list[str]:
+    """Every output's metadata: the tool version, then a config's hash and seed."""
     items = [f"tool: tourflow {__version__}"]
     if config is not None:
         items += [f"config: {config_hash(config)}", f"seed: {config.seed}"]
-    return " | ".join(items)
+    return items
 
 
 def _write_output(out: str, payload: bytes) -> None:
@@ -211,8 +211,7 @@ class _Bundle:
         self.fields = fields
         self.meta = {"tool": "tourflow", "version": __version__,
                      "config": config_hash(config), "seed": config.seed}
-        self.comment = (f"# tool: tourflow {__version__}\n# config: {self.meta['config']}\n"
-                        f"# seed: {config.seed}\n")
+        self.comment = "".join(f"# {item}\n" for item in _meta_items(config))
         self.files: list[str] = []
 
     def __enter__(self) -> _Bundle:
@@ -518,7 +517,7 @@ def cmd_plot(report: str, kind: str, out: str, config: RunConfig | None = None) 
     path = Path(report)
     with read_table(path, "report") as reader:
         rows = [row for _, row in reader]
-    meta = _meta_text(config) + f" | source: {path.name}"
+    meta = " | ".join([*_meta_items(config), f"source: {path.name}"])
     title = path.stem
     if kind == "heatmap":
         svg = _plot_heatmap(rows, title, meta)
@@ -545,7 +544,7 @@ def cmd_export(graph_path: str, fmt: str, out: str, config: RunConfig | None = N
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
     graph = parse_flow_matrix(graph_path, label=Path(graph_path).stem)
-    _write_output(out, _with_meta(export_graph(graph, fmt), fmt, _meta_text(config)))
+    _write_output(out, _with_meta(export_graph(graph, fmt), fmt, " | ".join(_meta_items(config))))
     return EXIT_OK
 
 
@@ -555,35 +554,31 @@ def _parser() -> argparse.ArgumentParser:
         description="Mobility-graph construction and analysis pipeline.",
     )
     parser.add_argument("--version", action="version", version=f"tourflow {__version__}")
+    # Every command reads a config the same way; plot and export only
+    # stamp its hash and seed into their metadata.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="path to a key=value config file")
+    config.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override a config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="ingest sources and write mobility graphs")
-    build.add_argument("--config", help="path to a key=value config file")
-    build.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config key (repeatable)")
+    sub.add_parser("build", parents=[config], help="ingest sources and write mobility graphs")
 
-    analyze = sub.add_parser("analyze", help="run all analyses over built graphs")
-    analyze.add_argument("--config", help="path to a key=value config file")
-    analyze.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="KEY=VALUE", help="override a config key (repeatable)")
+    analyze = sub.add_parser(
+        "analyze", parents=[config], help="run all analyses over built graphs")
     analyze.add_argument("--graph-a", help="graph CSV for dataset a")
     analyze.add_argument("--graph-b", help="graph CSV for dataset b")
 
-    plot = sub.add_parser("plot", help="render a report CSV as SVG")
+    plot = sub.add_parser("plot", parents=[config], help="render a report CSV as SVG")
     plot.add_argument("--report", required=True, help="report CSV to render")
     plot.add_argument("--kind", required=True, choices=PLOT_KINDS)
     plot.add_argument("--out", required=True, help="output SVG path")
-    plot.add_argument("--config", help="optional config (stamps hash/seed into metadata)")
-    plot.add_argument("--set", dest="overrides", action="append", default=[],
-                      metavar="KEY=VALUE")
 
-    export = sub.add_parser("export", help="convert a graph CSV to CSV/DOT/GraphML")
+    export = sub.add_parser(
+        "export", parents=[config], help="convert a graph CSV to CSV/DOT/GraphML")
     export.add_argument("--graph", required=True, help="graph CSV to convert")
     export.add_argument("--format", required=True, choices=EXPORT_FORMATS)
     export.add_argument("--out", required=True, help="output path")
-    export.add_argument("--config", help="optional config (stamps hash/seed into metadata)")
-    export.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE")
     return parser
 
 

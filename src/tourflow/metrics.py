@@ -8,7 +8,7 @@ pairs is reported alongside instead of being folded into the mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,15 +99,7 @@ class StructuralReport:
     transitivity: float
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = (
-                {"mutual": value.mutual, "asymmetric": value.asymmetric, "null": value.null}
-                if isinstance(value, DyadCensus)
-                else value
-            )
-        return out
+        return asdict(self)
 
     def to_csv(self) -> str:
         lines = ["metric,value"]

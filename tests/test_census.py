@@ -274,7 +274,7 @@ class TestMotifZScores:
     def test_relevance_needs_z_and_count(self) -> None:
         g = random_digraph(np.random.default_rng(52), 14, 0.3)
         scores = motif_zscores(g, ensemble_size=30, seed=3)
-        flags = scores.relevant(z_min=2.0, count_min=4)
+        flags = scores.relevant()
         for name in scores.classes:
             z = scores.z[name]
             expected = z is not None and z >= 2.0 and scores.real[name] >= 4
@@ -414,6 +414,30 @@ class TestBatchedEnsemble:
         with pytest.raises(RuntimeError, match="diverged"):
             census._null_counts(g, BATCH_MIN_ENSEMBLE, 14, 2)
 
+    def test_rewire_and_kernel_share_one_draw_rule(
+        self, chain_samples: list, monkeypatch
+    ) -> None:
+        # Under a generator whose int32 draws are shifted by one and whose
+        # int64 draws are numpy's own, rewire and the kernel still take the
+        # same slots: neither draws any other way.
+        default_rng = np.random.default_rng
+
+        class ShiftedInt32:
+            def __init__(self, seed: int) -> None:
+                self.rng = default_rng(seed)
+
+            def integers(self, low, high, size=None, dtype=np.int64):
+                draws = self.rng.integers(low, high, size=size, dtype=dtype)
+                return (draws + 1) % high if np.dtype(dtype) == np.int32 else draws
+
+        g = SWAP_GRAPHS["hub-heavy"]
+        unshifted = rewire(g, derive_seed(19, 0), 3).edges
+        monkeypatch.setattr(np.random, "default_rng", ShiftedInt32)
+        census._null_counts(g, BATCH_MIN_ENSEMBLE, 19, 3)
+        expected = [rewire(g, derive_seed(19, i), 3).edges for i in range(BATCH_MIN_ENSEMBLE)]
+        assert expected[0] != unshifted
+        assert sample_arcs(g, chain_samples) == expected
+
     def test_graphs_too_large_for_a_block_fall_back_to_rewire(
         self, scalar_calls: list, monkeypatch
     ) -> None:
@@ -476,11 +500,12 @@ class TestBatchedEnsemble:
         "window", [1, 7, 128, census._DRAW_WINDOW, 1000, 2 * census._DRAW_WINDOW])
     @pytest.mark.parametrize("edge_count", [2, 3, 117, 351, 70_000])
     def test_windowed_draws_concatenate_to_one_shot(self, edge_count: int, window: int) -> None:
-        # The kernel draws each chain's swap indices window by window as
-        # int32 (2 * _DRAW_WINDOW per call), and rewire in chunks of 16384
-        # swaps as int64; both equal the one-shot int64 draw only because
-        # the bit generator keeps its spare 32-bit half-word and bounds
-        # ranges below 2**32 alike for both types.
+        # Swap chains draw their slots window by window as int32 (see
+        # _swap_draws); rewire once drew them as one-shot int64 values.
+        # The two streams are equal, because the bit generator keeps its
+        # spare 32-bit half-word and bounds ranges below 2**32 alike for
+        # both types, so bundles recorded with one-shot draws keep their
+        # bytes.
         total = 2500
         for seed in range(20):
             one_shot = np.random.default_rng(seed).integers(0, edge_count, size=total)
@@ -554,7 +579,7 @@ class TestZPercentDiff:
         filled = {name: z.get(name) for name in CONNECTED_TRIADS}
         zeros = dict.fromkeys(CONNECTED_TRIADS, 0)
         zerosf = dict.fromkeys(CONNECTED_TRIADS, 0.0)
-        return MotifZScores(CONNECTED_TRIADS, zeros, zerosf, zerosf, filled, 2, 1, 0)
+        return MotifZScores(CONNECTED_TRIADS, zeros, zerosf, zerosf, filled)
 
     def test_identity_is_zero(self) -> None:
         a = self.scores_with({"030T": 4.2})
