@@ -129,14 +129,14 @@ def _census_counts(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def triad_census(graph: MobilityGraph) -> TriadCensus:
     """Count every directed triad class (Batagelj-Mrvar method).
 
-    Requires at least 3 nodes.  The graph's arcs, as node indices, go
-    through the same kernel that counts each null-model sample.
+    Requires at least 3 nodes.  The counts are the graph's cached
+    ``triad_counts``: its arcs, as node indices, go once through the
+    same kernel that counts each null-model sample.
     """
     n = len(graph.nodes)
     if n < 3:
         raise ValueError(f"triad census needs >= 3 nodes, got {n}")
-    counts = _census_counts(n, *graph.arcs)
-    return TriadCensus(n, dict(zip(TRIAD_NAMES, counts.tolist())))
+    return TriadCensus(n, dict(zip(TRIAD_NAMES, graph.triad_counts.tolist())))
 
 
 def _check_swaps(edge_count: int, swaps_per_edge: int) -> None:
@@ -378,7 +378,6 @@ def motif_zscores(
     ensemble_size: int = 1000,
     seed: int = 0,
     swaps_per_edge: int = 100,
-    observed: TriadCensus | None = None,
 ) -> MotifZScores:
     """z-scores of connected triad counts against rewired null graphs.
 
@@ -390,17 +389,13 @@ def motif_zscores(
     swaps_per_edge)``, and is counted on its node-index arcs by the
     same kernel as ``triad_census``.  The standard deviation is the
     population one (ddof 0); classes with zero spread get z = None.
-    ``observed`` is the graph's own ``triad_census``, for a caller that
-    already has it; by default it is computed here.
+    The real counts come from ``triad_census(graph)``, which reads the
+    graph's cached census, so a graph already counted is not counted
+    again.
     """
     if ensemble_size < 2:
         raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
-    n = len(graph.nodes)
-    if observed is None:
-        observed = triad_census(graph)
-    elif observed.node_count != n:
-        raise ValueError(
-            f"observed census covers {observed.node_count} nodes, the graph {n}")
+    observed = triad_census(graph)
     samples = _null_counts(graph, ensemble_size, seed, swaps_per_edge).astype(np.float64)
     means = samples.mean(axis=0)
     stds = samples.std(axis=0)

@@ -29,7 +29,8 @@ from pathlib import Path
 from . import __version__
 from .census import MotifZScores, motif_zscores, triad_census, z_percent_diff, z_percent_diff_csv
 from .clustering import average_linkage, distance_matrix, filter_singletons
-from .compare import FeatureMatrix, avg_distance_matrix, country_correlations, feature_matrix
+from .compare import (
+    EXPECTED_SUBGRAPHS, FeatureMatrix, avg_distance_matrix, country_correlations, feature_matrix)
 from .errors import ConfigError, ConvergenceError, ParseError, TourflowError
 from .graph import EXPORT_FORMATS, MobilityGraph, export_graph, topk_in, topk_out
 from .ingest import (
@@ -372,11 +373,9 @@ def _topk_unit(
         bundle.write_csv(f"distance_{tag}.csv", dm.to_csv())
         clusters = filter_singletons(average_linkage(dm, config.n_clusters))
         bundle.write_csv(f"clusters_{tag}.csv", clusters.to_csv())
-        observed = triad_census(sg)
-        bundle.write_csv(f"triads_{tag}.csv", observed.to_csv())
+        bundle.write_csv(f"triads_{tag}.csv", triad_census(sg).to_csv())
         zscores = motif_zscores(
             sg,
-            observed=observed,
             ensemble_size=config.ensemble_size,
             seed=derive_seed(derive_seed(config.seed, "census"), name, direction, k),
             swaps_per_edge=config.swaps_per_edge,
@@ -413,8 +412,10 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     if not graphs:
         raise ConfigError("no graphs to analyze: run `tourflow build` first or pass --graph-a")
     region_map = RegionMap.from_csv(config.region_map) if config.region_map else RegionMap.default()
-    # The averaged distances read the Top-1, 2 and 3 feature matrices: all three or none.
-    averaged_k = {1, 2, 3} if {1, 2, 3} <= set(config.k_values) else set()
+    # The averaged distances read a feature matrix for every k of
+    # EXPECTED_SUBGRAPHS: all of them or none.
+    averaged_k = {k for _, k in EXPECTED_SUBGRAPHS}
+    averaged_k = averaged_k if averaged_k <= set(config.k_values) else set()
     # A Top-k unit: dataset name, its graph, direction and k.  Its cost
     # grows with its subgraph's arcs, so each lane is dealt units by k.
     units = [(name, graph, direction, k) for name, graph in graphs.items()

@@ -114,26 +114,21 @@ def avg_distance_matrix(matrices: Sequence[FeatureMatrix]) -> AveragedDistances:
     """Average the six per-subgraph distance matrices element-wise.
 
     Expects exactly one matrix per (direction, k) combination for
-    k in 1..3.  Country sets are intersected first; distances are
-    computed within each subgraph's standardized space and then
-    averaged on the common countries.
+    k in 1..3, all over the same countries, as a dataset's Top-k
+    subgraphs are.  Distances are computed within each subgraph's
+    standardized space and then averaged.
     """
     if len(matrices) != len(EXPECTED_SUBGRAPHS):
         raise ValueError(f"expected {len(EXPECTED_SUBGRAPHS)} feature matrices, got {len(matrices)}")
     tags = {(fm.direction, fm.k) for fm in matrices}
     if tags != EXPECTED_SUBGRAPHS:
         raise ValueError(f"expected one matrix per direction/k pair, got {sorted(tags)}")
-    common = set(matrices[0].countries)
-    for fm in matrices[1:]:
-        common &= set(fm.countries)
-    if not common:
-        raise ValueError("feature matrices share no countries")
-    codes = tuple(sorted(common))
+    codes = matrices[0].countries
+    if any(fm.countries != codes for fm in matrices):
+        raise ValueError("feature matrices cover different countries")
     total = np.zeros((len(codes), len(codes)), dtype=np.float64)
     for fm in matrices:
-        index = {code: i for i, code in enumerate(fm.countries)}
-        rows = np.array([index[code] for code in codes], dtype=np.intp)
-        total += _euclidean_distances(fm.values[rows])
+        total += _euclidean_distances(fm.values)
     return AveragedDistances(codes, total / float(len(matrices)))
 
 

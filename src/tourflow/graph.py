@@ -46,8 +46,8 @@ class MobilityGraph:
 
     A graph is never changed after construction.  Its node index, its
     sorted arcs and weight matrix (the one adjacency every analysis
-    reads) and its shortest-path pass are built on first use and cached;
-    the cached arrays are read-only.
+    reads), its shortest-path pass and its triad census are built on
+    first use and cached; the cached arrays are read-only.
     """
 
     nodes: tuple[str, ...]
@@ -123,6 +123,14 @@ class MobilityGraph:
         from .metrics import shortest_path_pass  # metrics imports this module
 
         return shortest_path_pass(self)
+
+    @cached_property
+    def triad_counts(self) -> np.ndarray:
+        """The 16 triad class counts in :data:`tourflow.census.TRIAD_NAMES`
+        order, which the triad census and transitivity both read."""
+        from .census import _census_counts  # census imports this module
+
+        return _read_only(_census_counts(len(self.nodes), *self.arcs))
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -125,25 +125,25 @@ def dyad_census(graph: MobilityGraph) -> DyadCensus:
     return DyadCensus(mutual, asymmetric, null)
 
 
+# Positions in census.TRIAD_NAMES of the T triads, whose three node
+# pairs are all joined (030T, 030C, 120D, 120U, 120C, 210, 300), and of
+# the O triads, with exactly two joined pairs (021D, 021U, 021C, 111D,
+# 111U, 201).  A T triad holds three connected triples, an O triad one.
+_CLOSED_TRIADS = (8, 9, 11, 12, 13, 14, 15)
+_OPEN_TRIADS = (3, 4, 5, 6, 7, 10)
+
+
 def transitivity(graph: MobilityGraph) -> float:
     """Global clustering coefficient of the undirected projection.
 
-    Defined as 3 * triangles / connected triples, where triples are
-    counted as sum over nodes of C(degree, 2) in the projection.
+    3 * triangles / connected triples, that is 3T / (3T + O) over the
+    graph's cached triad census (Wasserman and Faust 1994, ch. 14), or
+    0 when there is no connected triple.
     """
-    n = len(graph.nodes)
-    neigh: list[set[int]] = [set() for _ in range(n)]
-    for u, v in zip(*(end.tolist() for end in graph.arcs)):
-        neigh[u].add(v)
-        neigh[v].add(u)
-    triples = sum(len(s) * (len(s) - 1) // 2 for s in neigh)
-    if triples == 0:
-        return 0.0
-    # Each triangle contributes one common neighbour to each of its
-    # three edges, so summing |N(u) & N(v)| over undirected edges u < v
-    # yields exactly 3 * triangles.
-    closed = sum(len(neigh[u] & neigh[v]) for u in range(n) for v in neigh[u] if u < v)
-    return closed / triples
+    counts = graph.triad_counts.tolist()
+    closed = 3 * sum(counts[i] for i in _CLOSED_TRIADS)
+    triples = closed + sum(counts[i] for i in _OPEN_TRIADS)
+    return closed / triples if triples else 0.0
 
 
 def geodesic_stats(graph: MobilityGraph) -> tuple[float, int, int]:
@@ -186,8 +186,8 @@ def structural_report(
     when the input is a plain graph, whose ``direction`` is None.
     """
     n = len(subgraph.nodes)
-    if n < 2:
-        raise ValueError(f"structural report needs >= 2 nodes, got {n}")
+    if n < 3:
+        raise ValueError(f"structural report needs >= 3 nodes, got {n}")
     if centralization_direction is None:
         if subgraph.direction is None:
             raise ValueError("centralization_direction is required for plain graphs")

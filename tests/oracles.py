@@ -506,3 +506,23 @@ def degree_family(n: int, out_degrees: list[int], in_degrees: list[int]) -> set[
         if outs == out_degrees and ins == in_degrees:
             family.add(frozenset(subset))
     return family
+
+
+def swap_class(arcs: frozenset[tuple[int, int]]) -> set[frozenset[tuple[int, int]]]:
+    """Every digraph reachable from ``arcs`` by the moves ``rewire`` makes.
+
+    Breadth-first over directed double-edge swaps: arcs a->b and c->d
+    become a->d and c->b unless either is a self-loop or already present.
+    """
+    seen = {arcs}
+    queue = deque(seen)
+    while queue:
+        current = queue.popleft()
+        for (a, b), (c, d) in itertools.permutations(current, 2):
+            if a == d or c == b or (a, d) in current or (c, b) in current:
+                continue
+            swapped = current - {(a, b), (c, d)} | {(a, d), (c, b)}
+            if swapped not in seen:
+                seen.add(swapped)
+                queue.append(swapped)
+    return seen

@@ -31,8 +31,9 @@ from oracles import (
     circulant_graph,
     codes_for,
     random_digraph,
+    swap_class,
 )
-from tourflow.metrics import dyad_census
+from tourflow.metrics import dyad_census, structural_report
 
 
 class TestTriadCensus:
@@ -107,6 +108,32 @@ def kernel_census(g: MobilityGraph) -> dict[str, int]:
     src = np.array([index[o] for o, _ in g.edges], dtype=np.intp)
     dst = np.array([index[d] for _, d in g.edges], dtype=np.intp)
     return dict(zip(TRIAD_NAMES, census._census_counts(len(g.nodes), src, dst).tolist()))
+
+
+class TestCensusCache:
+    def test_counts_are_read_only_and_match_the_census(self) -> None:
+        g = random_digraph(np.random.default_rng(55), 12, 0.3)
+        assert g.triad_counts is g.triad_counts
+        assert dict(zip(TRIAD_NAMES, g.triad_counts.tolist())) == triad_census(g).counts
+        with pytest.raises(ValueError, match="read-only"):
+            g.triad_counts[0] = 0
+
+    def test_each_graph_is_counted_once(self, monkeypatch) -> None:
+        calls = []
+        kernel = census._census_counts
+
+        def counted(n, src, dst):
+            calls.append(n)
+            return kernel(n, src, dst)
+
+        monkeypatch.setattr(census, "_census_counts", counted)
+        g = topk_out(random_digraph(np.random.default_rng(56), 12, 0.4), 3)
+        structural_report(g)
+        assert triad_census(g) == triad_census(g)
+        assert calls == [12]
+        # Only the null samples are counted: the real counts are cached.
+        motif_zscores(g, ensemble_size=20, seed=4)
+        assert len(calls) == 1 + 20
 
 
 class TestCensusKernel:
@@ -219,6 +246,44 @@ class TestRewire:
         with pytest.raises(ValueError, match="swaps_per_edge"):
             rewire(g, seed=0, swaps_per_edge=0)
 
+    @pytest.mark.parametrize("n, sequences, split", [(3, 1, 1), (4, 794, 16)])
+    def test_samples_cover_exactly_their_swap_class(
+        self, n: int, sequences: int, split: int
+    ) -> None:
+        # Double-edge swaps do not connect every digraph with a given
+        # degree sequence (none reverses a directed 3-cycle), so some
+        # sequences split into several swap classes.  Started in a class,
+        # rewire must reach all of it and nothing else.
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        families: dict[tuple, set] = {}
+        for mask in range(1 << len(pairs)):
+            arcs = frozenset(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
+            degrees = tuple(sum(arc[end] == v for arc in arcs) for end in (0, 1) for v in range(n))
+            families.setdefault(degrees, set()).add(arcs)
+        # A sequence with two realisations has at least 2 arcs.
+        families = {key: family for key, family in families.items() if len(family) >= 2}
+        codes = codes_for(n)
+        position = {code: i for i, code in enumerate(codes)}
+        split_sequences = 0
+        for family in families.values():
+            remaining = set(family)
+            classes = 0
+            while remaining:
+                classes += 1
+                start = min(remaining, key=sorted)
+                members = swap_class(start)
+                remaining -= members
+                g = MobilityGraph(codes, {(codes[a], codes[b]): 1 for a, b in start})
+                support = {
+                    frozenset((position[o], position[d])
+                              for o, d in rewire(g, derive_seed(7, i), swaps_per_edge=10).edges)
+                    for i in range(64)
+                }
+                assert support == members
+            split_sequences += classes > 1
+        assert len(families) == sequences
+        assert split_sequences == split
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_degree_invariance_property(self, seed: int) -> None:
@@ -243,23 +308,6 @@ class TestMotifZScores:
         g = random_digraph(np.random.default_rng(51), 8, 0.4)
         with pytest.raises(ValueError, match="ensemble_size"):
             motif_zscores(g, ensemble_size=1)
-
-    def test_given_observed_census_is_not_recomputed(self, monkeypatch) -> None:
-        g = random_digraph(np.random.default_rng(53), 12, 0.3)
-        expected = motif_zscores(g, ensemble_size=20, seed=4)
-        observed = triad_census(g)
-
-        def recount(graph):
-            raise AssertionError("observed census recomputed")
-
-        monkeypatch.setattr(census, "triad_census", recount)
-        assert motif_zscores(g, ensemble_size=20, seed=4, observed=observed) == expected
-
-    def test_observed_census_of_another_graph_rejected(self) -> None:
-        g = random_digraph(np.random.default_rng(54), 12, 0.3)
-        other = triad_census(random_digraph(np.random.default_rng(54), 11, 0.3))
-        with pytest.raises(ValueError, match="observed census covers 11 nodes"):
-            motif_zscores(g, ensemble_size=2, observed=other)
 
     def test_rigid_graph_flags_everything_undefined(self) -> None:
         # A single 3-cycle admits no accepted swap, so the null ensemble

@@ -11,6 +11,7 @@ import resource
 import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 from tourflow import (
     ConfigError,
+    MobilityGraph,
     RegionMap,
     census,
     cli,
@@ -28,7 +30,6 @@ from tourflow import (
     to_shares,
     topk_in,
     topk_out,
-    triad_census,
 )
 from tourflow.cli import (
     EXIT_CONFIG,
@@ -228,17 +229,21 @@ class TestAnalyze:
     def test_each_observed_census_is_counted_once(
         self, tmp_path: Path, monkeypatch, one_cpu
     ) -> None:
-        # Counted in this process, so every unit runs here.
+        # Counted in this process, so every unit runs here.  The structural
+        # report, the triads file and the motif z-scores all read the
+        # subgraph's cached census.
         calls = []
+        count = MobilityGraph.triad_counts.func
 
         def counted(graph):
-            calls.append(graph)
-            return triad_census(graph)
+            calls.append((graph.direction, graph.k))
+            return count(graph)
 
-        monkeypatch.setattr(cli, "triad_census", counted)
-        monkeypatch.setattr(census, "triad_census", lambda graph: pytest.fail("census recounted"))
+        cached = cached_property(counted)
+        cached.__set_name__(MobilityGraph, "triad_counts")
+        monkeypatch.setattr(MobilityGraph, "triad_counts", cached)
         run_build_analyze(tmp_path, sample_edges())
-        assert len(calls) == 6
+        assert sorted(calls) == [(d, k) for d in ("in", "out") for k in (1, 2, 3)]
 
     def test_each_subgraph_is_extracted_once(self, tmp_path: Path, monkeypatch, one_cpu) -> None:
         # Counted in this process, so every unit runs here.
@@ -521,7 +526,8 @@ class TestExitCodes:
                 "--set", f"output_dir={out}", *FAST]
         assert main(["build", *base]) == EXIT_OK
         assert main(["analyze", *base]) == EXIT_DOMAIN
-        assert "analyze dataset a" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "analyze dataset a" in err and "structural report needs >= 3 nodes" in err
 
     def test_convergence_error_exit_code(self, tmp_path: Path, capsys) -> None:
         flows = tmp_path / "flows.csv"

@@ -116,6 +116,13 @@ class TestAveragedDistances:
         with pytest.raises(ValueError, match="direction/k"):
             avg_distance_matrix(duplicated)
 
+    def test_requires_one_country_set(self) -> None:
+        g = random_digraph(np.random.default_rng(6), 8, 0.5)
+        larger = MobilityGraph(g.nodes + ("ZZ",), g.edges)
+        matrices = feature_set(g)[:5] + feature_set(larger)[5:]
+        with pytest.raises(ValueError, match="feature matrices cover different countries"):
+            avg_distance_matrix(matrices)
+
     def test_diagonal_zero_and_symmetric(self) -> None:
         g = random_digraph(np.random.default_rng(7), 12, 0.4)
         result = averaged(g)

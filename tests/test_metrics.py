@@ -25,10 +25,12 @@ from tourflow import (
     topk_out,
 )
 from tourflow import metrics
+from tourflow.census import TRIAD_NAMES
 from tourflow.metrics import (
     competition_ranks, geodesic_stats, matrix_csv, number_groups, transitivity)
 
 from oracles import (
+    NULL_PER_CLASS,
     bfs_geodesic_stats,
     circulant_graph,
     codes_for,
@@ -372,9 +374,10 @@ class TestScc:
 
 class TestStructuralReport:
     def test_too_few_nodes_rejected(self) -> None:
-        small = MobilityGraph(("AA",), {})
-        with pytest.raises(ValueError, match=">= 2 nodes"):
-            structural_report(small, centralization_direction="in")
+        for small in (MobilityGraph(("AA",), {}),
+                      MobilityGraph.build({("AA", "AB"): 1, ("AB", "AA"): 2})):
+            with pytest.raises(ValueError, match="structural report needs >= 3 nodes"):
+                structural_report(small, centralization_direction="in")
 
     def test_plain_graph_needs_explicit_direction(self) -> None:
         g = random_digraph(np.random.default_rng(1), 8, 0.4)
@@ -414,7 +417,7 @@ class TestStructuralReport:
         adjacent = 2 * census.mutual + census.asymmetric
         expected_reciprocity = 2 * census.mutual / adjacent if adjacent else 0.0
         assert report.reciprocity == pytest.approx(expected_reciprocity, abs=1e-12)
-        assert report.transitivity == pytest.approx(brute_transitivity(sg), abs=1e-12)
+        assert report.transitivity == brute_transitivity(sg)
 
     def test_reciprocity_equals_reciprocated_edge_share(self) -> None:
         g = random_digraph(np.random.default_rng(6), 20, 0.3)
@@ -450,6 +453,28 @@ class TestTransitivityEdgeCases:
     def test_triangle_is_one(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 1, ("BB", "CC"): 1, ("CC", "AA"): 1})
         assert transitivity(g) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_nodes(self, n: int) -> None:
+        for seed in range(5):
+            g = random_digraph(np.random.default_rng(seed), n, 0.7)
+            assert transitivity(g) == brute_transitivity(g) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_topk_subgraphs_match_brute_force_exactly(self, k: int) -> None:
+        # The census and the brute force divide the same two integers.
+        for seed in range(4):
+            g = random_digraph(np.random.default_rng(460 + seed), 18, 0.3)
+            for sg in (topk_out(g, k), topk_in(g, k)):
+                assert transitivity(sg) == brute_transitivity(sg)
+
+    def test_class_grouping_matches_null_dyads(self) -> None:
+        # A triad with all three node pairs joined has no null dyad; one
+        # with exactly two joined pairs has one.
+        closed = {TRIAD_NAMES[i] for i in metrics._CLOSED_TRIADS}
+        open_ = {TRIAD_NAMES[i] for i in metrics._OPEN_TRIADS}
+        assert closed == set(TRIAD_NAMES) - set(NULL_PER_CLASS)
+        assert open_ == {name for name, nulls in NULL_PER_CLASS.items() if nulls == 1}
 
 
 class TestRanksAndTable:
