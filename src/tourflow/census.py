@@ -14,7 +14,10 @@ Null models are degree-preserving double-edge swaps of the binarised
 graph; z-scores compare the real count of each connected class against
 the ensemble mean and population standard deviation.  A large ensemble
 advances its swap chains in blocks on node-index arrays, one block
-after another, in the calling process.
+after another, in the calling process.  Every swap chain draws its slots
+from a stream the package owns (``_swap_draws``): Lemire's bounded draw
+over the raw words of a PCG64 bit generator, reduced for a whole block
+of chains at once.
 """
 
 from __future__ import annotations
@@ -148,24 +151,92 @@ def _check_swaps(edge_count: int, swaps_per_edge: int) -> None:
 
 
 _DRAW_WINDOW = 512
+# _swap_draws reduces the words of this many chains at a time, so its
+# uint64 products take 256 KiB at most, however many chains a block holds.
+_DRAW_CHAINS = 32
 
 
-def _swap_draws(seed: int, edge_count: int, swaps_per_edge: int) -> Iterator[np.ndarray]:
-    """The slot pairs of the swap chain seeded with ``seed``, as ``(take, 2)`` int32 windows.
+def _bounded_draws(
+    bitgen: np.random.PCG64, pending: np.ndarray, count: int, edge_count: int, threshold: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` slots below ``edge_count`` from the half-words ``pending``, then from ``bitgen``.
 
-    Row t of a window holds the two slots that the chain's next swap
-    step picks; the windows hold ``edge_count * swaps_per_edge`` steps,
-    at most ``_DRAW_WINDOW`` each.  ``rewire`` and ``_rewire_chains``
-    draw only here, so both make the same Generator calls for a chain.
-    int32 holds every slot: the 676 two-letter codes carry at most
-    676 * 675 arcs.
+    This is Lemire's bounded draw as ``Generator.integers`` makes it for
+    32-bit ranges: a uint32 half-word h gives the slot
+    ``(h * edge_count) >> 32``, unless the low 32 bits of that product
+    fall below ``threshold`` (``2**32 % edge_count``); then h is spent
+    and the next one is tried.  Each 64-bit word of ``bitgen`` gives its
+    low half first, then its high half.  Words are drawn only as far as
+    the slots need, and the half-words left unspent (none or one) are
+    returned to be spent first next time.
     """
-    rng = np.random.default_rng(seed)
-    remaining = edge_count * swaps_per_edge
+    taken = []
+    while count > 0:
+        if len(pending) < count:
+            words = bitgen.random_raw(-(-(count - len(pending)) // 2))
+            pending = np.concatenate([pending, words.astype("<u8", copy=False).view("<u4")])
+        product = pending * np.uint64(edge_count)
+        accepted = np.flatnonzero((product & np.uint64(0xFFFFFFFF)) >= threshold)[:count]
+        taken.append(product[accepted] >> np.uint64(32))
+        count -= len(accepted)
+        pending = pending[accepted[-1] + 1:] if count == 0 else pending[:0]
+    return np.concatenate(taken).astype(np.int32), pending
+
+
+def _swap_draws(seeds: list[int], edge_count: int, steps: int) -> Iterator[np.ndarray]:
+    """The slot pairs of the swap chains seeded with ``seeds``, as ``(chains, take, 2)`` int32 windows.
+
+    Row t of chain c's window holds the two slots that chain c's next
+    swap step picks, from ``edge_count`` slots; the windows hold
+    ``steps`` steps, at most ``_DRAW_WINDOW`` each.  ``rewire`` and
+    ``_rewire_chains`` draw only here, so they take the same slots for a
+    seed.  The package owns this stream: chain c reads the 64-bit words
+    of ``np.random.PCG64(seeds[c])`` and bounds them by Lemire's method
+    (``_bounded_draws``), so its bytes rest on PCG64 and ``SeedSequence``
+    alone.  Each window equals the next int32 ``integers`` call, for
+    slots below ``edge_count`` in shape ``(take, 2)``, of a numpy
+    ``Generator`` on ``PCG64(seeds[c])``.  int32 holds every slot: the 676 two-letter
+    codes carry at most 676 * 675 arcs.
+
+    A window draws ``take`` words per chain into its own bytes and
+    reduces them in place, ``_DRAW_CHAINS`` chains at a time.  That is
+    exact for a chain with no half-word left from its last window and no
+    rejected draw in this one.  Any other chain takes the window from
+    ``_bounded_draws`` instead.  That is rare: a draw is rejected with
+    odds below ``edge_count / 2**32``, and a chain leaves a half-word
+    over only after an odd number of rejections.  The yielded array is
+    overwritten by the next window.
+    """
+    bitgens = [np.random.PCG64(seed) for seed in seeds]
+    chains = len(seeds)
+    threshold = (1 << 32) % edge_count
+    pending = [np.empty(0, dtype=np.uint32)] * chains
+    draws = np.empty((chains, _DRAW_WINDOW, 2), dtype=np.int32)
+    words = draws.view("<u8")[..., 0]  # (chains, _DRAW_WINDOW): a window's bytes as words
+    halves = draws.view("<u4")  # the low then the high half of each word
+    remaining = steps
     while remaining > 0:
         take = min(remaining, _DRAW_WINDOW)
         remaining -= take
-        yield rng.integers(0, edge_count, size=(take, 2), dtype=np.int32)
+        for chain, bitgen in enumerate(bitgens):
+            if not len(pending[chain]):
+                words[chain, :take] = bitgen.random_raw(take)
+        redo = [chain for chain in range(chains) if len(pending[chain])]
+        for lo in range(0, chains, _DRAW_CHAINS):
+            product = np.multiply(halves[lo:lo + _DRAW_CHAINS, :take], np.uint64(edge_count))
+            parts = product.astype("<u8", copy=False).view("<u4")  # low, high of each product
+            rejected = parts[..., ::2] < threshold
+            if rejected.any():
+                for chain in lo + np.flatnonzero(rejected.any(axis=(1, 2))):
+                    if not len(pending[chain]):
+                        pending[chain] = halves[chain, :take].ravel().astype(np.uint32)
+                        redo.append(chain)
+            draws[lo:lo + _DRAW_CHAINS, :take] = parts[..., 1::2]
+        for chain in redo:
+            slots, pending[chain] = _bounded_draws(
+                bitgens[chain], pending[chain], 2 * take, edge_count, threshold)
+            draws[chain, :take] = slots.reshape(take, 2)
+        yield draws[:, :take]
 
 
 def _binary_graph(graph: MobilityGraph, src: list[int], dst: list[int]) -> MobilityGraph:
@@ -188,8 +259,8 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
     src, dst = (slots.tolist() for slots in graph.arcs)
     n = len(graph.nodes)
     present = {a * n + b for a, b in zip(src, dst)}
-    for window in _swap_draws(seed, len(src), swaps_per_edge):
-        for i, j in window.tolist():
+    for window in _swap_draws([seed], len(src), len(src) * swaps_per_edge):
+        for i, j in window[0].tolist():
             a, b = src[i], dst[i]
             c, d = src[j], dst[j]
             if a == d or c == b:
@@ -210,16 +281,18 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
 # Chains advance in lockstep (_rewire_chains) in blocks, and the arrays
 # of a block that grow with its chain count fit in _BLOCK_BYTES.  Per
 # chain (_chain_bytes) they are the n * n presence bitmap, E destinations
-# of 8 bytes, a window of _DRAW_WINDOW swap steps drawn as int32 (4 KiB)
-# and _STEP_WINDOW of those steps as slot and row indices (2 KiB):
-# 22.6 KB for a 117-node Top-3 graph (E = 351), so up to 115 chains make
-# one block.  An ensemble runs as the fewest even blocks that fit.
-# Where those blocks would hold fewer than BATCH_MIN_ENSEMBLE chains,
-# rewire runs once per sample instead: at E = 3n, from 373 nodes for
-# ensembles of 100 or 1000, and from 386 for 16.  A batched ensemble
-# also draws sample 0 with rewire (below); counting that draw, one
-# block overtakes rewire at 14 chains on a 117-node Top-3 graph and at
-# 16 on a Top-1 graph (100 swaps per edge, 2-vCPU Xeon host).
+# of 8 bytes, a window of _DRAW_WINDOW swap steps drawn as int32 (4 KiB,
+# which first hold the window's PCG64 words) and _STEP_WINDOW of those
+# steps as slot and row indices (2 KiB): 22.6 KB for a 117-node Top-3
+# graph (E = 351), so up to 115 chains make one block.  _swap_draws'
+# products do not grow with the block (see _DRAW_CHAINS).  An ensemble
+# runs as the fewest even blocks that fit.  Where those blocks would
+# hold fewer than BATCH_MIN_ENSEMBLE chains, rewire runs once per sample
+# instead: at E = 3n, from 373 nodes for ensembles of 100 or 1000, and
+# from 386 for 16.  A batched ensemble also draws sample 0 with rewire
+# (below); counting that draw, one block overtakes rewire at 14 chains
+# on a 117-node Top-3 graph and at 16 on a Top-1 graph (100 swaps per
+# edge, 2-vCPU Xeon host).
 BATCH_MIN_ENSEMBLE = 16
 _BLOCK_BYTES = 5 << 19  # 2.5 MiB
 _STEP_WINDOW = 64
@@ -242,16 +315,16 @@ def _rewire_chains(
     swap step per Python iteration, on numpy arrays.  Chain c owns
     ``dst[c*E:(c+1)*E]`` and the presence bitmap
     ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked present so
-    that a proposed self-loop fails the duplicate test.  Chain c takes
-    its draw windows from ``_swap_draws(seeds[c], ...)``, as ``rewire``
-    does, so row c equals the destinations of ``rewire(graph, seeds[c],
+    that a proposed self-loop fails the duplicate test.  The block reads
+    its draw windows from one ``_swap_draws(seeds, ...)`` stream, whose
+    chain c takes the slots that ``rewire`` takes with ``seeds[c]``, so
+    row c equals the destinations of ``rewire(graph, seeds[c],
     swaps_per_edge)``.  Each draw window is transposed ``_STEP_WINDOW``
     steps at a time into two reused index buffers.
     """
     edge_count = len(src)
     _check_swaps(edge_count, swaps_per_edge)
     chains = len(seeds)
-    streams = [_swap_draws(seed, edge_count, swaps_per_edge) for seed in seeds]
     node_base = np.arange(chains, dtype=np.intp) * (n * n)
     edge_base2 = np.tile(np.arange(chains, dtype=np.intp) * edge_count, 2)
     node_base2 = np.tile(node_base, 2)
@@ -260,13 +333,10 @@ def _rewire_chains(
     present = np.zeros(chains * n * n, dtype=bool)
     present[(node_base[:, None] + src * n + dst.reshape(chains, edge_count)).ravel()] = True
     present[(node_base[:, None] + np.arange(n) * (n + 1)).ravel()] = True
-    draws = np.empty((chains, _DRAW_WINDOW, 2), dtype=np.int32)
     slot_window = np.empty((_STEP_WINDOW, 2, chains), dtype=np.intp)
     row_window = np.empty((_STEP_WINDOW, 2 * chains), dtype=np.intp)
-    for windows in zip(*streams):
-        take = len(windows[0])
-        for chain, window in enumerate(windows):
-            draws[chain, :take] = window
+    for draws in _swap_draws(seeds, edge_count, edge_count * swaps_per_edge):
+        take = draws.shape[1]
         for start in range(0, take, _STEP_WINDOW):
             width = min(take - start, _STEP_WINDOW)
             # Row t holds the first slot that step start+t draws in every
@@ -287,7 +357,8 @@ def _rewire_chains(
                 # A rejected chain writes back the values it read.
                 present[row + ends] = rejected
                 present[proposed] = taken == rejected
-                dst[slot] = np.where(rejected, ends, swapped)
+                np.copyto(swapped, ends, where=rejected)
+                dst[slot] = swapped
     return dst.reshape(chains, edge_count)
 
 

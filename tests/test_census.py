@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 
 import numpy as np
@@ -465,22 +466,18 @@ class TestBatchedEnsemble:
     def test_rewire_and_kernel_share_one_draw_rule(
         self, chain_samples: list, monkeypatch
     ) -> None:
-        # Under a generator whose int32 draws are shifted by one and whose
-        # int64 draws are numpy's own, rewire and the kernel still take the
-        # same slots: neither draws any other way.
-        default_rng = np.random.default_rng
+        # With every window of the owned stream shifted by one slot,
+        # rewire and the kernel still take the same slots: neither draws
+        # any other way.
+        draws = census._swap_draws
 
-        class ShiftedInt32:
-            def __init__(self, seed: int) -> None:
-                self.rng = default_rng(seed)
-
-            def integers(self, low, high, size=None, dtype=np.int64):
-                draws = self.rng.integers(low, high, size=size, dtype=dtype)
-                return (draws + 1) % high if np.dtype(dtype) == np.int32 else draws
+        def shifted(seeds, edge_count, steps):
+            for window in draws(seeds, edge_count, steps):
+                yield (window + 1) % edge_count
 
         g = SWAP_GRAPHS["hub-heavy"]
         unshifted = rewire(g, derive_seed(19, 0), 3).edges
-        monkeypatch.setattr(np.random, "default_rng", ShiftedInt32)
+        monkeypatch.setattr(census, "_swap_draws", shifted)
         census._null_counts(g, BATCH_MIN_ENSEMBLE, 19, 3)
         expected = [rewire(g, derive_seed(19, i), 3).edges for i in range(BATCH_MIN_ENSEMBLE)]
         assert expected[0] != unshifted
@@ -582,6 +579,113 @@ class TestBatchedEnsemble:
         assert chain_seeds == [
             [derive_seed(17, i) for i in range(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
         assert counts.tolist() == rewired_counts(g, 17, size, 3)
+
+
+def stream_windows(seeds: list[int], edge_count: int, steps: int) -> list[np.ndarray]:
+    """Copies of the owned stream's windows (each is overwritten by the next)."""
+    return [window.copy() for window in census._swap_draws(seeds, edge_count, steps)]
+
+
+def golden_graph() -> MobilityGraph:
+    """20 nodes, 87 arcs: every node links to the hubs AA..AC, and a to b where 3a + 5b = 0 mod 11.
+
+    Built by arithmetic alone, so no change to numpy's generators moves it.
+    """
+    codes = codes_for(20)
+    return MobilityGraph(codes, {(codes[a], codes[b]): 1 for a in range(20) for b in range(20)
+                                 if a != b and (b < 3 or (3 * a + 5 * b) % 11 == 0)})
+
+
+def sha256_of(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.asarray(array).astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestSwapStream:
+    """The owned swap stream: Lemire's bounded draw over PCG64 words."""
+
+    @pytest.mark.parametrize("window", [1, 7, census._DRAW_WINDOW])
+    @pytest.mark.parametrize(
+        "edge_count", [2, 3, 117, 351, 70_000, 456_300, 3 << 29, 2**31 - 1])
+    def test_windows_equal_generator_integers(
+        self, edge_count: int, window: int, monkeypatch
+    ) -> None:
+        # Each window equals the next int32 Generator.integers call on
+        # default_rng(seed).  numpy does not freeze the streams of
+        # Generator methods, so a later numpy may fail this oracle while
+        # bundles keep their bytes: they rest on PCG64 and SeedSequence.
+        # 2500 steps end in a short window of 7 and of 512 steps.  At
+        # 3 << 29 a quarter of the draws are rejected, so half-words left
+        # over cross window boundaries.
+        monkeypatch.setattr(census, "_DRAW_WINDOW", window)
+        seeds = list(range(20))
+        windows = stream_windows(seeds, edge_count, 2500)
+        assert sum(block.shape[1] for block in windows) == 2500
+        for chain, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            for block in windows:
+                expected = rng.integers(0, edge_count, size=(block.shape[1], 2), dtype=np.int32)
+                assert np.array_equal(block[chain], expected)
+
+    def test_mixed_block_equals_chains_drawn_alone(self, monkeypatch) -> None:
+        # At this edge count 2**32 % E is 2,140,000, so about 40% of
+        # 512-step windows hold a rejected draw: some chains take the
+        # vectorised pass and others take _bounded_draws, before and
+        # after a rejection and with a half-word left over, in both
+        # reduction groups (32 and 8 of the 40 chains).
+        edge_count = 2**31 - 1_070_000
+        seeds = [derive_seed(21, i) for i in range(40)]
+        steps = 5 * census._DRAW_WINDOW + 100
+        assert len(seeds) > census._DRAW_CHAINS
+        alone = [stream_windows([seed], edge_count, steps) for seed in seeds]
+        pending = []
+        bounded = census._bounded_draws
+
+        def recorded(bitgen, halves, count, edge_count, threshold):
+            pending.append(len(halves))
+            return bounded(bitgen, halves, count, edge_count, threshold)
+
+        monkeypatch.setattr(census, "_bounded_draws", recorded)
+        block = stream_windows(seeds, edge_count, steps)
+        assert 1 in pending and 2 * census._DRAW_WINDOW in pending
+        assert len(pending) < len(seeds) * len(block)
+        for chain, windows in enumerate(alone):
+            assert all(np.array_equal(a[0], b[chain]) for a, b in zip(windows, block, strict=True))
+
+    def test_golden_digests(self) -> None:
+        # Recorded when the package still drew its swaps with
+        # Generator.integers: a batched ensemble (20 chains, 1044 steps
+        # in three draw windows), its kernel rows and four rewire samples.
+        g = golden_graph()
+        assert 20 >= BATCH_MIN_ENSEMBLE and len(g.edges) * 12 > 2 * census._DRAW_WINDOW
+        counts = census._null_counts(g, 20, 5, 12)
+        rows = census._rewire_chains(len(g.nodes), *g.arcs, [derive_seed(5, i) for i in range(20)], 12)
+        samples = [rewire(g, derive_seed(5, i), 12).arcs for i in range(4)]
+        assert sha256_of([counts]) == (
+            "67e6579137079075704ab35a67ed88a2f2f991ff71f4e6b67582f0f5873021cd")
+        assert sha256_of([rows]) == (
+            "16e5d0e69a79ae1fbf7db55c730e464069ae8cf8ca2615c77b7c8e2f8d2fcfe0")
+        assert sha256_of(arc for sample in samples for arc in sample) == (
+            "5cc3529e4b129b49a9f70812149ac3239aba1e68ed0559ead3b31b150dcefd5d")
+
+    def test_no_generator_is_made(self, scalar_calls: list, monkeypatch) -> None:
+        g = SWAP_GRAPHS["hub-heavy"]
+        size = BATCH_MIN_ENSEMBLE
+        batched = census._null_counts(g, size, 22, 3)
+        sample = rewire(g, derive_seed(22, 0), 3).edges
+        assert len(scalar_calls) == 1
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the package made a numpy Generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        assert np.array_equal(census._null_counts(g, size, 22, 3), batched)
+        assert rewire(g, derive_seed(22, 0), 3).edges == sample
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, size) - 1)
+        assert np.array_equal(census._null_counts(g, size, 22, 3), batched)
+        assert len(scalar_calls) == 2 + size
 
 
 class TestPooledEnsemble:
