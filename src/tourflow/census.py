@@ -218,10 +218,12 @@ def _swap_draws(seeds: list[int], edge_count: int, steps: int) -> Iterator[np.nd
     while remaining > 0:
         take = min(remaining, _DRAW_WINDOW)
         remaining -= take
+        redo = []
         for chain, bitgen in enumerate(bitgens):
-            if not len(pending[chain]):
+            if len(pending[chain]):
+                redo.append(chain)
+            else:
                 words[chain, :take] = bitgen.random_raw(take)
-        redo = [chain for chain in range(chains) if len(pending[chain])]
         for lo in range(0, chains, _DRAW_CHAINS):
             product = np.multiply(halves[lo:lo + _DRAW_CHAINS, :take], np.uint64(edge_count))
             parts = product.astype("<u8", copy=False).view("<u4")  # low, high of each product
