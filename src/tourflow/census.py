@@ -156,28 +156,40 @@ _DRAW_WINDOW = 512
 _DRAW_CHAINS = 32
 
 
+def _lemire(halves: np.ndarray, edge_count: int, threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's bounded draw on uint32 half-words: each one's slot below ``edge_count``, and whether it is rejected.
+
+    A half-word h gives the slot ``(h * edge_count) >> 32``, unless the
+    low 32 bits of that product fall below ``threshold`` (``2**32 %
+    edge_count``); then h is rejected.  The product is made in uint64 by
+    name: under numpy 1.x value-based casting, a uint32 array times a
+    small ``np.uint64`` stays uint32 and wraps.
+    """
+    product = np.multiply(halves, np.uint64(edge_count), dtype=np.uint64)
+    parts = product.astype("<u8", copy=False).view("<u4")  # low, high of each product
+    return parts[..., 1::2], parts[..., ::2] < threshold
+
+
 def _bounded_draws(
     bitgen: np.random.PCG64, pending: np.ndarray, count: int, edge_count: int, threshold: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` slots below ``edge_count`` from the half-words ``pending``, then from ``bitgen``.
 
-    This is Lemire's bounded draw as ``Generator.integers`` makes it for
-    32-bit ranges: a uint32 half-word h gives the slot
-    ``(h * edge_count) >> 32``, unless the low 32 bits of that product
-    fall below ``threshold`` (``2**32 % edge_count``); then h is spent
-    and the next one is tried.  Each 64-bit word of ``bitgen`` gives its
-    low half first, then its high half.  Words are drawn only as far as
-    the slots need, and the half-words left unspent (none or one) are
-    returned to be spent first next time.
+    This is ``_lemire`` as ``Generator.integers`` applies it for 32-bit
+    ranges: a rejected half-word is spent and the next one is tried.
+    Each 64-bit word of ``bitgen`` gives its low half first, then its
+    high half.  Words are drawn only as far as the slots need, and the
+    half-words left unspent (none or one) are returned to be spent first
+    next time.
     """
     taken = []
     while count > 0:
         if len(pending) < count:
             words = bitgen.random_raw(-(-(count - len(pending)) // 2))
             pending = np.concatenate([pending, words.astype("<u8", copy=False).view("<u4")])
-        product = pending * np.uint64(edge_count)
-        accepted = np.flatnonzero((product & np.uint64(0xFFFFFFFF)) >= threshold)[:count]
-        taken.append(product[accepted] >> np.uint64(32))
+        slots, rejected = _lemire(pending, edge_count, threshold)
+        accepted = np.flatnonzero(~rejected)[:count]
+        taken.append(slots[accepted])
         count -= len(accepted)
         pending = pending[accepted[-1] + 1:] if count == 0 else pending[:0]
     return np.concatenate(taken).astype(np.int32), pending
@@ -192,52 +204,59 @@ def _swap_draws(seeds: list[int], edge_count: int, steps: int) -> Iterator[np.nd
     ``_rewire_chains`` draw only here, so they take the same slots for a
     seed.  The package owns this stream: chain c reads the 64-bit words
     of ``np.random.PCG64(seeds[c])`` and bounds them by Lemire's method
-    (``_bounded_draws``), so its bytes rest on PCG64 and ``SeedSequence``
+    (``_lemire``), so its bytes rest on PCG64 and ``SeedSequence``
     alone.  Each window equals the next int32 ``integers`` call, for
     slots below ``edge_count`` in shape ``(take, 2)``, of a numpy
     ``Generator`` on ``PCG64(seeds[c])``.  int32 holds every slot: the 676 two-letter
     codes carry at most 676 * 675 arcs.
 
     A window draws ``take`` words per chain into its own bytes and
-    reduces them in place, ``_DRAW_CHAINS`` chains at a time.  That is
-    exact for a chain with no half-word left from its last window and no
-    rejected draw in this one.  Any other chain takes the window from
-    ``_bounded_draws`` instead.  That is rare: a draw is rejected with
-    odds below ``edge_count / 2**32``, and a chain leaves a half-word
-    over only after an odd number of rejections.  The yielded array is
-    overwritten by the next window.
+    reduces them in place, ``_DRAW_CHAINS`` chains at a time.  A chain
+    that holds a half-word left from its last window spends it first:
+    it goes in front of the window's half-words, and the window's last
+    half-word is kept for the next window instead.  That is exact for
+    every chain with no rejected draw in the window.  A chain with one
+    takes the window from ``_bounded_draws`` instead, which keeps the
+    half-word it leaves over, if any.  A draw is rejected with odds
+    below ``edge_count / 2**32``.  The yielded array is overwritten by
+    the next window.
     """
     bitgens = [np.random.PCG64(seed) for seed in seeds]
     chains = len(seeds)
     threshold = (1 << 32) % edge_count
-    pending = [np.empty(0, dtype=np.uint32)] * chains
+    carried = np.zeros(chains, dtype=bool)  # chain c holds the spare half-word carry[c]
+    carry = np.zeros(chains, dtype=np.uint32)
     draws = np.empty((chains, _DRAW_WINDOW, 2), dtype=np.int32)
     words = draws.view("<u8")[..., 0]  # (chains, _DRAW_WINDOW): a window's bytes as words
     halves = draws.view("<u4")  # the low then the high half of each word
+    flat = halves.reshape(chains, 2 * _DRAW_WINDOW)
     remaining = steps
     while remaining > 0:
         take = min(remaining, _DRAW_WINDOW)
         remaining -= take
-        redo = []
         for chain, bitgen in enumerate(bitgens):
-            if len(pending[chain]):
-                redo.append(chain)
-            else:
-                words[chain, :take] = bitgen.random_raw(take)
+            words[chain, :take] = bitgen.random_raw(take)
+        spare = np.flatnonzero(carried)
+        if len(spare):
+            drawn = flat[spare, :2 * take]
+            flat[spare, 0] = carry[spare]
+            flat[spare, 1:2 * take] = drawn[:, :-1]
+            carry[spare] = drawn[:, -1]
+        redo = []
         for lo in range(0, chains, _DRAW_CHAINS):
-            product = np.multiply(halves[lo:lo + _DRAW_CHAINS, :take], np.uint64(edge_count))
-            parts = product.astype("<u8", copy=False).view("<u4")  # low, high of each product
-            rejected = parts[..., ::2] < threshold
+            slots, rejected = _lemire(halves[lo:lo + _DRAW_CHAINS, :take], edge_count, threshold)
             if rejected.any():
                 for chain in lo + np.flatnonzero(rejected.any(axis=(1, 2))):
-                    if not len(pending[chain]):
-                        pending[chain] = halves[chain, :take].ravel().astype(np.uint32)
-                        redo.append(chain)
-            draws[lo:lo + _DRAW_CHAINS, :take] = parts[..., 1::2]
-        for chain in redo:
-            slots, pending[chain] = _bounded_draws(
-                bitgens[chain], pending[chain], 2 * take, edge_count, threshold)
-            draws[chain, :take] = slots.reshape(take, 2)
+                    pending = flat[chain, :2 * take]
+                    redo.append((chain, np.append(pending, carry[chain]) if carried[chain]
+                                 else pending.copy()))
+            draws[lo:lo + _DRAW_CHAINS, :take] = slots
+        for chain, pending in redo:
+            window, pending = _bounded_draws(bitgens[chain], pending, 2 * take, edge_count, threshold)
+            draws[chain, :take] = window.reshape(take, 2)
+            carried[chain] = len(pending) > 0
+            if carried[chain]:
+                carry[chain] = pending[0]
         yield draws[:, :take]
 
 

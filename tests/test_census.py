@@ -586,6 +586,31 @@ def stream_windows(seeds: list[int], edge_count: int, steps: int) -> list[np.nda
     return [window.copy() for window in census._swap_draws(seeds, edge_count, steps)]
 
 
+def walked_windows(seed: int, edge_count: int, steps: int) -> list[tuple[bool, bool]]:
+    """Per draw window of one chain: (enters holding a spare half-word, meets a rejected draw).
+
+    A scalar walk of the half-words of ``PCG64(seed)``, low half first,
+    bounded by Lemire's method in Python integers.
+    """
+    bitgen = np.random.PCG64(seed)
+    threshold = (1 << 32) % edge_count
+    spent = 0
+    walk = []
+    for start in range(0, steps, census._DRAW_WINDOW):
+        carried, met = spent % 2 == 1, False
+        for _ in range(2 * min(census._DRAW_WINDOW, steps - start)):
+            while True:
+                if spent % 2 == 0:
+                    word = int(bitgen.random_raw())
+                half = word >> 32 if spent % 2 else word & 0xFFFFFFFF
+                spent += 1
+                if half * edge_count & 0xFFFFFFFF >= threshold:
+                    break
+                met = True
+        walk.append((carried, met))
+    return walk
+
+
 def golden_graph() -> MobilityGraph:
     """20 nodes, 87 arcs: every node links to the hubs AA..AC, and a to b where 3a + 5b = 0 mod 11.
 
@@ -629,12 +654,26 @@ class TestSwapStream:
                 expected = rng.integers(0, edge_count, size=(block.shape[1], 2), dtype=np.int32)
                 assert np.array_equal(block[chain], expected)
 
+    def test_lemire_products_do_not_wrap(self) -> None:
+        # The slot is the high half of a 64-bit product.  A product made
+        # in uint32 (numpy 1.x value-based casting, or a Python int under
+        # NEP 50) wraps, and every slot then reads 0.
+        halves = np.array([0, 1, 5, 1 << 31, 0xFFFFFFFE, 0xFFFFFFFF], dtype=np.uint32)
+        for edge_count in (2, 3, 117, 351, 3 << 29):
+            threshold = (1 << 32) % edge_count
+            slots, rejected = census._lemire(halves, edge_count, threshold)
+            products = [h * edge_count for h in halves.tolist()]
+            assert slots.tolist() == [p >> 32 for p in products]
+            assert rejected.tolist() == [p & 0xFFFFFFFF < threshold for p in products]
+
     def test_mixed_block_equals_chains_drawn_alone(self, monkeypatch) -> None:
         # At this edge count 2**32 % E is 2,140,000, so about 40% of
         # 512-step windows hold a rejected draw: some chains take the
-        # vectorised pass and others take _bounded_draws, before and
-        # after a rejection and with a half-word left over, in both
-        # reduction groups (32 and 8 of the 40 chains).
+        # vectorised pass and others take _bounded_draws, with and
+        # without a half-word left from the last window, in both
+        # reduction groups (32 and 8 of the 40 chains).  _bounded_draws
+        # runs for just the chain-windows that meet a rejection, as a
+        # scalar walk of each chain's half-words counts them.
         edge_count = 2**31 - 1_070_000
         seeds = [derive_seed(21, i) for i in range(40)]
         steps = 5 * census._DRAW_WINDOW + 100
@@ -644,15 +683,17 @@ class TestSwapStream:
         bounded = census._bounded_draws
 
         def recorded(bitgen, halves, count, edge_count, threshold):
-            pending.append(len(halves))
+            pending.append(len(halves) - count)
             return bounded(bitgen, halves, count, edge_count, threshold)
 
         monkeypatch.setattr(census, "_bounded_draws", recorded)
         block = stream_windows(seeds, edge_count, steps)
-        assert 1 in pending and 2 * census._DRAW_WINDOW in pending
-        assert len(pending) < len(seeds) * len(block)
         for chain, windows in enumerate(alone):
             assert all(np.array_equal(a[0], b[chain]) for a, b in zip(windows, block, strict=True))
+        walks = [walked_windows(seed, edge_count, steps) for seed in seeds]
+        expected = sorted(int(carried) for walk in walks for carried, met in walk if met)
+        assert sorted(pending) == expected and 0 in expected and 1 in expected
+        assert any(carried and not met for walk in walks for carried, met in walk)
 
     def test_golden_digests(self) -> None:
         # Recorded when the package still drew its swaps with
