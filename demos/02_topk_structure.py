@@ -20,7 +20,7 @@ for origin in codes:
     for dest in codes:
         if origin != dest and rng.random() < 0.6:
             edges[(origin, dest)] = int(rng.integers(1, 1000))
-graph = MobilityGraph(codes, edges)
+graph = MobilityGraph.build(edges, codes)
 print(f"full graph: {graph.edge_count} edges")
 
 # Top-k Out keeps each country's k heaviest outgoing edges; node count

@@ -19,7 +19,7 @@ for origin in codes:
     for dest in codes:
         if origin != dest and rng.random() < 0.4:
             edges[(origin, dest)] = int(rng.integers(1, 500))
-subgraph = topk_out(MobilityGraph(codes, edges), 2)
+subgraph = topk_out(MobilityGraph.build(edges, codes), 2)
 
 # One table carries all six measures with competition ranking
 # (ties share a rank, the next rank is skipped).

@@ -30,7 +30,7 @@ for block in (codes[:5], codes[5:]):
                 edges[(origin, dest)] = int(rng.integers(200, 400))
 edges[(codes[0], codes[5])] = 5
 edges[(codes[5], codes[0])] = 5
-subgraph = topk_out(MobilityGraph(codes, edges), 3)
+subgraph = topk_out(MobilityGraph.build(edges, codes), 3)
 
 dm = distance_matrix(subgraph)
 print(f"distance matrix over {len(dm.countries)} countries "

@@ -16,7 +16,7 @@ edges = {}
 for t in range(8):
     a, b, c = codes[3 * t], codes[3 * t + 1], codes[3 * t + 2]
     edges.update({(a, b): 1, (b, c): 1, (a, c): 1})
-graph = MobilityGraph(codes, edges)
+graph = MobilityGraph.build(edges, codes)
 
 census = triad_census(graph)
 nonzero = {name: count for name, count in census.counts.items() if count}

@@ -32,7 +32,7 @@ def season(seed: int) -> MobilityGraph:
     for _ in range(3000):
         i, j = local.choice(len(codes), size=2, replace=False)
         edges[(codes[i], codes[j])] = int(local.integers(1, 60))
-    return MobilityGraph(codes, edges)
+    return MobilityGraph.build(edges, codes)
 
 
 summer = regional_flows(season(1), region_map)

@@ -33,7 +33,7 @@ def dataset(seed: int, noise: float) -> MobilityGraph:
                 jitter = int(rng.integers(0, max(1, int(base * noise)) + 1))
                 if base + jitter > 0:
                     edges[(origin, dest)] = base + jitter
-    return MobilityGraph(codes, edges)
+    return MobilityGraph.build(edges, codes)
 
 
 def averaged_distances(graph: MobilityGraph):

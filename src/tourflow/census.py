@@ -260,12 +260,6 @@ def _swap_draws(seeds: list[int], edge_count: int, steps: int) -> Iterator[np.nd
         yield draws[:, :take]
 
 
-def _binary_graph(graph: MobilityGraph, src: list[int], dst: list[int]) -> MobilityGraph:
-    codes = graph.nodes
-    edges = {(codes[a], codes[b]): 1 for a, b in zip(src, dst)}
-    return MobilityGraph(graph.nodes, edges, graph.label)
-
-
 def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> MobilityGraph:
     """Degree-preserving randomisation by directed double-edge swaps.
 
@@ -276,7 +270,7 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
     every accepted swap.  Weights are discarded; the result is a binary
     graph with unit weights.
     """
-    _check_swaps(len(graph.edges), swaps_per_edge)
+    _check_swaps(graph.edge_count, swaps_per_edge)
     src, dst = (slots.tolist() for slots in graph.arcs)
     n = len(graph.nodes)
     present = {a * n + b for a, b in zip(src, dst)}
@@ -296,7 +290,10 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
             present.add(second)
             dst[i] = d
             dst[j] = b
-    return _binary_graph(graph, src, dst)
+    # Slots keep their sorted sources, so one lexsort orders the destinations within each.
+    src, dst = graph.arcs[0], np.array(dst, dtype=np.intp)
+    return MobilityGraph(graph.nodes, (src, dst[np.lexsort((dst, src))]),
+                         np.ones(len(src), dtype=np.int64), graph.label)
 
 
 # Chains advance in lockstep (_rewire_chains) in blocks, and the arrays
@@ -406,13 +403,13 @@ def _null_counts(
     # both take the same draws, so this guards the kernel's swap logic
     # against rewire's.  It is also a batched ensemble's only rewire
     # call, which perfbench's traced census.rewire figures read.
-    reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).edges
+    reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).arcs[1]
     bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
     counts = []
     for lo, hi in zip(bounds, bounds[1:]):
         samples = _rewire_chains(
             n, src, dst0, [derive_seed(seed, i) for i in range(lo, hi)], swaps_per_edge)
-        if lo == 0 and _binary_graph(graph, src.tolist(), samples[0].tolist()).edges != reference:
+        if lo == 0 and not np.array_equal(samples[0][np.lexsort((samples[0], src))], reference):
             raise RuntimeError("batched rewiring diverged from rewire on sample 0")
         # CONNECTED_TRIADS is TRIAD_NAMES[3:].
         counts.extend(_census_counts(n, src, dst)[3:] for dst in samples)

@@ -1,20 +1,22 @@
 """Weighted directed country-to-country graphs and Top-k subgraph extraction.
 
 The central type is :class:`MobilityGraph`: nodes are ISO-3166-like
-two-letter country codes, an edge ``(origin, destination)`` carries a
-positive integer weight (number of travellers observed on that flow).
+two-letter country codes, and each arc ``origin -> destination`` carries
+a positive integer weight (number of travellers observed on that flow).
 Self-loops are excluded by construction.
 
 Top-k filtering keeps, for every node, only its k strongest incoming
-(:func:`topk_in`) or outgoing (:func:`topk_out`) edges.  Ties on weight
+(:func:`topk_in`) or outgoing (:func:`topk_out`) arcs.  Ties on weight
 are broken toward the lexicographically smaller partner code so the
 result is a pure function of the input graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -31,27 +33,28 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobilityGraph:
-    """A weighted directed graph over country codes.
+    """A weighted directed graph over country codes, stored as its sorted arcs.
 
     ``nodes`` is sorted lexicographically and may include isolated
-    countries.  ``edges`` maps ``(origin, destination)`` to a weight
-    >= 1; both endpoints must appear in ``nodes``.
+    countries.  ``arcs`` holds the node positions (sources, destinations)
+    of the arcs, sorted by endpoint pair, and ``arc_weights`` their int64
+    weights, each >= 1; all three arrays are read-only.  :meth:`build`
+    makes a graph from a mapping, which ``edges`` gives back as a view.
 
     A Top-k subgraph (see :func:`topk_out` and :func:`topk_in`) records
     which endpoint was constrained in ``direction``: ``"in"`` means every
     node kept at most ``k`` incoming edges, ``"out"`` at most ``k``
     outgoing ones.  Both are None for a full graph.
 
-    A graph is never changed after construction.  Its node index, its
-    sorted arcs and weight matrix (the one adjacency every analysis
-    reads), its shortest-path pass and its triad census are built on
-    first use and cached; the cached arrays are read-only.
+    The weight matrix, shortest-path pass and triad census are built
+    from the arcs on first use and cached, read-only.
     """
 
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], int]
+    arcs: tuple[np.ndarray, np.ndarray]
+    arc_weights: np.ndarray
     label: str = ""
     direction: str | None = None
     k: int | None = None
@@ -66,28 +69,48 @@ class MobilityGraph:
                 raise ValueError(f"k must be >= 1, got {self.k}")
         if list(self.nodes) != sorted(set(self.nodes)):
             raise ValueError("nodes must be sorted and free of duplicates")
-        known = set(self.nodes)
-        for (origin, dest), weight in self.edges.items():
-            if origin == dest:
-                raise ValueError(f"self-loop on {origin!r}")
-            if origin not in known or dest not in known:
-                raise ValueError(f"edge ({origin!r}, {dest!r}) references unknown node")
-            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-                raise ValueError(f"edge ({origin!r}, {dest!r}) has non-positive weight {weight!r}")
+        n = len(self.nodes)
+        src, dst = (_read_only(np.asarray(end, dtype=np.intp)) for end in self.arcs)
+        weights = _read_only(np.asarray(self.arc_weights, dtype=np.int64))
+        object.__setattr__(self, "arcs", (src, dst))
+        object.__setattr__(self, "arc_weights", weights)
+        if not src.shape == dst.shape == weights.shape == (src.size,):
+            raise ValueError("arcs and arc_weights must be 1-d arrays of one length")
+        if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+            raise ValueError("an arc references an unknown node")
+        if (src == dst).any():
+            raise ValueError(f"self-loop on {self.nodes[src[src == dst][0]]!r}")
+        if (np.diff(src * n + dst) <= 0).any():
+            raise ValueError("arcs must be sorted by endpoint pair, without duplicates")
+        if (weights < 1).any():
+            raise ValueError("every arc weight must be >= 1")
 
     @classmethod
-    def build(
-        cls,
-        edges: dict[tuple[str, str], int],
-        nodes: tuple[str, ...] | list[str] | None = None,
-        label: str = "",
-    ) -> "MobilityGraph":
-        """Construct a graph, deriving the node set from edges if omitted."""
-        names: set[str] = set(nodes or ())
-        for origin, dest in edges:
-            names.add(origin)
-            names.add(dest)
-        return cls(tuple(sorted(names)), dict(edges), label)
+    def build(cls, edges: Mapping[tuple[str, str], int], nodes: Iterable[str] | None = None,
+              label: str = "") -> MobilityGraph:
+        """The graph of an ``(origin, destination) -> weight`` mapping over
+        ``nodes`` and every endpoint; each weight is a Python int >= 1."""
+        codes = tuple(sorted({*(nodes or ()), *(code for pair in edges for code in pair)}))
+        position = {code: i for i, code in enumerate(codes)}
+        pairs = sorted(edges)
+        weights = [edges[pair] for pair in pairs]
+        for pair, weight in zip(pairs, weights):
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+                raise ValueError(f"edge {pair!r} has non-positive weight {weight!r}")
+        arcs = np.array([[position[o] for o, _ in pairs], [position[d] for _, d in pairs]], np.intp)
+        return cls(codes, tuple(arcs), np.array(weights, dtype=np.int64), label)
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt by the constructor: the arrays come back read-only, the caches empty.
+        return type(self), (self.nodes, self.arcs, self.arc_weights, self.label, self.direction, self.k)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MobilityGraph):
+            return NotImplemented
+        same = (self.nodes, self.label, self.direction, self.k) == (
+            other.nodes, other.label, other.direction, other.k)
+        return same and all(map(np.array_equal, (*self.arcs, self.arc_weights),
+                                (*other.arcs, other.arc_weights)))
 
     @property
     def node_count(self) -> int:
@@ -95,25 +118,18 @@ class MobilityGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.arc_weights)
 
     @property
     def total_weight(self) -> int:
-        return sum(self.edges.values())
+        return sum(self.arc_weights.tolist())
 
     @cached_property
-    def position(self) -> dict[str, int]:
-        """Country code -> position in the sorted node tuple."""
-        return {code: i for i, code in enumerate(self.nodes)}
-
-    @cached_property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node positions (sources, destinations) of the arcs, sorted by endpoint pair."""
-        position = self.position
-        pairs = sorted(self.edges)
-        src = np.array([position[o] for o, _ in pairs], dtype=np.intp)
-        dst = np.array([position[d] for _, d in pairs], dtype=np.intp)
-        return _read_only(src), _read_only(dst)
+    def edges(self) -> Mapping[tuple[str, str], int]:
+        """``(origin, destination) -> weight``, read-only, in sorted pair order."""
+        codes, (src, dst) = self.nodes, self.arcs
+        return MappingProxyType({(codes[o], codes[d]): w for o, d, w
+                                 in zip(src.tolist(), dst.tolist(), self.arc_weights.tolist())})
 
     @cached_property
     def shortest_paths(self) -> tuple[np.ndarray, int, int, int, np.ndarray]:
@@ -137,7 +153,7 @@ class MobilityGraph:
         """Dense float64 weight matrix in node order, zero for absent edges."""
         n = len(self.nodes)
         mat = np.zeros((n, n), dtype=np.float64)
-        mat[self.arcs] = [float(self.edges[pair]) for pair in sorted(self.edges)]
+        mat[self.arcs] = self.arc_weights
         return _read_only(mat)
 
 
@@ -152,18 +168,15 @@ def _topk(graph: MobilityGraph, k: int, direction: str) -> MobilityGraph:
         raise ValueError(f"k must be >= 1, got {k}")
     tails, heads = graph.arcs
     node, partner = (tails, heads) if direction == "out" else (heads, tails)
-    # Each node's arcs, heaviest first (float64 weights, exact below 2**53),
-    # ties to the smaller partner position, which follows the sorted codes;
-    # then each arc's rank among its node's arcs.
-    order = np.lexsort((partner, -graph.weights[tails, heads], node))
+    # Each node's arcs, heaviest first, ties to the smaller partner position (the
+    # sorted codes' order); then each arc's rank among its node's arcs.
+    order = np.lexsort((partner, -graph.arc_weights, node))
     counts = np.bincount(node, minlength=len(graph.nodes))
     rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[node[order]]
     keep = np.zeros(len(order), dtype=bool)
     keep[order] = rank < k
-    codes, edges = graph.nodes, graph.edges
-    pairs = ((codes[o], codes[d]) for o, d in zip(tails[keep].tolist(), heads[keep].tolist()))
-    kept = {pair: edges[pair] for pair in pairs}
-    return MobilityGraph(graph.nodes, kept, graph.label, direction, k)
+    return MobilityGraph(graph.nodes, (tails[keep], heads[keep]), graph.arc_weights[keep],
+                         graph.label, direction, k)
 
 
 def topk_out(graph: MobilityGraph, k: int) -> MobilityGraph:
@@ -194,25 +207,17 @@ def topk_in(graph: MobilityGraph, k: int) -> MobilityGraph:
     return _topk(graph, k, "in")
 
 
-def sorted_edges(graph: MobilityGraph) -> list[tuple[str, str, int]]:
-    """Edges as (origin, destination, weight), sorted by endpoint pair."""
-    return sorted((o, d, w) for (o, d), w in graph.edges.items())
-
-
 def _to_csv(graph: MobilityGraph) -> str:
     lines = [("# nodes: " + " ".join(graph.nodes)).rstrip(), "origin,destination,count"]
-    for origin, dest, weight in sorted_edges(graph):
-        lines.append(f"{origin},{dest},{weight}")
+    lines += [f"{origin},{dest},{weight}" for (origin, dest), weight in graph.edges.items()]
     return "\n".join(lines) + "\n"
 
 
 def _to_dot(graph: MobilityGraph) -> str:
     name = (graph.label or "mobility").replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'digraph "{name}" {{']
-    for code in graph.nodes:
-        lines.append(f'  "{code}";')
-    for origin, dest, weight in sorted_edges(graph):
-        lines.append(f'  "{origin}" -> "{dest}" [weight={weight}];')
+    lines += [f'  "{code}";' for code in graph.nodes]
+    lines += [f'  "{o}" -> "{d}" [weight={w}];' for (o, d), w in graph.edges.items()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -227,13 +232,10 @@ def _to_graphml(graph: MobilityGraph) -> str:
         '  <key id="d0" for="edge" attr.name="weight" attr.type="long"/>',
         '  <graph edgedefault="directed">',
     ]
-    for code in graph.nodes:
-        lines.append(f'    <node id="{escape(code)}"/>')
-    for origin, dest, weight in sorted_edges(graph):
-        lines.append(
-            f'    <edge source="{escape(origin)}" target="{escape(dest)}">'
-            f'<data key="d0">{weight}</data></edge>'
-        )
+    lines += [f'    <node id="{escape(code)}"/>' for code in graph.nodes]
+    lines += [f'    <edge source="{escape(origin)}" target="{escape(dest)}">'
+              f'<data key="d0">{weight}</data></edge>'
+              for (origin, dest), weight in graph.edges.items()]
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
@@ -248,10 +250,7 @@ def export_graph(graph: MobilityGraph, fmt: str) -> bytes:
     lets a round-trip through :func:`tourflow.ingest.parse_flow_matrix`
     preserve isolated nodes.
     """
-    if fmt == "csv":
-        return _to_csv(graph).encode("utf-8")
-    if fmt == "dot":
-        return _to_dot(graph).encode("utf-8")
-    if fmt == "graphml":
-        return _to_graphml(graph).encode("utf-8")
-    raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    writers = {"csv": _to_csv, "dot": _to_dot, "graphml": _to_graphml}
+    if fmt not in writers:
+        raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    return writers[fmt](graph).encode("utf-8")

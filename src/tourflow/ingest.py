@@ -385,7 +385,7 @@ def build_mobility_graph(
             if country != home and country in kept:
                 pair = (home, country)
                 edges[pair] = edges.get(pair, 0) + 1
-    return MobilityGraph(tuple(sorted(kept)), edges, label)
+    return MobilityGraph.build(edges, kept, label)
 
 
 def _data_lines(lines: Iterator[str], on_comment: Callable[[str], object] | None) -> Iterator[str]:
@@ -440,7 +440,8 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
     by one row per directed edge.  Lines starting with ``#`` are
     comments, except that ``# nodes: AA BB ...`` lines contribute
     (possibly isolated) nodes; :func:`tourflow.graph.export_graph`
-    writes such a line so graphs round-trip exactly.
+    writes such a line so graphs round-trip exactly.  The counts may
+    total at most 2**53, which keeps every sum of them exact.
     """
     nodes: set[str] = set()
 
@@ -453,6 +454,7 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
 
     with read_table(source, "flow matrix", ("origin", "destination", "count"), add_nodes) as reader:
         edges: dict[tuple[str, str], int] = {}
+        total = 0
         for line, row in reader:
             if len(row) != 3:
                 raise ParseError(f"flow matrix line {line} has {len(row)} fields, expected 3")
@@ -467,10 +469,11 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
                 count = 0
             if count < 1:
                 raise ParseError(f"count must be a positive integer in flow matrix line {line}")
+            total += count
+            if total > 2**53:
+                raise ParseError(f"counts total more than 2**53 at flow matrix line {line}")
             pair = (origin, dest)
             if pair in edges:
                 raise ParseError(f"duplicate edge {origin}->{dest} in flow matrix line {line}")
             edges[pair] = count
-            nodes.add(origin)
-            nodes.add(dest)
-    return MobilityGraph(tuple(sorted(nodes)), edges, label)
+    return MobilityGraph.build(edges, nodes, label)

@@ -192,7 +192,7 @@ def structural_report(
         if subgraph.direction is None:
             raise ValueError("centralization_direction is required for plain graphs")
         centralization_direction = "in" if subgraph.direction == "out" else "out"
-    edge_count = len(subgraph.edges)
+    edge_count = subgraph.edge_count
     avg_geo, diameter, unreachable = geodesic_stats(subgraph)
     census = dyad_census(subgraph)
     return StructuralReport(

@@ -102,7 +102,7 @@ def regional_flows(graph: MobilityGraph, region_map: RegionMap) -> RegionalFlowM
     size = len(region_map.regions)
     values = np.zeros((size, size), dtype=np.int64)
     src, dst = graph.arcs
-    np.add.at(values, (region[src], region[dst]), graph.weights[src, dst].astype(np.int64))
+    np.add.at(values, (region[src], region[dst]), graph.arc_weights)
     return RegionalFlowMatrix(region_map.regions, values, "raw")
 
 

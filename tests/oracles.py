@@ -73,7 +73,7 @@ def circulant_graph() -> MobilityGraph:
         for j, dest in enumerate(codes):
             if i != j:
                 edges[(origin, dest)] = n - ((j - i) % n)
-    return MobilityGraph(codes, edges)
+    return MobilityGraph.build(edges, codes)
 
 
 def gravity_graph(rng: np.random.Generator, n: int) -> MobilityGraph:
@@ -90,8 +90,8 @@ def gravity_graph(rng: np.random.Generator, n: int) -> MobilityGraph:
                     * rng.lognormal(0.0, 0.3, (n, n)))
     np.fill_diagonal(flow, 0.0)
     rows, cols = np.nonzero(flow)
-    return MobilityGraph(codes, {(codes[i], codes[j]): int(flow[i, j])
-                                 for i, j in zip(rows.tolist(), cols.tolist())})
+    return MobilityGraph.build({(codes[i], codes[j]): int(flow[i, j])
+                                for i, j in zip(rows.tolist(), cols.tolist())}, codes)
 
 
 def random_digraph(rng: np.random.Generator, n: int, p: float, max_weight: int = 50) -> MobilityGraph:
@@ -105,7 +105,26 @@ def random_digraph(rng: np.random.Generator, n: int, p: float, max_weight: int =
         for j in range(n)
         if i != j and mask[i, j]
     }
-    return MobilityGraph(codes, edges)
+    return MobilityGraph.build(edges, codes)
+
+
+def dict_arrays(
+    edges: dict[tuple[str, str], int], nodes: tuple[str, ...] = ()
+) -> tuple[tuple[str, ...], list[int], list[int], list[int], np.ndarray]:
+    """The sorted node codes of a weighted arc dict, its arcs' source and
+    destination positions and weights in sorted pair order, and its dense
+    weight matrix, by a scan of every node pair."""
+    codes = tuple(sorted(set(nodes) | {code for pair in edges for code in pair}))
+    src, dst, weights = [], [], []
+    dense = np.zeros((len(codes), len(codes)))
+    for i, origin in enumerate(codes):
+        for j, dest in enumerate(codes):
+            if (origin, dest) in edges:
+                src.append(i)
+                dst.append(j)
+                weights.append(edges[(origin, dest)])
+                dense[i, j] = edges[(origin, dest)]
+    return codes, src, dst, weights, dense
 
 
 def node_index(graph: MobilityGraph) -> dict[str, int]:

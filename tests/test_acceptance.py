@@ -154,7 +154,7 @@ def test_criterion_4_null_model_correctness() -> None:
         assert sample_in == in_deg
 
     codes = codes_for(4)
-    cycle = MobilityGraph(codes, {(codes[i], codes[(i + 1) % 4]): 1 for i in range(4)})
+    cycle = MobilityGraph.build({(codes[i], codes[(i + 1) % 4]): 1 for i in range(4)}, codes)
     family = degree_family(4, [1, 1, 1, 1], [1, 1, 1, 1])
     assert len(family) == 9
     position = {code: i for i, code in enumerate(codes)}
@@ -173,7 +173,7 @@ def test_criterion_5_planted_feed_forward_motif() -> None:
     for t in range(8):
         a, b, c = codes[3 * t], codes[3 * t + 1], codes[3 * t + 2]
         edges.update({(a, b): 1, (b, c): 1, (a, c): 1})
-    g = MobilityGraph(codes, edges)
+    g = MobilityGraph.build(edges, codes)
     for seed in range(5):
         scores = motif_zscores(g, ensemble_size=200, seed=seed)
         defined = {name: z for name, z in scores.z.items() if z is not None}
@@ -257,8 +257,8 @@ def test_criterion_7_comparison_identities() -> None:
     other = random_digraph(np.random.default_rng(8), 20, 0.4)
     base = country_correlations(averaged, build_averaged(other))
     scaled_pair = country_correlations(
-        build_averaged(MobilityGraph(g.nodes, {p: w * 11 for p, w in g.edges.items()})),
-        build_averaged(MobilityGraph(other.nodes, {p: w * 11 for p, w in other.edges.items()})),
+        build_averaged(MobilityGraph.build({p: w * 11 for p, w in g.edges.items()}, g.nodes)),
+        build_averaged(MobilityGraph.build({p: w * 11 for p, w in other.edges.items()}, other.nodes)),
     )
     for code in base.countries:
         rho_a, rho_b = base.rho[code], scaled_pair.rho[code]

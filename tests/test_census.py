@@ -39,7 +39,7 @@ from tourflow.metrics import dyad_census, structural_report
 
 class TestTriadCensus:
     def test_empty_graph_is_all_003(self) -> None:
-        g = MobilityGraph(codes_for(5), {})
+        g = MobilityGraph.build({}, codes_for(5))
         counts = triad_census(g).counts
         assert counts["003"] == 10
         assert sum(counts.values()) == 10
@@ -47,12 +47,12 @@ class TestTriadCensus:
     def test_complete_mutual_triple_is_300(self) -> None:
         codes = codes_for(3)
         edges = {(a, b): 1 for a in codes for b in codes if a != b}
-        counts = triad_census(MobilityGraph(codes, edges)).counts
+        counts = triad_census(MobilityGraph.build(edges, codes)).counts
         assert counts["300"] == 1
         assert sum(counts.values()) == 1
 
     def test_single_arc_in_triple(self) -> None:
-        g = MobilityGraph(codes_for(3), {("AA", "AB"): 1})
+        g = MobilityGraph.build({("AA", "AB"): 1}, codes_for(3))
         assert triad_census(g).counts["012"] == 1
 
     def test_two_node_graph_rejected(self) -> None:
@@ -62,10 +62,10 @@ class TestTriadCensus:
 
     def test_transitive_and_cyclic_triples_distinguished(self) -> None:
         codes = codes_for(3)
-        cyclic = MobilityGraph(
-            codes, {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1})
-        transitive = MobilityGraph(
-            codes, {("AA", "AB"): 1, ("AB", "AC"): 1, ("AA", "AC"): 1})
+        cyclic = MobilityGraph.build(
+            {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1}, codes)
+        transitive = MobilityGraph.build(
+            {("AA", "AB"): 1, ("AB", "AC"): 1, ("AA", "AC"): 1}, codes)
         assert triad_census(cyclic).counts["030C"] == 1
         assert triad_census(transitive).counts["030T"] == 1
 
@@ -142,17 +142,17 @@ class TestCensusKernel:
     def test_every_labelled_three_node_digraph(self, mask: int) -> None:
         codes = codes_for(3)
         arcs = [(a, b) for a in codes for b in codes if a != b]
-        g = MobilityGraph(codes, {arc: 1 for bit, arc in enumerate(arcs) if mask >> bit & 1})
+        g = MobilityGraph.build({arc: 1 for bit, arc in enumerate(arcs) if mask >> bit & 1}, codes)
         assert kernel_census(g) == brute_force_triad_census(g)
 
     def test_complete_mutual_triple(self) -> None:
         codes = codes_for(3)
-        g = MobilityGraph(codes, {(a, b): 1 for a in codes for b in codes if a != b})
+        g = MobilityGraph.build({(a, b): 1 for a in codes for b in codes if a != b}, codes)
         assert kernel_census(g) == {name: int(name == "300") for name in TRIAD_NAMES}
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
     def test_empty_graph(self, n: int) -> None:
-        counts = kernel_census(MobilityGraph(codes_for(n), {}))
+        counts = kernel_census(MobilityGraph.build({}, codes_for(n)))
         assert counts == {name: 0 for name in TRIAD_NAMES} | {"003": n * (n - 1) * (n - 2) // 6}
 
     @given(seed=st.integers(0, 100_000), n=st.integers(3, 14), isolated=st.integers(0, 4),
@@ -170,7 +170,7 @@ class TestCensusKernel:
                   if a < b and rng.random() < p / 2}
         single = {(codes[a], codes[b]): 1 for a in linked for b in linked
                   if a != b and rng.random() < p / 2}
-        g = MobilityGraph(codes, {**mutual, **{(b, a): 1 for a, b in mutual}, **single})
+        g = MobilityGraph.build({**mutual, **{(b, a): 1 for a, b in mutual}, **single}, codes)
         assert kernel_census(g) == brute_force_triad_census(g)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -182,7 +182,7 @@ class TestCensusKernel:
 
     def test_arc_order_does_not_matter(self) -> None:
         g = random_digraph(np.random.default_rng(810), 11, 0.35)
-        shuffled = MobilityGraph(g.nodes, dict(reversed(list(g.edges.items()))))
+        shuffled = MobilityGraph.build(dict(reversed(list(g.edges.items()))), g.nodes)
         assert kernel_census(shuffled) == kernel_census(g) == triad_census(g).counts
 
 
@@ -222,7 +222,7 @@ class TestRewire:
 
     def test_preserves_node_set_and_label(self) -> None:
         g = random_digraph(np.random.default_rng(47), 8, 0.5)
-        labelled = MobilityGraph(g.nodes, g.edges, "sample")
+        labelled = MobilityGraph.build(g.edges, g.nodes, "sample")
         shuffled = rewire(labelled, seed=4)
         assert shuffled.nodes == g.nodes
         assert shuffled.label == "sample"
@@ -230,7 +230,7 @@ class TestRewire:
     def test_two_disjoint_arcs_toggle_between_matchings(self) -> None:
         # AA->AB, AC->AD has exactly one legal swap, giving AA->AD,
         # AC->AB; repeated swaps toggle between these two matchings.
-        g = MobilityGraph(codes_for(4), {("AA", "AB"): 1, ("AC", "AD"): 1})
+        g = MobilityGraph.build({("AA", "AB"): 1, ("AC", "AD"): 1}, codes_for(4))
         shuffled = rewire(g, seed=5, swaps_per_edge=50)
         assert set(shuffled.edges) in (
             {("AA", "AD"), ("AC", "AB")},
@@ -274,7 +274,7 @@ class TestRewire:
                 start = min(remaining, key=sorted)
                 members = swap_class(start)
                 remaining -= members
-                g = MobilityGraph(codes, {(codes[a], codes[b]): 1 for a, b in start})
+                g = MobilityGraph.build({(codes[a], codes[b]): 1 for a, b in start}, codes)
                 support = {
                     frozenset((position[o], position[d])
                               for o, d in rewire(g, derive_seed(7, i), swaps_per_edge=10).edges)
@@ -313,8 +313,8 @@ class TestMotifZScores:
     def test_rigid_graph_flags_everything_undefined(self) -> None:
         # A single 3-cycle admits no accepted swap, so the null ensemble
         # is constant and every spread is zero.
-        g = MobilityGraph(
-            codes_for(3), {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1})
+        g = MobilityGraph.build(
+            {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1}, codes_for(3))
         scores = motif_zscores(g, ensemble_size=5, seed=0)
         assert all(z is None for z in scores.z.values())
         csv_rows = scores.to_csv().splitlines()[1:]
@@ -360,7 +360,7 @@ def hub_heavy_digraph(seed: int, n: int = 18) -> MobilityGraph:
         for a in range(n) for b in range(n)
         if a != b and rng.random() < (0.9 if b < 3 else 0.1)
     }
-    return MobilityGraph(codes, edges)
+    return MobilityGraph.build(edges, codes)
 
 
 def ring_lattice_top2(n: int = 12) -> MobilityGraph:
@@ -368,7 +368,7 @@ def ring_lattice_top2(n: int = 12) -> MobilityGraph:
     codes = codes_for(n)
     edges = {(codes[i], codes[j]): n - (j - i) % n
              for i in range(n) for j in range(n) if i != j}
-    return topk_out(MobilityGraph(codes, edges), 2)
+    return topk_out(MobilityGraph.build(edges, codes), 2)
 
 
 SWAP_GRAPHS = {
@@ -376,16 +376,17 @@ SWAP_GRAPHS = {
     "ring-lattice-top2": ring_lattice_top2(),
     # No swap is ever accepted: every proposal closes a self-loop or
     # duplicates an arc.
-    "3-cycle": MobilityGraph(
-        codes_for(3), {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1}),
-    "2-edge": MobilityGraph(codes_for(4), {("AA", "AB"): 1, ("AC", "AD"): 1}),
+    "3-cycle": MobilityGraph.build(
+        {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1}, codes_for(3)),
+    "2-edge": MobilityGraph.build({("AA", "AB"): 1, ("AC", "AD"): 1}, codes_for(4)),
 }
 
 
 def sample_arcs(g: MobilityGraph, samples) -> list[dict[tuple[str, str], int]]:
     """The arcs of each null sample, given by the destinations of its slots."""
-    src, _ = g.arcs
-    return [census._binary_graph(g, src, dst.tolist()).edges for dst in samples]
+    codes, (src, _) = g.nodes, g.arcs
+    return [{(codes[a], codes[b]): 1 for a, b in zip(src.tolist(), dst.tolist())}
+            for dst in samples]
 
 
 def rewired_counts(g: MobilityGraph, seed: int, size: int, swaps: int) -> list[list[int]]:
@@ -500,8 +501,8 @@ class TestBatchedEnsemble:
         # but 100 chains split evenly into 7 blocks of 14 or 15.
         n = 385
         codes = codes_for(n)
-        g = MobilityGraph(codes, {(codes[i], codes[(i + step) % n]): 1
-                                  for i in range(n) for step in (1, 2, 3)})
+        g = MobilityGraph.build({(codes[i], codes[(i + step) % n]): 1
+                                 for i in range(n) for step in (1, 2, 3)}, codes)
         assert census._BLOCK_BYTES // census._chain_bytes(n, len(g.edges)) == BATCH_MIN_ENSEMBLE
         counts = census._null_counts(g, 100, 18, 1)
         assert chain_seeds == []
@@ -617,8 +618,8 @@ def golden_graph() -> MobilityGraph:
     Built by arithmetic alone, so no change to numpy's generators moves it.
     """
     codes = codes_for(20)
-    return MobilityGraph(codes, {(codes[a], codes[b]): 1 for a in range(20) for b in range(20)
-                                 if a != b and (b < 3 or (3 * a + 5 * b) % 11 == 0)})
+    return MobilityGraph.build({(codes[a], codes[b]): 1 for a in range(20) for b in range(20)
+                                if a != b and (b < 3 or (3 * a + 5 * b) % 11 == 0)}, codes)
 
 
 def sha256_of(arrays) -> str:

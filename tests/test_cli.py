@@ -279,6 +279,28 @@ class TestAnalyze:
         assert main(["analyze", *base]) == EXIT_OK
         assert len(calls) == 6  # Top-1, 2 and 3, Out and In
 
+    def test_analyze_never_builds_the_edges_view(
+        self, tmp_path: Path, monkeypatch, one_cpu
+    ) -> None:
+        # Ensembles of 16 run batched, with rewire's sample-0 cross-check.
+        base = bundle_args(tmp_path, "ab")
+        assert main(["build", *base]) == EXIT_OK
+
+        def forbidden(graph):
+            raise AssertionError("an analysis read MobilityGraph.edges")
+
+        calls = []
+        for name in ("rewire", "_rewire_chains"):
+            def counted(*args, name=name, kernel=getattr(census, name)):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(census, name, counted)
+        monkeypatch.setattr(MobilityGraph, "edges", property(forbidden))
+        assert main(["analyze", *base, "--set", "ensemble_size=16",
+                     "--set", "swaps_per_edge=1"]) == EXIT_OK
+        assert sorted(set(calls)) == ["_rewire_chains", "rewire"]
+
     def test_regional_reports_read_the_largest_k(self, tmp_path: Path) -> None:
         base = [*bundle_args(tmp_path, "ab"), "--set", "k_values=2,5"]
         out = tmp_path / "out"
@@ -550,6 +572,18 @@ class TestExitCodes:
         code = main(["build", "--set", f"dataset_a_flows={flows}"])
         assert code == EXIT_PARSE
         assert "input error" in capsys.readouterr().err
+
+    def test_flow_counts_over_2_53_write_nothing(self, tmp_path: Path, capsys) -> None:
+        base = bundle_args(tmp_path)
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        before = snapshot(out)
+        big = tmp_path / "big.csv"
+        write_flow_csv(big, {("AA", "AB"): 9 * 10**18, ("AA", "AC"): 9 * 10**18})
+        assert main(["build", *base, "--set", f"dataset_b_flows={big}"]) == EXIT_PARSE
+        assert ("input error: counts total more than 2**53 at flow matrix line 2"
+                in capsys.readouterr().err)
+        assert snapshot(out) == before
 
     @pytest.mark.parametrize("kind", ["flows", "checkins"])
     def test_non_utf8_input_is_parse_error(self, tmp_path: Path, kind: str, capsys) -> None:

@@ -38,14 +38,14 @@ class TestDistanceMatrix:
         assert dm.values[i["AA"], i["CC"]] == pytest.approx(0.75)
 
     def test_single_out_edge_gives_zero_distance(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {("AA", "BB"): 9})
+        g = MobilityGraph.build({("AA", "BB"): 9}, ("AA", "BB", "CC"))
         dm = distance_matrix(topk_out(g, 1))
         i = {c: k for k, c in enumerate(dm.countries)}
         assert dm.values[i["AA"], i["BB"]] == 0.0
         assert dm.values[i["AA"], i["CC"]] == 1.0
 
     def test_zero_rows_and_diagonal_are_one(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {("AA", "BB"): 9})
+        g = MobilityGraph.build({("AA", "BB"): 9}, ("AA", "BB", "CC"))
         dm = distance_matrix(topk_out(g, 1))
         i = {c: k for k, c in enumerate(dm.countries)}
         for absent in ("BB", "CC"):
@@ -75,7 +75,7 @@ class TestDistanceMatrix:
 
     def test_scaling_invariance(self) -> None:
         g = random_digraph(np.random.default_rng(5), 10, 0.5)
-        scaled = MobilityGraph(g.nodes, {p: w * 13 for p, w in g.edges.items()})
+        scaled = MobilityGraph.build({p: w * 13 for p, w in g.edges.items()}, g.nodes)
         a = distance_matrix(topk_out(g, 2)).values
         b = distance_matrix(topk_out(scaled, 2)).values
         assert np.allclose(a, b, atol=1e-12)
@@ -118,7 +118,7 @@ class TestAverageLinkage:
                         edges[(a, b)] = 100
         edges[(codes[0], codes[3])] = 1
         edges[(codes[3], codes[0])] = 1
-        g = MobilityGraph(codes, edges)
+        g = MobilityGraph.build(edges, codes)
         assignment = average_linkage(distance_matrix(topk_out(g, 3)), 2)
         groups: dict[int, set[str]] = {}
         for code, cid in assignment.cluster.items():
@@ -148,7 +148,7 @@ class TestAverageLinkage:
                 for b in block:
                     if a != b:
                         edges[(a, b)] = 50
-        g = MobilityGraph(codes, edges)
+        g = MobilityGraph.build(edges, codes)
         assignment = average_linkage(distance_matrix(topk_out(g, 2)), 2)
         assert assignment.sizes[0] >= assignment.sizes[-1]
         first_members = sorted(c for c, i in assignment.cluster.items() if i == 0)
@@ -233,7 +233,7 @@ class TestFilterSingletons:
             for b in codes[:4]:
                 if a != b:
                     edges[(a, b)] = 10
-        g = MobilityGraph(codes, edges)
+        g = MobilityGraph.build(edges, codes)
         assignment = average_linkage(distance_matrix(topk_out(g, 3)), 2)
         filtered = filter_singletons(assignment)
         singles = {i for i, s in zip(range(len(assignment.sizes)), assignment.sizes) if s == 1}
@@ -243,7 +243,7 @@ class TestFilterSingletons:
     def test_csv_flags_ignored_rows(self) -> None:
         codes = codes_for(5)
         edges = {(a, b): 10 for a in codes[:4] for b in codes[:4] if a != b}
-        g = MobilityGraph(codes, edges)
+        g = MobilityGraph.build(edges, codes)
         filtered = filter_singletons(average_linkage(distance_matrix(topk_out(g, 3)), 2))
         lines = filtered.to_csv().splitlines()
         assert lines[0] == "country,cluster_id,ignored"

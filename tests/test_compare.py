@@ -84,7 +84,7 @@ class TestFeatureMatrix:
     def test_single_component_one_hot_standardizes_to_zeros(self) -> None:
         codes = codes_for(4)
         edges = {(a, b): 1 for a in codes for b in codes if a != b}
-        g = MobilityGraph(codes, edges)
+        g = MobilityGraph.build(edges, codes)
         sg = topk_out(g, 3)
         fm = feature_matrix(sg, centrality_table(sg), scc(sg))
         one_hot = fm.values[:, 5:]
@@ -100,8 +100,8 @@ class TestFeatureMatrix:
         g = random_digraph(np.random.default_rng(5), 6, 0.5)
         sg = topk_out(g, 2)
         table = centrality_table(sg)
-        smaller = MobilityGraph(g.nodes[:-1], {
-            p: w for p, w in g.edges.items() if g.nodes[-1] not in p})
+        smaller = MobilityGraph.build({
+            p: w for p, w in g.edges.items() if g.nodes[-1] not in p}, g.nodes[:-1])
         with pytest.raises(ValueError, match="does not cover"):
             feature_matrix(sg, table, scc(topk_out(smaller, 2)))
 
@@ -118,7 +118,7 @@ class TestAveragedDistances:
 
     def test_requires_one_country_set(self) -> None:
         g = random_digraph(np.random.default_rng(6), 8, 0.5)
-        larger = MobilityGraph(g.nodes + ("ZZ",), g.edges)
+        larger = MobilityGraph.build(g.edges, g.nodes + ("ZZ",))
         matrices = feature_set(g)[:5] + feature_set(larger)[5:]
         with pytest.raises(ValueError, match="feature matrices cover different countries"):
             avg_distance_matrix(matrices)
@@ -221,7 +221,7 @@ class TestCountryCorrelations:
 
     def test_uniform_weight_scaling_keeps_rho(self) -> None:
         g = random_digraph(np.random.default_rng(17), 10, 0.4)
-        scaled = MobilityGraph(g.nodes, {p: w * 9 for p, w in g.edges.items()})
+        scaled = MobilityGraph.build({p: w * 9 for p, w in g.edges.items()}, g.nodes)
         base = country_correlations(averaged(g), averaged(g))
         cross = country_correlations(averaged(g), averaged(scaled))
         for code in base.countries:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import pickle
 
 import networkx as nx
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourflow import MobilityGraph, export_graph, parse_flow_matrix, topk_in, topk_out
+from tourflow import MobilityGraph, export_graph, parse_flow_matrix, rewire, topk_in, topk_out
 
-from oracles import random_digraph
+from oracles import codes_for, dict_arrays, random_digraph
 
 
 def graph_from_seed(seed: int, n: int = 12, p: float = 0.35) -> MobilityGraph:
@@ -29,21 +30,39 @@ class TestMobilityGraph:
     def test_rejects_self_loop(self) -> None:
         with pytest.raises(ValueError, match="self-loop"):
             MobilityGraph.build({("FR", "FR"): 5})
+        with pytest.raises(ValueError, match="self-loop on 'BB'"):
+            MobilityGraph(("AA", "BB"), ([0, 1], [1, 1]), [1, 1])
 
     def test_rejects_non_positive_weight(self) -> None:
+        for weight in (0, True, 2.0):
+            with pytest.raises(ValueError, match="weight"):
+                MobilityGraph.build({("FR", "ES"): weight})
         with pytest.raises(ValueError, match="weight"):
-            MobilityGraph.build({("FR", "ES"): 0})
+            MobilityGraph(("AA", "BB"), ([0, 1], [1, 0]), [3, 0])
 
     def test_rejects_unsorted_nodes(self) -> None:
         with pytest.raises(ValueError, match="sorted"):
-            MobilityGraph(("US", "BR"), {})
+            MobilityGraph(("US", "BR"), ([], []), [])
+
+    @pytest.mark.parametrize("arcs", [([1, 0], [2, 1]), ([0, 0], [1, 1])],
+                             ids=["unsorted", "duplicate"])
+    def test_rejects_unsorted_or_duplicate_arcs(self, arcs) -> None:
+        with pytest.raises(ValueError, match="sorted"):
+            MobilityGraph(("AA", "BB", "CC"), arcs, [1, 1])
 
     def test_rejects_edge_outside_node_set(self) -> None:
-        with pytest.raises(ValueError, match="unknown node"):
-            MobilityGraph(("BR", "US"), {("BR", "MX"): 1})
+        for arcs in (([-1], [1]), ([0], [2]), ([2], [0])):
+            with pytest.raises(ValueError, match="unknown node"):
+                MobilityGraph(("BR", "US"), arcs, [1])
+
+    @pytest.mark.parametrize("arcs, weights", [(([0], [1, 2]), [1]), (([0, 0], [1, 2]), [1]),
+                                               (([[0]], [[1]]), [[1]])])
+    def test_rejects_arrays_of_other_shapes(self, arcs, weights) -> None:
+        with pytest.raises(ValueError, match="one length"):
+            MobilityGraph(("AA", "BB", "CC"), arcs, weights)
 
     def test_isolated_nodes_allowed(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {("AA", "BB"): 4})
+        g = MobilityGraph.build({("AA", "BB"): 4}, ("AA", "BB", "CC"))
         assert g.node_count == 3
 
 
@@ -149,18 +168,18 @@ class TestTopK:
     @settings(max_examples=40, deadline=None)
     def test_scaling_invariance(self, seed: int, factor: int) -> None:
         g = graph_from_seed(seed)
-        scaled = MobilityGraph(g.nodes, {pair: w * factor for pair, w in g.edges.items()})
+        scaled = MobilityGraph.build({pair: w * factor for pair, w in g.edges.items()}, g.nodes)
         assert set(topk_out(g, 2).edges) == set(topk_out(scaled, 2).edges)
         assert set(topk_in(g, 2).edges) == set(topk_in(scaled, 2).edges)
 
     def test_subgraph_validation(self) -> None:
         with pytest.raises(ValueError, match="direction"):
-            MobilityGraph(("AA", "BB"), {}, direction="sideways", k=1)
+            MobilityGraph(("AA", "BB"), ([], []), [], direction="sideways", k=1)
 
     @pytest.mark.parametrize("extra", [{"direction": "in"}, {"k": 2}])
     def test_direction_and_k_go_together(self, extra: dict) -> None:
         with pytest.raises(ValueError, match="both"):
-            MobilityGraph(("AA", "BB"), {}, **extra)
+            MobilityGraph(("AA", "BB"), ([], []), [], **extra)
 
 
 class TestIndex:
@@ -169,7 +188,6 @@ class TestIndex:
     def test_index_matches_edges(self, seed: int) -> None:
         g = topk_in(random_digraph(np.random.default_rng(seed), 9, 0.4), 2)
         codes = g.nodes
-        assert g.position == {code: i for i, code in enumerate(codes)}
         src, dst = g.arcs
         assert [(codes[a], codes[b]) for a, b in zip(src, dst)] == sorted(g.edges)
         expected = np.zeros((len(codes), len(codes)))
@@ -177,12 +195,39 @@ class TestIndex:
             expected[codes.index(o), codes.index(d)] = w
         assert np.array_equal(g.weights, expected)
 
+    @given(edges=st.dictionaries(
+               st.tuples(st.sampled_from(codes_for(7)), st.sampled_from(codes_for(7)))
+               .filter(lambda pair: pair[0] != pair[1]),
+               st.integers(1, 2**40), max_size=42),
+           isolated=st.lists(st.sampled_from(codes_for(9)), max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_build_matches_dict_oracle(self, edges: dict, isolated: list) -> None:
+        g = MobilityGraph.build(edges, isolated)
+        codes, src, dst, weights, dense = dict_arrays(edges, tuple(isolated))
+        assert g.nodes == codes
+        assert (g.arcs[0].tolist(), g.arcs[1].tolist(), g.arc_weights.tolist()) == (src, dst, weights)
+        assert (g.arcs[0].dtype, g.arc_weights.dtype) == (np.intp, np.int64)
+        assert np.array_equal(g.weights, dense)
+        assert g.edges == edges
+        assert list(g.edges) == [(codes[a], codes[b]) for a, b in zip(src, dst)]
+        assert g.total_weight == sum(weights)
+        derived = [topk_out(g, 2), topk_in(g, 1)]
+        if g.edge_count >= 2:
+            derived.append(rewire(g, seed=3, swaps_per_edge=2))
+        for sg in derived:
+            pairs = (sg.arcs[0] * len(codes) + sg.arcs[1]).tolist()
+            assert pairs == sorted(set(pairs))
+
     def test_index_is_built_once_and_read_only(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 3, ("BB", "CC"): 2})
-        assert g.weights is g.weights and g.arcs is g.arcs
-        for array in (*g.arcs, g.weights):
+        assert g.weights is g.weights and g.edges is g.edges
+        for array in (*g.arcs, g.arc_weights, g.weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+        with pytest.raises(TypeError):
+            g.edges[("AA", "BB")] = 4
+        back = pickle.loads(pickle.dumps(g))  # after the edges view is cached
+        assert back == g and not any(array.flags.writeable for array in (*back.arcs, back.arc_weights))
 
 
 class TestExport:
@@ -193,21 +238,21 @@ class TestExport:
         assert dot.startswith("digraph")
 
     def test_empty_graph_all_formats(self) -> None:
-        g = MobilityGraph((), {})
+        g = MobilityGraph.build({}, ())
         assert export_graph(g, "csv").decode().splitlines()[-1] == "origin,destination,count"
         assert export_graph(g, "dot").decode().startswith("digraph")
         assert "<graphml" in export_graph(g, "graphml").decode()
 
     def test_unknown_format_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown export format"):
-            export_graph(MobilityGraph((), {}), "yaml")
+            export_graph(MobilityGraph.build({}, ()), "yaml")
 
     def test_dot_name_is_a_dot_string(self) -> None:
-        g = MobilityGraph(("AA",), {}, label=r'a\"b&c')
+        g = MobilityGraph.build({}, ("AA",), label=r'a\"b&c')
         assert export_graph(g, "dot").decode().splitlines()[0] == r'digraph "a\\\"b&c" {'
 
     def test_csv_round_trip_preserves_isolated_nodes(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {("AA", "BB"): 7}, label="demo")
+        g = MobilityGraph.build({("AA", "BB"): 7}, ("AA", "BB", "CC"), label="demo")
         text = export_graph(g, "csv").decode()
         back = parse_flow_matrix(io.StringIO(text), label="demo")
         assert back == g

@@ -621,6 +621,14 @@ class TestParseFlowMatrix:
         with pytest.raises(ParseError, match="header"):
             parse_flow_matrix(io.StringIO("from,to,n\nFR,ES,1\n"))
 
+    def test_counts_total_at_most_2_53(self) -> None:
+        text = f"origin,destination,count\n# flows\nAA,AB,{2**52}\nAB,AA,{2**52}\n"
+        assert parse_flow_matrix(io.StringIO(text)).total_weight == 2**53
+        with pytest.raises(ParseError, match=r"more than 2\*\*53 at flow matrix line 5$"):
+            parse_flow_matrix(io.StringIO(text + "AB,AC,1\nAC,AB,1\n"))
+        with pytest.raises(ParseError, match="line 2$"):
+            parse_flow_matrix(io.StringIO(f"origin,destination,count\nAA,AB,{10**20}\n"))
+
     def test_nodes_comment_adds_isolated_nodes(self) -> None:
         text = "# nodes: AA BB CC\norigin,destination,count\nAA,BB,2\n"
         g = parse_flow_matrix(io.StringIO(text))

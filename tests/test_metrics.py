@@ -63,12 +63,12 @@ def brute_transitivity(g: MobilityGraph) -> float:
 
 class TestDyadCensus:
     def test_isolated_nodes(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {})
+        g = MobilityGraph.build({}, ("AA", "BB", "CC"))
         census = dyad_census(g)
         assert (census.mutual, census.asymmetric, census.null) == (0, 0, 3)
 
     def test_mutual_pair_plus_isolated(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {("AA", "BB"): 1, ("BB", "AA"): 2})
+        g = MobilityGraph.build({("AA", "BB"): 1, ("BB", "AA"): 2}, ("AA", "BB", "CC"))
         census = dyad_census(g)
         assert (census.mutual, census.asymmetric, census.null) == (1, 0, 2)
 
@@ -103,7 +103,7 @@ class TestPagerank:
         assert ranks["BB"] == pytest.approx(0.5, abs=1e-9)
 
     def test_isolated_nodes_uniform(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {})
+        g = MobilityGraph.build({}, ("AA", "BB", "CC"))
         ranks = pagerank(g)
         assert all(v == pytest.approx(1 / 3, abs=1e-9) for v in ranks.values())
 
@@ -113,7 +113,7 @@ class TestPagerank:
 
     def test_scaling_invariance(self) -> None:
         g = random_digraph(np.random.default_rng(3), 15, 0.3)
-        scaled = MobilityGraph(g.nodes, {p: w * 7 for p, w in g.edges.items()})
+        scaled = MobilityGraph.build({p: w * 7 for p, w in g.edges.items()}, g.nodes)
         base = pagerank(g)
         for code, value in pagerank(scaled).items():
             assert value == pytest.approx(base[code], abs=1e-9)
@@ -157,7 +157,7 @@ class TestBetweenness:
     def test_complete_mutual_graph_all_zero(self) -> None:
         codes = codes_for(4)
         edges = {(a, b): 1 for a in codes for b in codes if a != b}
-        assert set(betweenness(MobilityGraph(codes, edges)).values()) == {0.0}
+        assert set(betweenness(MobilityGraph.build(edges, codes)).values()) == {0.0}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_path_enumeration(self, seed: int) -> None:
@@ -174,7 +174,7 @@ def digraphs(draw, max_nodes: int = 40) -> MobilityGraph:
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     arcs = draw(st.sets(pairs, max_size=min(n * (n - 1), 4 * n)))
     codes = codes_for(n)
-    return MobilityGraph(codes, {(codes[i], codes[j]): 1 for i, j in arcs})
+    return MobilityGraph.build({(codes[i], codes[j]): 1 for i, j in arcs}, codes)
 
 
 def layered_graph(rng: np.random.Generator, width: int, depth: int) -> MobilityGraph:
@@ -191,7 +191,7 @@ def layered_graph(rng: np.random.Generator, width: int, depth: int) -> MobilityG
             edges.update({(codes[u], codes[int(v)]): 1 for v in chosen})
         for v in there:  # every node of the next layer is reached
             edges.setdefault((codes[int(rng.choice(here))], codes[v]), 1)
-    return MobilityGraph(codes, edges)
+    return MobilityGraph.build(edges, codes)
 
 
 def path_counts(graph: MobilityGraph, source: int, reverse: bool) -> tuple[list[int], list[float]]:
@@ -223,8 +223,8 @@ class TestShortestPathPass:
     """One numpy pass per graph equals the serial Brandes and BFS loops exactly (``==``)."""
 
     @given(graph=digraphs())
-    @example(graph=MobilityGraph(("AA",), {}))
-    @example(graph=MobilityGraph(codes_for(5), {}))
+    @example(graph=MobilityGraph.build({}, ("AA",)))
+    @example(graph=MobilityGraph.build({}, codes_for(5)))
     @settings(max_examples=300, deadline=None)
     def test_equals_serial_loops(self, graph: MobilityGraph) -> None:
         assert_serial_values(graph)
@@ -270,7 +270,7 @@ class TestShortestPathPass:
     def test_blocks_at_the_module_budget(self) -> None:
         # The complete digraph on 60 nodes runs in blocks of 18, 18, 18 and 6 sources.
         codes = codes_for(60)
-        graph = MobilityGraph(codes, {(a, b): 1 for a in codes for b in codes if a != b})
+        graph = MobilityGraph.build({(a, b): 1 for a in codes for b in codes if a != b}, codes)
         assert metrics._BLOCK_VISITS // len(graph.edges) == 18
         assert_serial_values(graph)
 
@@ -282,7 +282,7 @@ class TestShortestPathPass:
         for i, code in enumerate(codes):
             for j in rng.choice(675, size=out_degree, replace=False):
                 edges[(code, codes[(i + 1 + int(j)) % 676])] = 1
-        graph = MobilityGraph(codes, edges)
+        graph = MobilityGraph.build(edges, codes)
         graph.arcs  # built before tracing: the pass's own memory is measured
         tracemalloc.start()
         try:
@@ -308,14 +308,14 @@ class TestDegreeCentralization:
     def test_regular_graph_is_zero(self) -> None:
         codes = codes_for(5)
         edges = {(codes[i], codes[(i + 1) % 5]): 1 for i in range(5)}
-        g = MobilityGraph(codes, edges)
+        g = MobilityGraph.build(edges, codes)
         assert degree_centralization(g, "in") == 0.0
         assert degree_centralization(g, "out") == 0.0
 
     def test_out_star_is_one(self) -> None:
         codes = codes_for(6)
         edges = {(codes[0], c): 1 for c in codes[1:]}
-        assert degree_centralization(MobilityGraph(codes, edges), "out") == pytest.approx(1.0)
+        assert degree_centralization(MobilityGraph.build(edges, codes), "out") == pytest.approx(1.0)
 
     def test_small_graph_rejected(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 1})
@@ -353,7 +353,7 @@ class TestScc:
     def test_ids_ordered_by_size_then_code(self) -> None:
         edges = {("AA", "BB"): 1, ("BB", "AA"): 1,
                  ("CC", "DD"): 1, ("DD", "CC"): 1}
-        g = MobilityGraph(("AA", "BB", "CC", "DD", "EE"), edges)
+        g = MobilityGraph.build(edges, ("AA", "BB", "CC", "DD", "EE"))
         result = scc(g)
         assert result.component["AA"] == result.component["BB"] == 0
         assert result.component["CC"] == result.component["DD"] == 1
@@ -365,8 +365,8 @@ class TestScc:
         assert_kosaraju_partition(random_digraph(np.random.default_rng(300 + seed), 50, 0.06))
 
     @given(graph=digraphs())
-    @example(graph=MobilityGraph((), {}))
-    @example(graph=MobilityGraph(("AA",), {}))
+    @example(graph=MobilityGraph.build({}, ()))
+    @example(graph=MobilityGraph.build({}, ("AA",)))
     @settings(max_examples=300, deadline=None)
     def test_partition_matches_kosaraju_on_any_digraph(self, graph: MobilityGraph) -> None:
         assert_kosaraju_partition(graph)
@@ -374,7 +374,7 @@ class TestScc:
 
 class TestStructuralReport:
     def test_too_few_nodes_rejected(self) -> None:
-        for small in (MobilityGraph(("AA",), {}),
+        for small in (MobilityGraph.build({}, ("AA",)),
                       MobilityGraph.build({("AA", "AB"): 1, ("AB", "AA"): 2})):
             with pytest.raises(ValueError, match="structural report needs >= 3 nodes"):
                 structural_report(small, centralization_direction="in")
@@ -426,7 +426,7 @@ class TestStructuralReport:
         assert report.reciprocity == pytest.approx(reciprocated / len(g.edges), abs=1e-12)
 
     def test_geodesics_ignore_unreachable_pairs(self) -> None:
-        g = MobilityGraph(("AA", "BB", "CC"), {("AA", "BB"): 1})
+        g = MobilityGraph.build({("AA", "BB"): 1}, ("AA", "BB", "CC"))
         avg, diameter, unreachable = geodesic_stats(g)
         assert (avg, diameter, unreachable) == (1.0, 1, 5)
 

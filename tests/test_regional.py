@@ -110,7 +110,7 @@ class TestRegionalFlows:
         for _ in range(4000):
             a, b = rng.choice(len(codes), size=2, replace=False)
             edges[(codes[a], codes[b])] = int(rng.integers(1, 40))
-        g = MobilityGraph(codes, edges)
+        g = MobilityGraph.build(edges, codes)
         matrix = regional_flows(g, region_map)
         expected: dict[tuple[str, str], int] = {}
         for (origin, dest), w in edges.items():
@@ -134,7 +134,7 @@ class TestRegionalFlows:
         rng = np.random.default_rng(11)
         edges = {(codes[a], codes[b]): int(rng.integers(1, 10**12))
                  for a, b in rng.integers(0, len(codes), (2000, 2)) if a != b}
-        matrix = regional_flows(MobilityGraph(codes, edges), region_map)
+        matrix = regional_flows(MobilityGraph.build(edges, codes), region_map)
         assert matrix.values.dtype.kind == "i"
         expected = ["region," + ",".join(matrix.regions)] + [
             region + "," + ",".join(f"{v:d}" for v in row)
