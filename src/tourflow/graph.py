@@ -17,7 +17,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -26,6 +25,15 @@ _COUNTRY_CODES = frozenset(
     a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 EXPORT_FORMATS = ("csv", "dot", "graphml")
+
+
+def _xml_escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped, as XML character data.
+
+    Written out, as ``xml.sax.saxutils.escape`` would load ``urllib``,
+    ``http`` and ``ssl`` into every process.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -89,7 +97,8 @@ class MobilityGraph:
     def build(cls, edges: Mapping[tuple[str, str], int], nodes: Iterable[str] | None = None,
               label: str = "") -> MobilityGraph:
         """The graph of an ``(origin, destination) -> weight`` mapping over
-        ``nodes`` and every endpoint; each weight is a Python int >= 1."""
+        ``nodes`` and every endpoint; each weight is a Python int >= 1, and
+        they total at most 2**53, which keeps every sum of them exact."""
         codes = tuple(sorted({*(nodes or ()), *(code for pair in edges for code in pair)}))
         position = {code: i for i, code in enumerate(codes)}
         pairs = sorted(edges)
@@ -97,6 +106,8 @@ class MobilityGraph:
         for pair, weight in zip(pairs, weights):
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise ValueError(f"edge {pair!r} has non-positive weight {weight!r}")
+        if sum(weights) > 2**53:
+            raise ValueError("edge weights total more than 2**53")
         arcs = np.array([[position[o] for o, _ in pairs], [position[d] for _, d in pairs]], np.intp)
         return cls(codes, tuple(arcs), np.array(weights, dtype=np.int64), label)
 
@@ -232,8 +243,8 @@ def _to_graphml(graph: MobilityGraph) -> str:
         '  <key id="d0" for="edge" attr.name="weight" attr.type="long"/>',
         '  <graph edgedefault="directed">',
     ]
-    lines += [f'    <node id="{escape(code)}"/>' for code in graph.nodes]
-    lines += [f'    <edge source="{escape(origin)}" target="{escape(dest)}">'
+    lines += [f'    <node id="{_xml_escape(code)}"/>' for code in graph.nodes]
+    lines += [f'    <edge source="{_xml_escape(origin)}" target="{_xml_escape(dest)}">'
               f'<data key="d0">{weight}</data></edge>'
               for (origin, dest), weight in graph.edges.items()]
     lines.append("  </graph>")

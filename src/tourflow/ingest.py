@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import ParseError
 from .graph import _COUNTRY_CODES, MobilityGraph, is_country_code
@@ -178,27 +178,26 @@ def _csv_width(reader) -> int:
     return len(header)
 
 
-def _csv_rows(lines: Iterator[str], width: int = 0) -> Iterator[tuple[int, list[str] | None]]:
-    """Each row's line number and fields, None for a malformed row.
+class _NdjsonRows:
+    """The rows of an ndjson check-in log, read as ``csv.reader`` reads a CSV.
 
-    Without a ``width`` the first row is the header, which sets it.
+    An object gives its user, country and timestamp, as strings; a
+    malformed line gives a row of one empty field, and a blank line an
+    empty row.  ``line_num`` counts the lines read so far.
     """
-    reader = csv.reader(lines)
-    width = width or _csv_width(reader)
-    while True:
-        try:
-            for row in reader:
-                if row:
-                    yield reader.line_num, row if len(row) == width else None
-            return
-        except csv.Error:  # e.g. an oversized field; the reader resumes at the next line
-            yield reader.line_num, None
 
+    def __init__(self, lines: Iterator[str]) -> None:
+        self._lines = lines
+        self.line_num = 0
 
-def _ndjson_rows(lines: Iterator[str]) -> Iterator[tuple[int, tuple[str, str, str] | None]]:
-    for lineno, line in enumerate(lines, start=1):
+    def __iter__(self) -> _NdjsonRows:
+        return self
+
+    def __next__(self) -> list[str]:
+        line = next(self._lines)
+        self.line_num += 1
         if not line.strip():
-            continue
+            return []
         try:
             obj = json.loads(line)
             if not isinstance(obj, dict):
@@ -206,32 +205,69 @@ def _ndjson_rows(lines: Iterator[str]) -> Iterator[tuple[int, tuple[str, str, st
             venue = obj.get("venue_id")
             if venue is not None and not isinstance(venue, str):
                 raise ValueError("venue_id must be a string")
-            fields = (str(obj["user_id"]), str(obj["country"]), str(obj["timestamp"]))
+            return [str(obj["user_id"]), str(obj["country"]), str(obj["timestamp"])]
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-            fields = None
-        yield lineno, fields
+            return [""]
 
 
-def _fold(
-    rows: Iterable[tuple[int, Sequence[str] | None]], strict: bool
-) -> tuple[dict[str, dict[str, int]], int]:
-    """Validate each row and fold it into its user's country counts; count the skipped rows."""
+def _rows(lines: Iterator[str], fmt: str, width: int = 0) -> tuple[Iterator[list[str]], int]:
+    """A reader of a log's rows, and the number of fields a row must have.
+
+    A CSV's first row is its header, which sets the width, unless a
+    ``width`` is given.
+    """
+    if fmt == "ndjson":
+        return _NdjsonRows(lines), len(CHECKIN_FIELDS)
+    reader = csv.reader(lines)
+    return reader, width or _csv_width(reader)
+
+
+def _fold(reader, width: int, strict: bool) -> tuple[dict[str, dict[str, int]], int]:
+    """Validate each row of ``reader`` and fold it into its user's country counts.
+
+    A row is kept if it has ``width`` fields, a user id that is not
+    blank, a country code and a timestamp, each field stripped of
+    surrounding space.  An all-decimal stamp of at most
+    ``_INT_DIGITS_ALWAYS_READ`` digits is accepted at once; any other
+    goes to :func:`_valid_timestamp`, the one timestamp rule.  Empty
+    rows (blank lines) are passed over.  A row csv cannot read (an
+    oversized field) is malformed, and the reader resumes at the next
+    line.  In strict mode the first malformed row raises
+    :class:`ParseError` naming ``reader.line_num``, the row's last line;
+    otherwise malformed rows are counted.
+
+    Returns the per-user counts, users and each user's countries in the
+    order of their first row, and the number of rows skipped.
+    """
     per_user: dict[str, dict[str, int]] = {}
+    user_counts = per_user.get
+    codes, valid, digits = _COUNTRY_CODES, _valid_timestamp, _INT_DIGITS_ALWAYS_READ
     skipped = 0
-    for lineno, fields in rows:
-        if fields is not None:
-            user = fields[0].strip()
-            code = fields[1].strip()
-            if user and code in _COUNTRY_CODES and _valid_timestamp(fields[2]):
-                counts = per_user.get(user)
-                if counts is None:
-                    counts = per_user[user] = {}
-                counts[code] = counts.get(code, 0) + 1
-                continue
-        if strict:
-            raise ParseError(f"malformed check-in row at line {lineno}")
-        skipped += 1
-    return per_user, skipped
+    while True:
+        try:
+            for row in reader:
+                if len(row) == width:
+                    user = row[0].strip()
+                    code = row[1].strip()
+                    stamp = row[2].strip()
+                    if user and code in codes and (
+                            stamp.isdecimal() and len(stamp) <= digits or valid(stamp)):
+                        counts = user_counts(user)
+                        if counts is None:
+                            per_user[user] = {code: 1}
+                        else:
+                            counts[code] = counts.get(code, 0) + 1
+                        continue
+                elif not row:
+                    continue
+                if strict:
+                    raise ParseError(f"malformed check-in row at line {reader.line_num}")
+                skipped += 1
+            return per_user, skipped
+        except csv.Error:
+            if strict:
+                raise ParseError(f"malformed check-in row at line {reader.line_num}") from None
+            skipped += 1
 
 
 def _cuts(path: str | Path, fmt: str) -> list[int]:
@@ -278,8 +314,7 @@ def _parse_pieces(
 
     def piece(i: int) -> tuple[dict[str, dict[str, int]], int]:
         with _open_lines(path, (cuts[i], cuts[i + 1])) as lines:
-            rows = _csv_rows(lines, width if i else 0) if fmt == "csv" else _ndjson_rows(lines)
-            return _fold(rows, strict)
+            return _fold(*_rows(lines, fmt, width if i else 0), strict)
 
     (per_user, skipped), *rest = run_lanes(piece, [1] * (len(cuts) - 1), "check-in parse")
     # Users, and each user's countries, keep the order of their first appearance.
@@ -334,7 +369,7 @@ def parse_checkins(
             except ParseError:
                 pass  # parsed again in one piece, which raises the serial error
     with _open_lines(source) as lines:
-        return CheckinTable(*_fold((_csv_rows if fmt == "csv" else _ndjson_rows)(lines), strict))
+        return CheckinTable(*_fold(*_rows(lines, fmt), strict))
 
 
 def infer_homes(table: CheckinTable) -> HomeAssignment:
@@ -348,7 +383,11 @@ def infer_homes(table: CheckinTable) -> HomeAssignment:
         raise ValueError("cannot infer home countries from an empty check-in table")
     homes: HomeAssignment = {}
     for user, counts in table.user_country_counts.items():
-        homes[user] = min(counts, key=lambda code: (-counts[code], code))
+        home, most = None, 0
+        for code, n in counts.items():
+            if n > most or n == most and code < home:
+                home, most = code, n
+        homes[user] = home
     return homes
 
 
@@ -374,17 +413,21 @@ def build_mobility_graph(
     is exactly ``allowed`` (isolated countries included).
     """
     kept = frozenset(allowed)
-    edges: dict[tuple[str, str], int] = {}
+    # home -> country -> users, the home itself and countries outside kept included
+    visitors: dict[str, dict[str, int]] = {}
     for user, counts in table.user_country_counts.items():
-        if user not in homes:
-            raise ValueError(f"no home assignment for user {user!r}")
-        home = homes[user]
-        if home not in kept:
-            continue
-        for country in counts:
-            if country != home and country in kept:
-                pair = (home, country)
-                edges[pair] = edges.get(pair, 0) + 1
+        try:
+            home = homes[user]
+        except KeyError:
+            raise ValueError(f"no home assignment for user {user!r}") from None
+        if home in kept:
+            tally = visitors.get(home)
+            if tally is None:
+                tally = visitors[home] = {}
+            for country in counts:
+                tally[country] = tally.get(country, 0) + 1
+    edges = {(home, country): n for home, tally in visitors.items()
+             for country, n in tally.items() if country != home and country in kept}
     return MobilityGraph.build(edges, kept, label)
 
 

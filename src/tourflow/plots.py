@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import re
 from typing import Sequence
-from xml.sax.saxutils import escape
+
+from .graph import _xml_escape as escape
 
 _BLUE = (33, 102, 172)
 _WHITE = (247, 247, 247)

@@ -47,6 +47,28 @@ def regex_parse_timestamp(text: str) -> int:
     return int(stamp.timestamp())
 
 
+def min_key_homes(user_country_counts: dict[str, dict[str, int]]) -> dict[str, str]:
+    """Each user's home as ``min`` picks it with a (-count, code) key per country."""
+    return {user: min(counts, key=lambda code: (-counts[code], code))
+            for user, counts in user_country_counts.items()}
+
+
+def pair_tally_edges(
+    user_country_counts: dict[str, dict[str, int]], homes: dict[str, str], kept: frozenset[str]
+) -> dict[tuple[str, str], int]:
+    """Travellers per (home, visited) pair, tallied one user and country at a time."""
+    edges: dict[tuple[str, str], int] = {}
+    for user, counts in user_country_counts.items():
+        home = homes[user]
+        if home not in kept:
+            continue
+        for country in counts:
+            if country != home and country in kept:
+                pair = (home, country)
+                edges[pair] = edges.get(pair, 0) + 1
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # graph generation
 

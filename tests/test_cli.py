@@ -9,6 +9,8 @@ import multiprocessing
 import os
 import resource
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from functools import cached_property
@@ -372,6 +374,16 @@ class TestAnalyze:
 
 
 class TestPlot:
+    def test_import_leaves_the_network_stack_out(self) -> None:
+        # xml.sax.saxutils, once the escaper of plot and GraphML text, loads them.
+        code = ("import sys, tourflow.cli; "
+                "print(sorted({'ssl', 'urllib.request', 'http.client'} & set(sys.modules)))")
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "[]\n"
+
     def test_heatmap_cell_count(self, tmp_path: Path) -> None:
         out = run_build_analyze(tmp_path, sample_edges())
         target = tmp_path / "dist.svg"

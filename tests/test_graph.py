@@ -40,6 +40,16 @@ class TestMobilityGraph:
         with pytest.raises(ValueError, match="weight"):
             MobilityGraph(("AA", "BB"), ([0, 1], [1, 0]), [3, 0])
 
+    def test_build_bounds_the_weight_total(self) -> None:
+        g = MobilityGraph.build({("AA", "BB"): 2**52, ("BB", "AA"): 2**52})
+        assert g.total_weight == 2**53
+        # Over 2**53 in total, or over int64 in one weight, before any array is made.
+        for edges in ({("AA", "BB"): 2**52, ("BB", "AA"): 2**52 + 1},
+                      {("AA", "BB"): 2**62, ("BB", "AA"): 2**62},
+                      {("AA", "BB"): 2**63}):
+            with pytest.raises(ValueError, match=r"total more than 2\*\*53"):
+                MobilityGraph.build(edges)
+
     def test_rejects_unsorted_nodes(self) -> None:
         with pytest.raises(ValueError, match="sorted"):
             MobilityGraph(("US", "BR"), ([], []), [])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from tourflow import (
     CheckinTable,
+    MobilityGraph,
     ParseError,
     RegionMap,
     build_mobility_graph,
@@ -30,9 +31,16 @@ from tourflow import (
 from tourflow import ingest
 from tourflow.cli import EXIT_OK, EXIT_PARSE, main
 from tourflow.graph import is_country_code
-from tourflow.ingest import _is_int_literal, _valid_timestamp
+from tourflow.ingest import CHECKIN_FIELDS, _is_int_literal, _valid_timestamp
 
-from oracles import COUNTRY_CODE_RE, INT_LITERAL_RE, codes_for, regex_parse_timestamp
+from oracles import (
+    COUNTRY_CODE_RE,
+    INT_LITERAL_RE,
+    codes_for,
+    min_key_homes,
+    pair_tally_edges,
+    regex_parse_timestamp,
+)
 
 
 def csv_stream(rows: list[str], header: str = "user_id,country,timestamp") -> io.StringIO:
@@ -146,6 +154,18 @@ class TestParseCheckins:
 _CHECK_CHARS = "AZaz\u00c0\u01c5\u0130059\u0661\u06f0\u07c0\u00b2_+- \t\n\r\x0b\x85\xa0:TZ"
 
 
+# Timestamps: digits of any script, signs, space, ISO stamps with and
+# without a zone, and junk.
+_STAMPS = st.one_of(
+    st.text(alphabet=_CHECK_CHARS, max_size=8),
+    st.integers().map(str),
+    st.from_regex(r"\s?[+-]?\d{1,4}\s?", fullmatch=True),
+    st.builds(lambda stamp, zone: stamp.isoformat() + zone,
+              st.datetimes(), st.sampled_from(["", "Z", "+00:00", "-05:30", "ZZ", "+24:00"])),
+    st.text(max_size=6),
+)
+
+
 class TestFastChecks:
     """The per-row checks give exactly what the regexes they replace give."""
 
@@ -202,6 +222,12 @@ class TestFastChecks:
                     expected = True
                 assert _valid_timestamp("9" * digits) == expected
                 assert expected == (not limit or digits <= limit)
+            # The fold's own test for short stamps stops at 640 digits.
+            lengths = (639, 640, 641, 4300, 4301)
+            table = parse_checkins(csv_stream([f"u{n},US,{'9' * n}" for n in lengths]),
+                                   strict=False)
+            assert table.users == tuple(sorted(f"u{n}" for n in lengths
+                                               if not limit or n <= limit))
         finally:
             sys.set_int_max_str_digits(previous)
 
@@ -211,6 +237,32 @@ class TestFastChecks:
         assert (table.user_country_counts, table.skipped) == ({"u1": {"US": 1}}, 1)
         with pytest.raises(ParseError, match="line 3"):
             parse_checkins(io.StringIO(text))
+
+    @given(stamps=st.lists(_STAMPS, min_size=1, max_size=6), cpus=st.integers(2, 4))
+    @example(stamps=["9" * 640, "9" * 641, " 9" + "9" * 639 + " ", "-" + "9" * 641], cpus=2)
+    @example(stamps=["\u0661\u0662", " 7\t", "+5", "-5", "+-5", "", " ", "\u00b2"], cpus=3)
+    @example(stamps=["2017-07-14T02:40:00", "2017-07-14T02:40:00Z", "2017-07-14T02:40:00+02:00",
+                     "2017-07-14T02:40:00ZZ", "2019-02-30T12:00:00Z", "Z", "x1"], cpus=4)
+    @settings(max_examples=200, deadline=None)
+    def test_fold_keeps_a_stamp_exactly_when_valid(self, fuzz_file, stamps, cpus: int) -> None:
+        # Row i is user u<i>'s one check-in, so the table names the rows kept.
+        # A line end in a CSV field is the csv module's business, not the
+        # fold's: ndjson carries those stamps.
+        rows = [(f"u{i}", "US", stamp) for i, stamp in enumerate(stamps)]
+        csv_rows = [row for row in rows if "\r" not in row[2] and "\n" not in row[2]]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([CHECKIN_FIELDS, *csv_rows])
+        for fmt, log, logged in (
+            ("csv", text.getvalue(), csv_rows),
+            ("ndjson", "".join(ndjson_line(*row) + "\n" for row in rows), rows),
+        ):
+            valid = [_valid_timestamp(stamp) for _, _, stamp in logged]
+            expected = ([(user, [("US", 1)]) for (user, _, _), ok in zip(logged, valid) if ok],
+                        valid.count(False))
+            assert in_order(parse_checkins(io.StringIO(log), fmt=fmt, strict=False)) == expected
+            fuzz_file.write_text(log, encoding="utf-8", newline="")
+            # A CSV holding a quote (a field with a comma or quote) is one piece.
+            assert piece_outcome(fuzz_file, cpus, fmt, strict=False)[0] == expected
 
 
 # Fields of check-in events, some of them malformed: a bad code, a bad
@@ -444,6 +496,24 @@ class TestPieces:
         else:
             assert serial[1] == 1
 
+    @pytest.mark.parametrize("row", [
+        pytest.param("u3,US", id="width"),
+        pytest.param("u3,Germany,300", id="code"),
+        pytest.param("u3,US,2019-02-30T12:00:00Z", id="timestamp"),
+        pytest.param("u3," + "U" * ((1 << 17) + 1) + ",300", id="oversized-field"),
+    ])
+    def test_strict_line_number_in_pieces(self, tmp_path: Path, row: str) -> None:
+        # The bad row is line 31 of 41; the file is cut in up to four pieces.
+        lines = ["user_id,country,timestamp"] + [f"u{i},US,{i}" for i in range(40)]
+        lines[30] = row
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        message = "malformed check-in row at line 31"
+        outcome, forks = piece_outcome(path, 4)
+        assert (outcome, forks > 0) == (message, True)
+        assert serial_outcome(path) == message
+        assert piece_outcome(path, 4, strict=False)[0] == serial_outcome(path, strict=False)
+
     def test_bad_header_gives_the_serial_error(self, tmp_path: Path) -> None:
         path = tmp_path / "log.csv"
         path.write_text("user_id,country\n" + "u1,US,1\n" * 100)
@@ -461,10 +531,10 @@ class TestPieces:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         fold, parent = ingest._fold, os.getpid()
 
-        def dying(rows, strict):
+        def dying(reader, width, strict):
             if os.getpid() != parent:
                 os._exit(3)
-            return fold(rows, strict)
+            return fold(reader, width, strict)
 
         monkeypatch.setattr(ingest, "_fold", dying)
         with lanes_of(2) as pids:
@@ -473,6 +543,13 @@ class TestPieces:
                 main(["build", *base, "--set", "seed=1"])
         assert len(pids) == 1
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+# Per-user country counts over few codes and small counts, so that homes tie.
+_TABLES = st.dictionaries(
+    st.sampled_from([f"u{i}" for i in range(12)]),
+    st.dictionaries(st.sampled_from(codes_for(5)), st.integers(1, 3), min_size=1),
+).map(CheckinTable)
 
 
 class TestInferHomes:
@@ -501,6 +578,14 @@ class TestInferHomes:
         for user, counts in per_user.items():
             best = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
             assert homes[user] == best
+
+    @given(table=_TABLES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_min_key_oracle(self, table: CheckinTable) -> None:
+        if not table.user_country_counts:
+            return
+        expected = min_key_homes(table.user_country_counts)
+        assert list(infer_homes(table).items()) == list(expected.items())
 
     def test_home_count_dominates_all_others(self) -> None:
         rng = np.random.default_rng(8)
@@ -597,6 +682,22 @@ class TestBuildMobilityGraph:
         for (origin, _), weight in g.edges.items():
             residents = sum(1 for u, h in homes.items() if h == origin)
             assert weight <= residents
+
+
+    @given(table=_TABLES, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_tally_oracle(self, table: CheckinTable, data) -> None:
+        # Inferred homes visit their home country; drawn ones may not, and
+        # some homes lie outside the kept set.
+        codes = codes_for(5)
+        users = table.user_country_counts
+        homes = infer_homes(table) if users and data.draw(st.booleans()) else {
+            user: data.draw(st.sampled_from(codes)) for user in users}
+        kept = data.draw(st.frozensets(st.sampled_from(codes)))
+        graph = build_mobility_graph(table, homes, kept, "x")
+        expected = MobilityGraph.build(pair_tally_edges(users, homes, kept), kept, "x")
+        assert graph == expected
+        assert graph.nodes == tuple(sorted(kept))
 
 
 class TestParseFlowMatrix:
