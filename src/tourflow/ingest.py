@@ -377,7 +377,8 @@ def infer_homes(table: CheckinTable) -> HomeAssignment:
 
     Ties go to the lexicographically smallest country code, so the
     assignment is deterministic.  The table must contain at least one
-    record.
+    record, and each count must be at least 1, as :func:`parse_checkins`
+    makes them.  One pass over each user's counts keeps the best so far.
     """
     if not table.user_country_counts:
         raise ValueError("cannot infer home countries from an empty check-in table")

@@ -549,6 +549,7 @@ class TestPieces:
 _TABLES = st.dictionaries(
     st.sampled_from([f"u{i}" for i in range(12)]),
     st.dictionaries(st.sampled_from(codes_for(5)), st.integers(1, 3), min_size=1),
+    min_size=1,
 ).map(CheckinTable)
 
 
@@ -582,8 +583,6 @@ class TestInferHomes:
     @given(table=_TABLES)
     @settings(max_examples=300, deadline=None)
     def test_matches_min_key_oracle(self, table: CheckinTable) -> None:
-        if not table.user_country_counts:
-            return
         expected = min_key_homes(table.user_country_counts)
         assert list(infer_homes(table).items()) == list(expected.items())
 
@@ -683,7 +682,6 @@ class TestBuildMobilityGraph:
             residents = sum(1 for u, h in homes.items() if h == origin)
             assert weight <= residents
 
-
     @given(table=_TABLES, data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_pair_tally_oracle(self, table: CheckinTable, data) -> None:
@@ -691,7 +689,7 @@ class TestBuildMobilityGraph:
         # some homes lie outside the kept set.
         codes = codes_for(5)
         users = table.user_country_counts
-        homes = infer_homes(table) if users and data.draw(st.booleans()) else {
+        homes = infer_homes(table) if data.draw(st.booleans()) else {
             user: data.draw(st.sampled_from(codes)) for user in users}
         kept = data.draw(st.frozensets(st.sampled_from(codes)))
         graph = build_mobility_graph(table, homes, kept, "x")
