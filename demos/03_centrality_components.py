@@ -22,17 +22,19 @@ for origin in codes:
 subgraph = topk_out(MobilityGraph.build(edges, codes), 2)
 
 # One table carries all six measures with competition ranking
-# (ties share a rank, the next rank is skipped).
+# (ties share a rank, the next rank is skipped).  Values and ranks are
+# arrays in the subgraph's node order, the order of table.countries.
 table = centrality_table(subgraph)
 for measure in ("pagerank", "betweenness", "in_strength"):
-    ranked = sorted(table.values[measure].items(),
-                    key=lambda kv: table.ranks[measure][kv[0]])
-    top = ", ".join(f"{code}={value:.4g}" for code, value in ranked[:5])
+    ranked = sorted(zip(table.ranks[measure].tolist(), table.countries,
+                        table.values[measure].tolist()))
+    top = ", ".join(f"{code}={value:.4g}" for _, code, value in ranked[:5])
     print(f"{measure:12s} top 5: {top}")
 
 # SCC ids are ordered by component size, largest first.
 components = scc(subgraph)
 print()
 print(f"{components.count} strongly connected components, sizes {components.sizes}")
-largest = [code for code, cid in components.component.items() if cid == 0]
-print("largest component:", ", ".join(sorted(largest)))
+component = dict(zip(components.countries, components.component.tolist()))
+largest = [code for code, cid in component.items() if cid == 0]
+print("largest component:", ", ".join(largest))

@@ -44,8 +44,9 @@ for merge in average_linkage_merges(dm)[:5]:
           f"at {merge.height:.4f}")
 
 assignment = filter_singletons(average_linkage(dm, 2))
+cluster = dict(zip(assignment.countries, assignment.cluster.tolist()))
 print()
 for cid in range(assignment.count):
-    members = sorted(c for c, i in assignment.cluster.items() if i == cid)
+    members = [code for code, i in cluster.items() if i == cid]
     note = " (ignored: singleton)" if cid in assignment.ignored else ""
     print(f"cluster {cid}: {', '.join(members)}{note}")

@@ -118,18 +118,20 @@ def average_linkage_merges(dm: DistanceMatrix) -> tuple[Merge, ...]:
     return tuple(merges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterAssignment:
     """Flat clustering over countries.
 
-    Cluster ids run 0, 1, ... ordered by decreasing size with ties
-    broken by the smallest member code.  ``ignored`` lists cluster ids
-    excluded from downstream use (see :func:`filter_singletons`); their
-    members stay in the map so exports can show them as unassigned.
+    ``cluster`` holds each country's cluster id in ``countries`` order
+    (read-only).  Cluster ids run 0, 1, ... ordered by decreasing size
+    with ties broken by the smallest member position.  ``ignored`` lists
+    cluster ids excluded from downstream use (see
+    :func:`filter_singletons`); their members keep their ids so exports
+    can show them as unassigned.
     """
 
     countries: tuple[str, ...]
-    cluster: dict[str, int]
+    cluster: np.ndarray
     sizes: tuple[int, ...]
     ignored: frozenset[int] = frozenset()
 
@@ -139,8 +141,7 @@ class ClusterAssignment:
 
     def to_csv(self) -> str:
         lines = ["country,cluster_id,ignored"]
-        for code in self.countries:
-            cid = self.cluster[code]
+        for code, cid in zip(self.countries, self.cluster.tolist()):
             flag = "true" if cid in self.ignored else "false"
             lines.append(f"{code},{cid},{flag}")
         return "\n".join(lines) + "\n"
@@ -151,11 +152,11 @@ def average_linkage(dm: DistanceMatrix, n_clusters: int) -> ClusterAssignment:
     n = len(dm.countries)
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must lie in [1, {n}], got {n_clusters}")
-    members: dict[int, list[str]] = {i: [code] for i, code in enumerate(dm.countries)}
+    # Each position's current cluster id: singletons 0..n-1, then merges.
+    owner = np.arange(n)
     for merge in average_linkage_merges(dm)[: n - n_clusters]:
-        joined = members.pop(merge.left) + members.pop(merge.right)
-        members[merge.new_id] = joined
-    return ClusterAssignment(dm.countries, *number_groups(members.values()))
+        owner[(owner == merge.left) | (owner == merge.right)] = merge.new_id
+    return ClusterAssignment(dm.countries, *number_groups(owner))
 
 
 def filter_singletons(assignment: ClusterAssignment) -> ClusterAssignment:

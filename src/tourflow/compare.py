@@ -70,21 +70,14 @@ def feature_matrix(
     if subgraph.direction is None:
         raise ValueError("feature_matrix needs a Top-k subgraph, but the graph's direction is None")
     codes = subgraph.nodes
+    if not table.countries == components.countries == codes:
+        raise ValueError("centrality table or component assignment does not cover "
+                         "the subgraph's countries in node order")
     degree_measure = "in_degree" if subgraph.direction == "out" else "out_degree"
     measures = NUMERIC_FEATURES + (degree_measure,)
-    for measure in measures:
-        missing = [code for code in codes if code not in table.values[measure]]
-        if missing:
-            raise ValueError(f"measure {measure} missing for: {', '.join(missing)}")
-    if any(code not in components.component for code in codes):
-        raise ValueError("component assignment does not cover all countries")
-    n = len(codes)
     comp_count = components.count
-    raw = np.zeros((n, len(measures) + comp_count), dtype=np.float64)
-    for i, code in enumerate(codes):
-        for j, measure in enumerate(measures):
-            raw[i, j] = table.values[measure][code]
-        raw[i, len(measures) + components.component[code]] = 1.0
+    one_hot = np.eye(comp_count)[components.component]
+    raw = np.column_stack([table.values[measure] for measure in measures] + [one_hot])
     columns = measures + tuple(f"scc_{cid}" for cid in range(comp_count))
     return FeatureMatrix(codes, columns, standardize(raw), subgraph.direction, subgraph.k)
 

@@ -183,7 +183,10 @@ class _NdjsonRows:
 
     An object gives its user, country and timestamp, as strings; a
     malformed line gives a row of one empty field, and a blank line an
-    empty row.  ``line_num`` counts the lines read so far.
+    empty row.  A user id must be a JSON string or integer; any other
+    value (null, a boolean, a number with a fraction, an array or an
+    object) makes the line malformed.  ``line_num`` counts the lines
+    read so far.
     """
 
     def __init__(self, lines: Iterator[str]) -> None:
@@ -205,7 +208,10 @@ class _NdjsonRows:
             venue = obj.get("venue_id")
             if venue is not None and not isinstance(venue, str):
                 raise ValueError("venue_id must be a string")
-            return [str(obj["user_id"]), str(obj["country"]), str(obj["timestamp"])]
+            user = obj["user_id"]
+            if isinstance(user, bool) or not isinstance(user, (str, int)):
+                raise ValueError("user_id must be a string or an integer")
+            return [str(user), str(obj["country"]), str(obj["timestamp"])]
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
             return [""]
 

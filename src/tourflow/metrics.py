@@ -50,15 +50,20 @@ def flagged_csv(header: str, items: Iterable[tuple[str, float | None]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def number_groups(groups: Iterable[Iterable[str]]) -> tuple[dict[str, int], tuple[int, ...]]:
-    """Reproducible group ids: each code's id and each id's group size.
+def number_groups(labels: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reproducible group ids: each position's id and each id's group size.
 
-    Ids run 0, 1, ... by decreasing group size, ties broken by the
-    smallest member code.
+    Positions with equal labels form a group.  Ids run 0, 1, ... by
+    decreasing group size, ties broken by the smallest member position;
+    over a graph's sorted nodes that is the smallest member code.
     """
-    ordered = sorted((sorted(group) for group in groups), key=lambda g: (-len(g), g[0]))
-    ids = {code: gid for gid, group in enumerate(ordered) for code in group}
-    return ids, tuple(len(group) for group in ordered)
+    _, first, group, sizes = np.unique(
+        labels, return_index=True, return_inverse=True, return_counts=True)
+    # Group g gets the id of its place in the order (-size, first position).
+    order = np.lexsort((first, -sizes))
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.arange(len(order))
+    return _read_only(ids[group]), tuple(sizes[order].tolist())
 
 
 @dataclass(frozen=True)
@@ -217,8 +222,8 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-9,
     max_iter: int = 1_000_000,
-) -> dict[str, float]:
-    """Weighted PageRank by power iteration.
+) -> np.ndarray:
+    """Weighted PageRank by power iteration, per node position (read-only).
 
     Transition probabilities are edge weights normalised per origin row;
     dangling nodes redistribute their mass uniformly.  Iteration stops
@@ -250,20 +255,20 @@ def pagerank(
         residual = float(np.abs(updated - rank).sum())
         rank = updated
         if residual < tol:
-            return {code: float(rank[i]) for i, code in enumerate(graph.nodes)}
+            return _read_only(rank)
     raise ConvergenceError(
         f"pagerank did not converge in {max_iter} iterations (residual {residual:.3e})"
     )
 
 
-def betweenness(graph: MobilityGraph) -> dict[str, float]:
-    """Unnormalised betweenness on directed unweighted geodesics.
+def betweenness(graph: MobilityGraph) -> np.ndarray:
+    """Unnormalised betweenness on directed unweighted geodesics, per node position (read-only).
 
     Brandes' accumulation: dependencies pushed back through each
     source's shortest-path DAG, from the graph's one shortest-path pass
     (:func:`shortest_path_pass`).  Endpoints are excluded.
     """
-    return dict(zip(graph.nodes, graph.shortest_paths[0].tolist()))
+    return graph.shortest_paths[0]
 
 
 # Sources per block of the shortest-path pass: as many as keep both
@@ -363,16 +368,18 @@ def shortest_path_pass(graph: MobilityGraph) -> tuple[np.ndarray, int, int, int,
     return _read_only(score), total, reachable, diameter, _read_only(reached)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentAssignment:
     """Strongly connected component membership.
 
-    Component ids run 0, 1, ... ordered by decreasing size, ties broken
-    by the smallest member country code, so ids are reproducible.
+    ``component`` holds each country's component id in ``countries``
+    order (read-only).  Ids run 0, 1, ... ordered by decreasing size,
+    ties broken by the smallest member country code, so ids are
+    reproducible.
     """
 
     countries: tuple[str, ...]
-    component: dict[str, int]
+    component: np.ndarray
     sizes: tuple[int, ...]
 
     @property
@@ -381,8 +388,7 @@ class ComponentAssignment:
 
     def to_csv(self) -> str:
         lines = ["country,component_id,component_size"]
-        for code in self.countries:
-            cid = self.component[code]
+        for code, cid in zip(self.countries, self.component.tolist()):
             lines.append(f"{code},{cid},{self.sizes[cid]}")
         return "\n".join(lines) + "\n"
 
@@ -400,48 +406,41 @@ def scc(graph: MobilityGraph) -> ComponentAssignment:
     mutual = reach & reach.T
     # Each node's first mutually reachable node names its component.  A
     # (0, 0) matrix has no argmax, so the empty graph gets no names.
-    names = mutual.argmax(axis=1).tolist() if nodes else []
-    components: dict[int, list[str]] = {}
-    for code, name in zip(nodes, names):
-        components.setdefault(name, []).append(code)
-    return ComponentAssignment(nodes, *number_groups(components.values()))
+    names = mutual.argmax(axis=1) if nodes else np.zeros(0, dtype=np.intp)
+    return ComponentAssignment(nodes, *number_groups(names))
 
 
-def competition_ranks(values: dict[str, float]) -> dict[str, int]:
-    """Rank descending by value; ties share the smaller rank.
+def competition_ranks(values: np.ndarray) -> np.ndarray:
+    """Rank descending by value; ties share the smaller rank (read-only).
 
-    After a tie of size t at rank r the next distinct value gets rank
-    r + t (standard competition ranking).
+    A value's rank is one plus the number of values greater than it, so
+    after a tie of size t at rank r the next distinct value gets rank
+    r + t (standard competition ranking).  ``0.0`` and ``-0.0`` tie.
     """
-    order = sorted(values, key=lambda code: (-values[code], code))
-    ranks: dict[str, int] = {}
-    current_rank = 0
-    previous: float | None = None
-    for position, code in enumerate(order, start=1):
-        value = values[code]
-        if previous is None or value != previous:
-            current_rank = position
-            previous = value
-        ranks[code] = current_rank
-    return ranks
+    ascending = np.sort(values)
+    greater = len(ascending) - np.searchsorted(ascending, values, side="right")
+    return _read_only(greater + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityTable:
-    """Six per-country measures plus competition ranks for each."""
+    """Six per-country measures plus competition ranks for each.
+
+    ``values`` and ``ranks`` map each measure to an array in
+    ``countries`` order (read-only).
+    """
 
     countries: tuple[str, ...]
-    values: dict[str, dict[str, float]]
-    ranks: dict[str, dict[str, int]]
+    values: dict[str, np.ndarray]
+    ranks: dict[str, np.ndarray]
 
     def to_csv(self, measure: str) -> str:
         if measure not in self.values:
             raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-        vals = self.values[measure]
-        ranks = self.ranks[measure]
+        rows = zip(self.ranks[measure].tolist(), self.countries, self.values[measure].tolist())
         lines = ["rank,country,value"]
-        for code in sorted(self.countries, key=lambda c: (ranks[c], c)):
-            lines.append(f"{ranks[code]},{code},{sig6(vals[code])}")
+        for rank, code, value in sorted(rows):
+            lines.append(f"{rank},{code},{sig6(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -453,16 +452,12 @@ def centrality_table(
 ) -> CentralityTable:
     """Compute degree, strength, PageRank and betweenness per country."""
     n = len(graph.nodes)
-
-    def per_node(counts: np.ndarray) -> dict[str, float]:
-        return dict(zip(graph.nodes, counts.astype(np.float64).tolist()))
-
     src, dst = graph.arcs
     values = {
-        "in_degree": per_node(np.bincount(dst, minlength=n)),
-        "out_degree": per_node(np.bincount(src, minlength=n)),
-        "in_strength": per_node(graph.weights.sum(axis=0)),
-        "out_strength": per_node(graph.weights.sum(axis=1)),
+        "in_degree": _read_only(np.bincount(dst, minlength=n).astype(np.float64)),
+        "out_degree": _read_only(np.bincount(src, minlength=n).astype(np.float64)),
+        "in_strength": _read_only(graph.weights.sum(axis=0)),
+        "out_strength": _read_only(graph.weights.sum(axis=1)),
         "pagerank": pagerank(graph, damping=damping, tol=tol, max_iter=max_iter),
         "betweenness": betweenness(graph),
     }

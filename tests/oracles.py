@@ -154,6 +154,11 @@ def node_index(graph: MobilityGraph) -> dict[str, int]:
     return {code: i for i, code in enumerate(graph.nodes)}
 
 
+def by_code(codes: tuple[str, ...], values: np.ndarray) -> dict:
+    """A per-node array as a code -> value dict, to compare with an oracle's."""
+    return dict(zip(codes, values.tolist()))
+
+
 def index_edges(graph: MobilityGraph) -> set[tuple[int, int]]:
     index = node_index(graph)
     return {(index[o], index[d]) for o, d in graph.edges}
@@ -393,6 +398,40 @@ def kosaraju_scc(graph: MobilityGraph) -> list[frozenset[str]]:
                     queue.append(other)
         components.append(frozenset(members))
     return components
+
+
+# ---------------------------------------------------------------------------
+# competition ranks and group ids, one code at a time
+
+
+def dict_competition_ranks(values: dict[str, float]) -> dict[str, int]:
+    """Rank descending by value; ties share the smaller rank.
+
+    After a tie of size t at rank r the next distinct value gets rank
+    r + t (standard competition ranking).
+    """
+    order = sorted(values, key=lambda code: (-values[code], code))
+    ranks: dict[str, int] = {}
+    current_rank = 0
+    previous: float | None = None
+    for position, code in enumerate(order, start=1):
+        value = values[code]
+        if previous is None or value != previous:
+            current_rank = position
+            previous = value
+        ranks[code] = current_rank
+    return ranks
+
+
+def dict_number_groups(groups) -> tuple[dict[str, int], tuple[int, ...]]:
+    """Reproducible group ids: each code's id and each id's group size.
+
+    Ids run 0, 1, ... by decreasing group size, ties broken by the
+    smallest member code.
+    """
+    ordered = sorted((sorted(group) for group in groups), key=lambda g: (-len(g), g[0]))
+    ids = {code: gid for gid, group in enumerate(ordered) for code in group}
+    return ids, tuple(len(group) for group in ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from tourflow.regional import RegionalFlowMatrix
 
 from oracles import (
     brute_force_triad_census,
+    by_code,
     circulant_graph,
     codes_for,
     degree_family,
@@ -103,20 +104,20 @@ def test_criterion_3_oracle_equivalence_suite() -> None:
     for _ in range(10):
         g = random_digraph(rng, 12, 0.3)
         expected = exhaustive_betweenness(g)
-        for code, value in betweenness(g).items():
+        for code, value in by_code(g.nodes, betweenness(g)).items():
             assert value == pytest.approx(expected[code], abs=1e-9)
 
     for _ in range(10):
         g = random_digraph(rng, 12, 0.3)
         direct = pagerank_linear_solve(g, damping=0.85)
-        for code, value in pagerank(g, tol=1e-12).items():
+        for code, value in by_code(g.nodes, pagerank(g, tol=1e-12)).items():
             assert abs(value - direct[code]) <= 1e-8
 
     for _ in range(10):
         g = random_digraph(rng, 50, 0.05)
         expected = {frozenset(m) for m in kosaraju_scc(g)}
         groups: dict[int, set[str]] = {}
-        for code, cid in scc(g).component.items():
+        for code, cid in by_code(g.nodes, scc(g).component).items():
             groups.setdefault(cid, set()).add(code)
         assert {frozenset(ms) for ms in groups.values()} == expected
 

@@ -123,6 +123,18 @@ class TestParseCheckins:
         with pytest.raises(ParseError, match="line 2"):
             parse_checkins(io.StringIO("\n".join(lines)), fmt="ndjson")
 
+    @pytest.mark.parametrize("user", [None, True, 1.5, ["x"], {}],
+                             ids=["null", "bool", "float", "array", "object"])
+    def test_ndjson_user_id_that_is_not_an_id_is_malformed(self, user) -> None:
+        lines = [
+            json.dumps({"user_id": 7, "country": "US", "timestamp": 1}),
+            json.dumps({"user_id": user, "country": "FR", "timestamp": 2}),
+        ]
+        table = parse_checkins(io.StringIO("\n".join(lines)), fmt="ndjson", strict=False)
+        assert (table.user_country_counts, table.skipped) == ({"7": {"US": 1}}, 1)
+        with pytest.raises(ParseError, match="line 2"):
+            parse_checkins(io.StringIO("\n".join(lines)), fmt="ndjson")
+
     def test_ndjson_bad_row_strict(self) -> None:
         with pytest.raises(ParseError, match="line 2"):
             parse_checkins(io.StringIO('{"user_id": "u1", "country": "US", "timestamp": 1}\n{broken\n'),

@@ -32,8 +32,11 @@ from tourflow.metrics import (
 from oracles import (
     NULL_PER_CLASS,
     bfs_geodesic_stats,
+    by_code,
     circulant_graph,
     codes_for,
+    dict_competition_ranks,
+    dict_number_groups,
     exhaustive_betweenness,
     floyd_warshall_stats,
     gravity_graph,
@@ -98,31 +101,31 @@ class TestDyadCensus:
 class TestPagerank:
     def test_two_cycle_splits_evenly(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 3, ("BB", "AA"): 3})
-        ranks = pagerank(g)
+        ranks = by_code(g.nodes, pagerank(g))
         assert ranks["AA"] == pytest.approx(0.5, abs=1e-9)
         assert ranks["BB"] == pytest.approx(0.5, abs=1e-9)
 
     def test_isolated_nodes_uniform(self) -> None:
         g = MobilityGraph.build({}, ("AA", "BB", "CC"))
         ranks = pagerank(g)
-        assert all(v == pytest.approx(1 / 3, abs=1e-9) for v in ranks.values())
+        assert all(v == pytest.approx(1 / 3, abs=1e-9) for v in ranks.tolist())
 
     def test_sums_to_one(self) -> None:
         g = random_digraph(np.random.default_rng(2), 40, 0.15)
-        assert sum(pagerank(g).values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(pagerank(g).tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_scaling_invariance(self) -> None:
         g = random_digraph(np.random.default_rng(3), 15, 0.3)
         scaled = MobilityGraph.build({p: w * 7 for p, w in g.edges.items()}, g.nodes)
-        base = pagerank(g)
-        for code, value in pagerank(scaled).items():
+        base = by_code(g.nodes, pagerank(g))
+        for code, value in by_code(scaled.nodes, pagerank(scaled)).items():
             assert value == pytest.approx(base[code], abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_linear_solve(self, seed: int) -> None:
         g = random_digraph(np.random.default_rng(100 + seed), 12, 0.35)
         direct = pagerank_linear_solve(g, damping=0.85)
-        iterated = pagerank(g, damping=0.85, tol=1e-12)
+        iterated = by_code(g.nodes, pagerank(g, damping=0.85, tol=1e-12))
         for code in g.nodes:
             assert iterated[code] == pytest.approx(direct[code], abs=1e-8)
 
@@ -151,19 +154,18 @@ class TestPagerank:
 class TestBetweenness:
     def test_two_hop_path(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 1, ("BB", "CC"): 1})
-        scores = betweenness(g)
-        assert scores == {"AA": 0.0, "BB": 1.0, "CC": 0.0}
+        assert betweenness(g).tolist() == [0.0, 1.0, 0.0]
 
     def test_complete_mutual_graph_all_zero(self) -> None:
         codes = codes_for(4)
         edges = {(a, b): 1 for a in codes for b in codes if a != b}
-        assert set(betweenness(MobilityGraph.build(edges, codes)).values()) == {0.0}
+        assert set(betweenness(MobilityGraph.build(edges, codes)).tolist()) == {0.0}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_path_enumeration(self, seed: int) -> None:
         g = random_digraph(np.random.default_rng(200 + seed), 10, 0.3)
         expected = exhaustive_betweenness(g)
-        for code, value in betweenness(g).items():
+        for code, value in by_code(g.nodes, betweenness(g)).items():
             assert value == pytest.approx(expected[code], abs=1e-9)
 
 
@@ -215,7 +217,7 @@ def path_counts(graph: MobilityGraph, source: int, reverse: bool) -> tuple[list[
 
 def assert_serial_values(graph: MobilityGraph) -> None:
     """The one pass gives the serial algorithms' values, every float bit for bit."""
-    assert betweenness(graph) == serial_brandes_betweenness(graph)
+    assert by_code(graph.nodes, betweenness(graph)) == serial_brandes_betweenness(graph)
     assert geodesic_stats(graph) == bfs_geodesic_stats(graph)
 
 
@@ -244,10 +246,12 @@ class TestShortestPathPass:
         # bits, so the competition ranks written to the bundle follow the
         # order of every addition.
         sg = topk_out(circulant_graph(), k)
-        values = betweenness(sg)
-        assert len({round(value, 6) for value in values.values()}) == 1
-        assert len(set(values.values())) > 1
-        assert competition_ranks(values) == competition_ranks(serial_brandes_betweenness(sg))
+        scores = betweenness(sg)
+        values = scores.tolist()
+        assert len({round(value, 6) for value in values}) == 1
+        assert len(set(values)) > 1
+        assert by_code(sg.nodes, competition_ranks(scores)) == dict_competition_ranks(
+            serial_brandes_betweenness(sg))
 
     def test_path_counts_beyond_float_precision(self) -> None:
         graph = layered_graph(np.random.default_rng(53), 8, 30)
@@ -333,10 +337,10 @@ class TestDegreeCentralization:
 
 
 def assert_kosaraju_partition(graph: MobilityGraph) -> None:
-    """``scc`` has Kosaraju's components (the oracle's), with ids by ``number_groups``."""
+    """``scc`` has Kosaraju's components (the oracle's), with ids by ``dict_number_groups``."""
     result = scc(graph)
-    assert (result.countries, result.component, result.sizes) == (
-        graph.nodes, *number_groups(kosaraju_scc(graph)))
+    assert (result.countries, by_code(result.countries, result.component), result.sizes) == (
+        graph.nodes, *dict_number_groups(kosaraju_scc(graph)))
 
 
 class TestScc:
@@ -348,16 +352,17 @@ class TestScc:
         g = MobilityGraph.build({("AA", "BB"): 1, ("BB", "CC"): 1, ("CC", "AA"): 1})
         result = scc(g)
         assert result.sizes == (3,)
-        assert set(result.component.values()) == {0}
+        assert set(result.component.tolist()) == {0}
 
     def test_ids_ordered_by_size_then_code(self) -> None:
         edges = {("AA", "BB"): 1, ("BB", "AA"): 1,
                  ("CC", "DD"): 1, ("DD", "CC"): 1}
         g = MobilityGraph.build(edges, ("AA", "BB", "CC", "DD", "EE"))
         result = scc(g)
-        assert result.component["AA"] == result.component["BB"] == 0
-        assert result.component["CC"] == result.component["DD"] == 1
-        assert result.component["EE"] == 2
+        component = by_code(result.countries, result.component)
+        assert component["AA"] == component["BB"] == 0
+        assert component["CC"] == component["DD"] == 1
+        assert component["EE"] == 2
         assert result.sizes == (2, 2, 1)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -479,18 +484,43 @@ class TestTransitivityEdgeCases:
 
 class TestRanksAndTable:
     def test_competition_ranking_skips_after_tie(self) -> None:
-        ranks = competition_ranks({"AA": 5.0, "BB": 5.0, "CC": 3.0, "DD": 1.0})
-        assert ranks == {"AA": 1, "BB": 1, "CC": 3, "DD": 4}
+        ranks = competition_ranks(np.array([5.0, 5.0, 3.0, 1.0]))
+        assert ranks.tolist() == [1, 1, 3, 4]
+
+    @given(values=st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+        st.floats(allow_nan=False, allow_infinity=True)), max_size=40))
+    @example(values=[])
+    @example(values=[0.0, -0.0, -0.0, 0.0])
+    @example(values=[1.0, 0.0, -0.0, 1.0, -1.0, 0.0])
+    @settings(max_examples=500, deadline=None)
+    def test_competition_ranks_equal_the_dict_loop(self, values: list[float]) -> None:
+        codes = codes_for(len(values))
+        ranks = competition_ranks(np.array(values, dtype=np.float64))
+        assert by_code(codes, ranks) == dict_competition_ranks(dict(zip(codes, values)))
+
+    @given(labels=st.lists(st.integers(0, 8), max_size=40))
+    @example(labels=[])
+    @example(labels=[3, 3, 1, 1, 0])
+    @settings(max_examples=500, deadline=None)
+    def test_number_groups_equal_the_dict_loop(self, labels: list[int]) -> None:
+        codes = codes_for(len(labels))
+        groups: dict[int, list[str]] = {}
+        for code, label in zip(codes, labels):
+            groups.setdefault(label, []).append(code)
+        ids, sizes = number_groups(np.array(labels, dtype=np.intp))
+        assert (by_code(codes, ids), sizes) == dict_number_groups(groups.values())
 
     def test_table_matches_component_functions(self) -> None:
         g = random_digraph(np.random.default_rng(13), 15, 0.3)
         table = centrality_table(g)
-        assert table.values["pagerank"] == pagerank(g)
-        assert table.values["betweenness"] == betweenness(g)
+        assert table.countries == g.nodes
+        assert np.array_equal(table.values["pagerank"], pagerank(g))
+        assert np.array_equal(table.values["betweenness"], betweenness(g))
         in_strength = dict.fromkeys(g.nodes, 0.0)
         for (_, dest), weight in g.edges.items():
             in_strength[dest] += weight
-        assert table.values["in_strength"] == in_strength
+        assert by_code(g.nodes, table.values["in_strength"]) == in_strength
 
     def test_csv_layout(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 2, ("CC", "BB"): 1})
