@@ -14,14 +14,20 @@ Null models are degree-preserving double-edge swaps of the binarised
 graph; z-scores compare the real count of each connected class against
 the ensemble mean and population standard deviation.  A large ensemble
 advances its swap chains in blocks on node-index arrays, one block
-after another, in the calling process.  Every swap chain draws its slots
-from a stream the package owns (``_swap_draws``): Lemire's bounded draw
-over the raw words of a PCG64 bit generator, reduced for a whole block
-of chains at once.
+after another, in the calling process.  Graphs that share their node
+and arc counts can share the blocks: ``tourflow analyze`` runs the two
+datasets' ensembles of one direction and k as one block of twice the
+chains, up to about 200 chains a block on paper-scale Top-3 graphs
+(see _BLOCK_BYTES).  Every swap chain draws its slots from a stream the
+package owns (``_swap_draws``): Lemire's bounded draw over the raw
+words of a PCG64 bit generator, reduced for a whole block of chains at
+once.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -151,12 +157,39 @@ def _check_swaps(edge_count: int, swaps_per_edge: int) -> None:
 
 
 _DRAW_WINDOW = 512
-# _swap_draws reduces the words of this many chains at a time, so its
-# uint64 products take 256 KiB at most, however many chains a block holds.
-_DRAW_CHAINS = 32
+# _swap_draws draws and reduces the words of this many chains at a time,
+# so its words and their uint64 products take 192 KiB at most, however
+# many chains a block holds.
+_DRAW_CHAINS = 16
 
 
-def _lemire(halves: np.ndarray, edge_count: int, threshold: int) -> tuple[np.ndarray, np.ndarray]:
+def _slot_dtype(edge_count: int) -> type:
+    """The narrowest dtype of _swap_draws' windows that holds every slot below ``edge_count``."""
+    return np.uint16 if edge_count <= 1 << 16 else np.int32
+
+
+def _mapped(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Zeroed arrays of these (shape, dtype)s, cut from one anonymous memory map.
+
+    The swap kernel's large arrays live here.  The map goes back to the
+    system as soon as its last array is gone.  Made by numpy instead,
+    they came from the allocator's heap once it had freed the first, and
+    stayed there: peak RSS crept up by 0.2-0.4 MB with every ensemble.
+    """
+    sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64 for shape, dtype in specs]
+    buffer = np.frombuffer(mmap.mmap(-1, sum(sizes)), dtype=np.uint8)
+    arrays, start = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        count = math.prod(shape)
+        arrays.append(buffer[start:start + count * np.dtype(dtype).itemsize]
+                      .view(dtype).reshape(shape))
+        start += size
+    return arrays
+
+
+def _lemire(
+    halves: np.ndarray, edge_count: int, threshold: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Lemire's bounded draw on uint32 half-words: each one's slot below ``edge_count``, and whether it is rejected.
 
     A half-word h gives the slot ``(h * edge_count) >> 32``, unless the
@@ -165,7 +198,7 @@ def _lemire(halves: np.ndarray, edge_count: int, threshold: int) -> tuple[np.nda
     name: under numpy 1.x value-based casting, a uint32 array times a
     small ``np.uint64`` stays uint32 and wraps.
     """
-    product = np.multiply(halves, np.uint64(edge_count), dtype=np.uint64)
+    product = np.multiply(halves, np.uint64(edge_count), dtype=np.uint64, out=out)
     parts = product.astype("<u8", copy=False).view("<u4")  # low, high of each product
     return parts[..., 1::2], parts[..., ::2] < threshold
 
@@ -196,7 +229,7 @@ def _bounded_draws(
 
 
 def _swap_draws(seeds: list[int], edge_count: int, steps: int) -> Iterator[np.ndarray]:
-    """The slot pairs of the swap chains seeded with ``seeds``, as ``(chains, take, 2)`` int32 windows.
+    """The slot pairs of the swap chains seeded with ``seeds``, as ``(chains, take, 2)`` windows.
 
     Row t of chain c's window holds the two slots that chain c's next
     swap step picks, from ``edge_count`` slots; the windows hold
@@ -207,56 +240,59 @@ def _swap_draws(seeds: list[int], edge_count: int, steps: int) -> Iterator[np.nd
     (``_lemire``), so its bytes rest on PCG64 and ``SeedSequence``
     alone.  Each window equals the next int32 ``integers`` call, for
     slots below ``edge_count`` in shape ``(take, 2)``, of a numpy
-    ``Generator`` on ``PCG64(seeds[c])``.  int32 holds every slot: the 676 two-letter
-    codes carry at most 676 * 675 arcs.
+    ``Generator`` on ``PCG64(seeds[c])``.  The windows hold their slots
+    as ``_slot_dtype(edge_count)``: int32 holds every slot, since the
+    676 two-letter codes carry at most 676 * 675 arcs.
 
-    A window draws ``take`` words per chain into its own bytes and
-    reduces them in place, ``_DRAW_CHAINS`` chains at a time.  A chain
-    that holds a half-word left from its last window spends it first:
-    it goes in front of the window's half-words, and the window's last
-    half-word is kept for the next window instead.  That is exact for
-    every chain with no rejected draw in the window.  A chain with one
-    takes the window from ``_bounded_draws`` instead, which keeps the
-    half-word it leaves over, if any.  A draw is rejected with odds
-    below ``edge_count / 2**32``.  The yielded array is overwritten by
-    the next window.
+    A window is drawn ``_DRAW_CHAINS`` chains at a time: ``take`` words
+    per chain into a scratch buffer, reduced there in place, then stored
+    as slots.  A chain that holds a half-word left from its last window
+    spends it first: it goes in front of the window's half-words, and
+    the window's last half-word is kept for the next window instead.
+    That is exact for every chain with no rejected draw in the window.
+    A chain with one takes the window from ``_bounded_draws`` instead,
+    which keeps the half-word it leaves over, if any.  A draw is
+    rejected with odds below ``edge_count / 2**32``.  The yielded array
+    is overwritten by the next window.
     """
     bitgens = [np.random.PCG64(seed) for seed in seeds]
     chains = len(seeds)
     threshold = (1 << 32) % edge_count
     carried = np.zeros(chains, dtype=bool)  # chain c holds the spare half-word carry[c]
     carry = np.zeros(chains, dtype=np.uint32)
-    draws = np.empty((chains, _DRAW_WINDOW, 2), dtype=np.int32)
-    words = draws.view("<u8")[..., 0]  # (chains, _DRAW_WINDOW): a window's bytes as words
-    halves = draws.view("<u4")  # the low then the high half of each word
-    flat = halves.reshape(chains, 2 * _DRAW_WINDOW)
+    batch = min(chains, _DRAW_CHAINS)
+    draws, words, products = _mapped(
+        ((chains, _DRAW_WINDOW, 2), _slot_dtype(edge_count)), ((batch, _DRAW_WINDOW), np.uint64),
+        ((batch, _DRAW_WINDOW, 2), np.uint64))
+    halves = words.view("<u4").reshape(batch, _DRAW_WINDOW, 2)  # the low then the high half
+    flat = halves.reshape(batch, 2 * _DRAW_WINDOW)
     remaining = steps
     while remaining > 0:
         take = min(remaining, _DRAW_WINDOW)
         remaining -= take
-        for chain, bitgen in enumerate(bitgens):
-            words[chain, :take] = bitgen.random_raw(take)
-        spare = np.flatnonzero(carried)
-        if len(spare):
-            drawn = flat[spare, :2 * take]
-            flat[spare, 0] = carry[spare]
-            flat[spare, 1:2 * take] = drawn[:, :-1]
-            carry[spare] = drawn[:, -1]
-        redo = []
         for lo in range(0, chains, _DRAW_CHAINS):
-            slots, rejected = _lemire(halves[lo:lo + _DRAW_CHAINS, :take], edge_count, threshold)
-            if rejected.any():
-                for chain in lo + np.flatnonzero(rejected.any(axis=(1, 2))):
-                    pending = flat[chain, :2 * take]
-                    redo.append((chain, np.append(pending, carry[chain]) if carried[chain]
-                                 else pending.copy()))
-            draws[lo:lo + _DRAW_CHAINS, :take] = slots
-        for chain, pending in redo:
-            window, pending = _bounded_draws(bitgens[chain], pending, 2 * take, edge_count, threshold)
-            draws[chain, :take] = window.reshape(take, 2)
-            carried[chain] = len(pending) > 0
-            if carried[chain]:
-                carry[chain] = pending[0]
+            group = bitgens[lo:lo + _DRAW_CHAINS]
+            for row, bitgen in enumerate(group):
+                words[row, :take] = bitgen.random_raw(take)
+            spare = np.flatnonzero(carried[lo:lo + len(group)])
+            if len(spare):
+                drawn = flat[spare, :2 * take]
+                flat[spare, 0] = carry[lo + spare]
+                flat[spare, 1:2 * take] = drawn[:, :-1]
+                carry[lo + spare] = drawn[:, -1]
+            slots, rejected = _lemire(halves[:len(group), :take], edge_count, threshold,
+                                      products[:len(group), :take])
+            draws[lo:lo + len(group), :take] = slots
+            for row in np.flatnonzero(rejected.any(axis=(1, 2))):
+                chain = lo + row
+                pending = flat[row, :2 * take]
+                pending = np.append(pending, carry[chain]) if carried[chain] else pending.copy()
+                window, pending = _bounded_draws(
+                    bitgens[chain], pending, 2 * take, edge_count, threshold)
+                draws[chain, :take] = window.reshape(take, 2)
+                carried[chain] = len(pending) > 0
+                if carried[chain]:
+                    carry[chain] = pending[0]
         yield draws[:, :take]
 
 
@@ -298,28 +334,34 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
 
 # Chains advance in lockstep (_rewire_chains) in blocks, and the arrays
 # of a block that grow with its chain count fit in _BLOCK_BYTES.  Per
-# chain (_chain_bytes) they are the n * n presence bitmap, E destinations
-# of 8 bytes, a window of _DRAW_WINDOW swap steps drawn as int32 (4 KiB,
-# which first hold the window's PCG64 words) and _STEP_WINDOW of those
-# steps as slot and row indices (2 KiB): 22.6 KB for a 117-node Top-3
-# graph (E = 351), so up to 115 chains make one block.  _swap_draws'
-# products do not grow with the block (see _DRAW_CHAINS).  An ensemble
-# runs as the fewest even blocks that fit.  Where those blocks would
-# hold fewer than BATCH_MIN_ENSEMBLE chains, rewire runs once per sample
-# instead: at E = 3n, from 373 nodes for ensembles of 100 or 1000, and
-# from 386 for 16.  A batched ensemble also draws sample 0 with rewire
-# (below); counting that draw, one block overtakes rewire at 14 chains
-# on a 117-node Top-3 graph and at 16 on a Top-1 graph (100 swaps per
-# edge, 2-vCPU Xeon host).
+# chain (_chain_bytes) they are the n * n presence bitmap, E int16
+# destinations, a window of _DRAW_WINDOW swap steps as uint16 slots
+# (2 KiB; int32 slots above 2**16 arcs) and _STEP_WINDOW of those steps
+# as slot and row indices (512 bytes): 17.0 KB for a 117-node Top-3
+# graph (E = 351), so up to 216 chains make one block, and the two
+# datasets' paired ensembles of 100 run as one block of 200.  A joint
+# block of two such graphs took 87.0, 76.9, 70.0 and 67.8 ns a chain
+# step at 100, 150, 200 and 300 chains, and 91.9, 80.5, 74.3 and 68.5 at
+# E = 117 (one CPU of a 2-vCPU Xeon host, 20 swaps per edge, best of 16
+# runs): blocks past 200 chains gain 3-8% more for half as much memory
+# again.  _swap_draws' words and products do not grow with the block
+# (see _DRAW_CHAINS).  An ensemble runs as the fewest even blocks that
+# fit.  Where those blocks would hold fewer than BATCH_MIN_ENSEMBLE
+# chains, rewire runs once per sample instead: at E = 3n, from 459
+# nodes for ensembles of 100 or 1000, and from 474 for 16.  A batched
+# ensemble also draws sample 0 with rewire (below); counting that draw,
+# one block overtakes rewire at 14 chains on a 117-node Top-3 graph and
+# at 16 on a Top-1 graph (100 swaps per edge, 2-vCPU Xeon host).
 BATCH_MIN_ENSEMBLE = 16
-_BLOCK_BYTES = 5 << 19  # 2.5 MiB
-_STEP_WINDOW = 64
+_BLOCK_BYTES = 7 << 19  # 3.5 MiB
+_STEP_WINDOW = 16
 
 
 def _chain_bytes(n: int, edge_count: int) -> int:
     """Bytes of one chain's arrays in ``_rewire_chains``; see _BLOCK_BYTES."""
+    slot = np.dtype(_slot_dtype(edge_count)).itemsize
     index = np.dtype(np.intp).itemsize
-    return n * n + edge_count * index + 2 * _DRAW_WINDOW * 4 + 2 * _STEP_WINDOW * 2 * index
+    return n * n + edge_count * 2 + 2 * _DRAW_WINDOW * slot + 2 * _STEP_WINDOW * 2 * index
 
 
 def _rewire_chains(
@@ -327,32 +369,46 @@ def _rewire_chains(
 ) -> np.ndarray:
     """Row c holds the slot destinations of the rewired sample drawn with ``seeds[c]``.
 
-    The arcs ``src[i] -> dst0[i]`` on n nodes are the graph's sorted
-    ``arcs``; each slot keeps its source for good, and a swap exchanges
-    the destinations of two slots.  All chains advance together, one
-    swap step per Python iteration, on numpy arrays.  Chain c owns
-    ``dst[c*E:(c+1)*E]`` and the presence bitmap
-    ``present[c*n*n:(c+1)*n*n]``, whose diagonal is marked present so
-    that a proposed self-loop fails the duplicate test.  The block reads
-    its draw windows from one ``_swap_draws(seeds, ...)`` stream, whose
-    chain c takes the slots that ``rewire`` takes with ``seeds[c]``, so
-    row c equals the destinations of ``rewire(graph, seeds[c],
-    swaps_per_edge)``.  Each draw window is transposed ``_STEP_WINDOW``
-    steps at a time into two reused index buffers.
+    ``src`` and ``dst0`` are the sorted ``arcs`` of one graph on n nodes,
+    or the rows of a (graphs, E) table of several graphs that share n
+    and their arc count E.  The chains split evenly among the graphs, in
+    row order: with G graphs, chain c rewires graph ``c // (chains //
+    G)`` and reads its sources from that graph's row of the one table.
+    Each slot keeps its source for good, and a swap exchanges the
+    destinations of two slots.  All chains advance together, one swap
+    step per Python iteration, on numpy arrays.  Chain c owns
+    ``dst[c*E:(c+1)*E]``, as int16 (a block's bitmaps keep n below 500),
+    and the presence bitmap ``present[c*n*n:(c+1)*n*n]``, whose diagonal
+    is marked present so that a proposed self-loop fails the duplicate
+    test.  The block reads its draw windows from one ``_swap_draws(seeds,
+    ...)`` stream, whose chain c takes the slots that ``rewire`` takes
+    with ``seeds[c]``, so row c equals the destinations of
+    ``rewire(graph, seeds[c], swaps_per_edge)`` for chain c's graph.
+    Each draw window is transposed ``_STEP_WINDOW`` steps at a time into
+    two reused index buffers.
     """
-    edge_count = len(src)
+    src, dst0 = np.atleast_2d(src, dst0)
+    graphs, edge_count = src.shape
     _check_swaps(edge_count, swaps_per_edge)
     chains = len(seeds)
+    per_graph = chains // graphs
     node_base = np.arange(chains, dtype=np.intp) * (n * n)
-    edge_base2 = np.tile(np.arange(chains, dtype=np.intp) * edge_count, 2)
+    source_base = np.repeat(np.arange(graphs, dtype=np.intp) * edge_count, per_graph)
+    source_base2 = np.tile(source_base, 2)
+    # Added to a slot once its source is read: chain c's row of dst.
+    edge_shift2 = np.tile(np.arange(chains, dtype=np.intp) * edge_count, 2) - source_base2
     node_base2 = np.tile(node_base, 2)
     flip = np.roll(np.arange(2 * chains), chains)
-    dst = np.tile(dst0, chains)
-    present = np.zeros(chains * n * n, dtype=bool)
-    present[(node_base[:, None] + src * n + dst.reshape(chains, edge_count)).ravel()] = True
-    present[(node_base[:, None] + np.arange(n) * (n + 1)).ravel()] = True
-    slot_window = np.empty((_STEP_WINDOW, 2, chains), dtype=np.intp)
-    row_window = np.empty((_STEP_WINDOW, 2 * chains), dtype=np.intp)
+    sources = src.ravel()
+    dst = np.repeat(dst0.astype(np.int16), per_graph, axis=0).ravel()
+    present, slot_window, row_window = _mapped(
+        ((chains, n * n), np.bool_), ((_STEP_WINDOW, 2, chains), np.intp),
+        ((_STEP_WINDOW, 2 * chains), np.intp))
+    cells = src * n + dst0
+    for graph in range(graphs):
+        present[graph * per_graph:(graph + 1) * per_graph, cells[graph]] = True
+    present[:, ::n + 1] = True
+    present = present.ravel()
     for draws in _swap_draws(seeds, edge_count, edge_count * swaps_per_edge):
         take = draws.shape[1]
         for start in range(0, take, _STEP_WINDOW):
@@ -362,10 +418,11 @@ def _rewire_chains(
             slot_window[:width] = draws[:, start:start + width].transpose(1, 2, 0)
             slots = slot_window[:width].reshape(width, 2 * chains)
             rows = row_window[:width]
-            np.take(src, slots, out=rows)
+            slots += source_base2
+            np.take(sources, slots, out=rows)
             rows *= n
             rows += node_base2
-            slots += edge_base2
+            slots += edge_shift2
             for slot, row in zip(slots, rows):
                 ends = dst[slot]  # [b, d] of the picked arcs a->b, c->d
                 swapped = ends[flip]  # [d, b]
@@ -381,39 +438,52 @@ def _rewire_chains(
 
 
 def _null_counts(
-    graph: MobilityGraph, ensemble_size: int, seed: int, swaps_per_edge: int
+    graphs: list[MobilityGraph], ensemble_size: int, seeds: list[int], swaps_per_edge: int
 ) -> np.ndarray:
-    """The CONNECTED_TRIADS counts of each null sample, in order; sample i uses ``derive_seed(seed, i)``.
+    """Row g holds the CONNECTED_TRIADS counts of ``graphs[g]``'s null samples, in order.
 
-    Blocks of chains are rewired by ``_rewire_chains`` and counted by
-    ``_census_counts`` one after another, so at most one block's
-    samples are held at a time.
+    Sample i of graph g uses ``derive_seed(seeds[g], i)``.  The graphs
+    share their node and arc counts.  Blocks of chains, each holding the
+    same share of every graph's ensemble, are rewired by
+    ``_rewire_chains`` and counted by ``_census_counts`` one after
+    another, so at most one block's samples are held at a time.
     """
-    n = len(graph.nodes)
-    src, dst0 = graph.arcs  # rewire, called first on either path, checks them
-    blocks = -(-ensemble_size // max(_BLOCK_BYTES // _chain_bytes(n, len(src)), 1))
+    graph = graphs[0]
+    n, edge_count = len(graph.nodes), graph.edge_count
+    capacity = _BLOCK_BYTES // _chain_bytes(n, edge_count)
+    blocks = -(-ensemble_size // max(capacity // len(graphs), 1))
     if ensemble_size // blocks < BATCH_MIN_ENSEMBLE:
+        if len(graphs) > 1:
+            # Too few chains of each graph a block; alone, each may still batch.
+            return np.concatenate([_null_counts([g], ensemble_size, [seed], swaps_per_edge)
+                                   for g, seed in zip(graphs, seeds)])
         # Rewiring keeps every out-degree, so the sorted arcs of a sample
         # run from the same sources as the graph's.
-        return np.array([
-            _census_counts(n, src, rewire(graph, derive_seed(seed, i), swaps_per_edge).arcs[1])[3:]
-            for i in range(ensemble_size)
-        ])
-    # Sample 0 is drawn by rewire as well, and a mismatch stops the run:
-    # both take the same draws, so this guards the kernel's swap logic
-    # against rewire's.  It is also a batched ensemble's only rewire
-    # call, which perfbench's traced census.rewire figures read.
-    reference = rewire(graph, derive_seed(seed, 0), swaps_per_edge).arcs[1]
+        sources = graph.arcs[0]
+        return np.array([[
+            _census_counts(n, sources, rewire(graph, derive_seed(seeds[0], i), swaps_per_edge).arcs[1])[3:]
+            for i in range(ensemble_size)]])
+    # Sample 0 of each graph is drawn by rewire as well, and a mismatch
+    # stops the run: both take the same draws, so this guards the
+    # kernel's swap logic against rewire's.  It is also a batched
+    # ensemble's only rewire call, which perfbench's traced
+    # census.rewire figures read.  rewire checks the arcs first.
+    references = [rewire(g, derive_seed(seed, 0), swaps_per_edge).arcs[1]
+                  for g, seed in zip(graphs, seeds)]
+    src = np.array([g.arcs[0] for g in graphs])
+    dst0 = np.array([g.arcs[1] for g in graphs])
+    counts = np.empty((len(graphs), ensemble_size, len(CONNECTED_TRIADS)), dtype=np.int64)
     bounds = [ensemble_size * b // blocks for b in range(blocks + 1)]
-    counts = []
     for lo, hi in zip(bounds, bounds[1:]):
         samples = _rewire_chains(
-            n, src, dst0, [derive_seed(seed, i) for i in range(lo, hi)], swaps_per_edge)
-        if lo == 0 and not np.array_equal(samples[0][np.lexsort((samples[0], src))], reference):
-            raise RuntimeError("batched rewiring diverged from rewire on sample 0")
-        # CONNECTED_TRIADS is TRIAD_NAMES[3:].
-        counts.extend(_census_counts(n, src, dst)[3:] for dst in samples)
-    return np.array(counts)
+            n, src, dst0, [derive_seed(seed, i) for seed in seeds for i in range(lo, hi)],
+            swaps_per_edge).reshape(len(graphs), hi - lo, edge_count)
+        for g, (sources, rows) in enumerate(zip(src, samples)):
+            if lo == 0 and not np.array_equal(rows[0][np.lexsort((rows[0], sources))], references[g]):
+                raise RuntimeError("batched rewiring diverged from rewire on sample 0")
+            # CONNECTED_TRIADS is TRIAD_NAMES[3:].
+            counts[g, lo:hi] = [_census_counts(n, sources, dst)[3:] for dst in rows]
+    return counts
 
 
 # A class is flagged relevant from this z-score and this real count on.
@@ -467,6 +537,7 @@ def motif_zscores(
     ensemble_size: int = 1000,
     seed: int = 0,
     swaps_per_edge: int = 100,
+    null: np.ndarray | None = None,
 ) -> MotifZScores:
     """z-scores of connected triad counts against rewired null graphs.
 
@@ -476,16 +547,20 @@ def motif_zscores(
     block, in this process.  Every sample is still
     bit-identical to ``rewire(graph, derive_seed(seed, i),
     swaps_per_edge)``, and is counted on its node-index arcs by the
-    same kernel as ``triad_census``.  The standard deviation is the
-    population one (ddof 0); classes with zero spread get z = None.
-    The real counts come from ``triad_census(graph)``, which reads the
-    graph's cached census, so a graph already counted is not counted
-    again.
+    same kernel as ``triad_census``.  ``null`` takes those counts where
+    they were drawn already, as the row of ``_null_counts`` that a joint
+    block of this graph and another of its shape gave it.  The standard
+    deviation is the population one (ddof 0); classes with zero spread
+    get z = None.  The real counts come from ``triad_census(graph)``,
+    which reads the graph's cached census, so a graph already counted is
+    not counted again.
     """
     if ensemble_size < 2:
         raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
     observed = triad_census(graph)
-    samples = _null_counts(graph, ensemble_size, seed, swaps_per_edge).astype(np.float64)
+    if null is None:
+        null = _null_counts([graph], ensemble_size, [seed], swaps_per_edge)[0]
+    samples = null.astype(np.float64)
     means = samples.mean(axis=0)
     stds = samples.std(axis=0)
     real = {name: observed.counts[name] for name in CONNECTED_TRIADS}

@@ -26,8 +26,12 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .census import MotifZScores, motif_zscores, triad_census, z_percent_diff, z_percent_diff_csv
+from .census import (
+    BATCH_MIN_ENSEMBLE, MotifZScores, _null_counts, motif_zscores, triad_census, z_percent_diff,
+    z_percent_diff_csv)
 from .clustering import average_linkage, distance_matrix, filter_singletons
 from .compare import (
     EXPECTED_SUBGRAPHS, FeatureMatrix, avg_distance_matrix, country_correlations, feature_matrix)
@@ -342,20 +346,70 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
+class _JointNulls:
+    """Paired Top-k units, whose null ensembles run as one lockstep block.
+
+    ``units`` are dataset-major, so with two datasets unit i and unit
+    ``i + len(units) // 2`` are the same direction and k of datasets a
+    and b.  They are paired when the ensemble is large enough to batch
+    (``BATCH_MIN_ENSEMBLE``).  When the first of a pair reaches its
+    null model and the two subgraphs share their node and arc counts, it
+    draws both ensembles with one ``_null_counts`` call, and leaves its
+    partner's subgraph and counts here; with other shapes it leaves the
+    subgraph only.  Both units of a pair share a lane, which runs its
+    units in index order, so the second finds them in its own process.
+    """
+
+    def __init__(self, config: RunConfig, units: list[tuple[str, MobilityGraph, str, int]]) -> None:
+        self.config = config
+        self.units = units
+        half = len(units) // 2
+        paired = units[0][0] != units[-1][0] and config.ensemble_size >= BATCH_MIN_ENSEMBLE
+        self.partner = {i: i + half for i in range(half)} if paired else {}
+        self.left: dict[int, tuple[MobilityGraph, np.ndarray | None]] = {}
+
+    def subgraph(self, index: int) -> MobilityGraph:
+        if index in self.left:
+            return self.left[index][0]
+        _, graph, direction, k = self.units[index]
+        return (topk_out if direction == "out" else topk_in)(graph, k)
+
+    def seed(self, index: int) -> int:
+        name, _, direction, k = self.units[index]
+        return derive_seed(derive_seed(self.config.seed, "census"), name, direction, k)
+
+    def counts(self, index: int, sg: MobilityGraph) -> np.ndarray | None:
+        """Unit ``index``'s null counts where its pair draws them together, else None."""
+        if index in self.left:
+            return self.left.pop(index)[1]
+        other = self.partner.get(index)
+        if other is None:
+            return None
+        partner = self.subgraph(other)
+        if (partner.node_count, partner.edge_count) != (sg.node_count, sg.edge_count):
+            self.left[other] = partner, None
+            return None
+        mine, theirs = _null_counts([sg, partner], self.config.ensemble_size,
+                                    [self.seed(index), self.seed(other)], self.config.swaps_per_edge)
+        self.left[other] = partner, theirs
+        return mine
+
+
 def _topk_unit(
     config: RunConfig, bundle: _Bundle, region_map: RegionMap, averaged_k: set[int],
-    name: str, graph: MobilityGraph, direction: str, k: int,
+    nulls: _JointNulls, index: int,
 ) -> tuple[MotifZScores, FeatureMatrix | None, RegionalFlowMatrix | None]:
-    """Every report of one Top-k subgraph, staged through ``bundle``.
+    """Every report of Top-k unit ``index`` (its dataset, direction and k), staged through ``bundle``.
 
     Returns the subgraph's motif z-scores; for k in ``averaged_k`` (the
     averaged distances' inputs), its feature matrix; and for the largest
     k, whose subgraph the regional reports read, its regional shares.
     """
+    name, _, direction, k = nulls.units[index]
     tag = f"{name}_{direction}_{k}"
     stage = f"top-{k} {direction}"
     try:
-        sg = (topk_out if direction == "out" else topk_in)(graph, k)
+        sg = nulls.subgraph(index)
         report = structural_report(sg)
         bundle.write_json(f"structural_{tag}.json", report.to_dict())
         bundle.write_csv(f"structural_{tag}.csv", report.to_csv())
@@ -377,8 +431,9 @@ def _topk_unit(
         zscores = motif_zscores(
             sg,
             ensemble_size=config.ensemble_size,
-            seed=derive_seed(derive_seed(config.seed, "census"), name, direction, k),
+            seed=nulls.seed(index),
             swaps_per_edge=config.swaps_per_edge,
+            null=nulls.counts(index, sg),
         )
         bundle.write_csv(f"motifs_{tag}.csv", zscores.to_csv())
         share = None
@@ -417,15 +472,17 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     averaged_k = {k for _, k in EXPECTED_SUBGRAPHS}
     averaged_k = averaged_k if averaged_k <= set(config.k_values) else set()
     # A Top-k unit: dataset name, its graph, direction and k.  Its cost
-    # grows with its subgraph's arcs, so each lane is dealt units by k.
+    # grows with its subgraph's arcs, so each lane is dealt units by k,
+    # the two units of a pair (_JointNulls) to one lane.
     units = [(name, graph, direction, k) for name, graph in graphs.items()
              for direction in ("out", "in") for k in config.k_values]
+    nulls = _JointNulls(config, units)
     with _Bundle(config, "analyze_manifest.json", {"datasets": sorted(graphs)}) as bundle:
         motifs, shares, features = {}, {}, {name: [] for name in graphs}
         # A forked lane stages its files into the bundle and sends back only its results.
         results = run_lanes(
-            lambda i: _topk_unit(config, bundle, region_map, averaged_k, *units[i]),
-            [k for *_, k in units], "analyze")
+            lambda i: _topk_unit(config, bundle, region_map, averaged_k, nulls, i),
+            [k for *_, k in units], "analyze", list(nulls.partner.items()))
         for (name, _, direction, k), (zscores, matrix, share) in zip(units, results):
             motifs[name, direction, k] = zscores
             if matrix is not None:

@@ -17,7 +17,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -44,6 +43,15 @@ _INT_DIGITS_ALWAYS_READ = 640
 HomeAssignment = dict[str, str]
 
 
+def _summed(counts: Iterable[dict[str, int]]) -> dict[str, int]:
+    """The per-country sum of country -> count mappings: a table's country totals."""
+    totals: dict[str, int] = {}
+    for per_country in counts:
+        for code, n in per_country.items():
+            totals[code] = totals.get(code, 0) + n
+    return totals
+
+
 @dataclass(frozen=True)
 class CheckinTable:
     """Per-user country counts of a check-in log.
@@ -52,21 +60,22 @@ class CheckinTable:
     check-ins in that country; the log's rows themselves are not kept,
     so a table's size is bounded by users x countries.  ``skipped``
     reports how many malformed rows were dropped during a lenient parse;
-    it is 0 after a strict parse.  ``country_counts`` is computed once
-    and cached, so ``user_country_counts`` must not be modified after
-    parsing.  The table is not hashable, since it holds a dict.
+    it is 0 after a strict parse.  ``country_counts`` totals each
+    country's check-ins.  :func:`parse_checkins` passes the totals of a
+    log parsed in pieces, each piece's summed in its own lane; a table
+    given none sums ``user_country_counts`` by the same rule
+    (``_summed``).  So ``user_country_counts`` must not be modified
+    after parsing.  The table is not hashable, since it holds a dict.
     """
 
     user_country_counts: dict[str, dict[str, int]]
     skipped: int = 0
+    country_counts: dict[str, int] = None  # type: ignore[assignment]
 
-    @cached_property
-    def country_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for per_country in self.user_country_counts.values():
-            for code, n in per_country.items():
-                counts[code] = counts.get(code, 0) + n
-        return counts
+    def __post_init__(self) -> None:
+        if self.country_counts is None:
+            object.__setattr__(
+                self, "country_counts", _summed(self.user_country_counts.values()))
 
     @property
     def record_count(self) -> int:
@@ -93,10 +102,11 @@ def _valid_timestamp(text: str) -> bool:
     A trailing ``Z`` is accepted.  ``int()`` rejects only literals over
     the interpreter's digit limit, and ``timestamp()`` reads every
     datetime ``fromisoformat`` returns, with or without an offset, so
-    neither value is computed.
+    neither value is computed.  The integer-literal test is
+    :func:`_is_int_literal`'s, written out to save a call per stamp.
     """
     value = text.strip()
-    if _is_int_literal(value):
+    if value.isdecimal() or (value[:1] in ("+", "-") and value[1:].isdecimal()):
         if len(value) > _INT_DIGITS_ALWAYS_READ:
             try:
                 int(value)
@@ -304,27 +314,29 @@ def _cuts(path: str | Path, fmt: str) -> list[int]:
     return cuts + [size]
 
 
-def _parse_pieces(
-    path: str | Path, fmt: str, strict: bool, cuts: list[int]
-) -> tuple[dict[str, dict[str, int]], int]:
+def _parse_pieces(path: str | Path, fmt: str, strict: bool, cuts: list[int]) -> CheckinTable:
     """Parse each byte piece between ``cuts``, then merge them in order.
 
     The pieces weigh the same, so :func:`tourflow.lanes.run_lanes` gives
     piece i to lane i, and raises the earliest piece's exception once
-    every lane has ended.
+    every lane has ended.  Each lane also sums its piece's country
+    totals, and the table's totals are their sum.
     """
     width = 0
     if fmt == "csv":
         with _open_lines(path) as lines:
             width = _csv_width(csv.reader(lines))
 
-    def piece(i: int) -> tuple[dict[str, dict[str, int]], int]:
+    def piece(i: int) -> tuple[dict[str, dict[str, int]], int, dict[str, int]]:
         with _open_lines(path, (cuts[i], cuts[i + 1])) as lines:
-            return _fold(*_rows(lines, fmt, width if i else 0), strict)
+            per_user, skipped = _fold(*_rows(lines, fmt, width if i else 0), strict)
+        return per_user, skipped, _summed(per_user.values())
 
-    (per_user, skipped), *rest = run_lanes(piece, [1] * (len(cuts) - 1), "check-in parse")
+    pieces = run_lanes(piece, [1] * (len(cuts) - 1), "check-in parse")
+    totals = _summed(piece_totals for _, _, piece_totals in pieces)
+    (per_user, skipped, _), *rest = pieces
     # Users, and each user's countries, keep the order of their first appearance.
-    for more, more_skipped in rest:
+    for more, more_skipped, _ in rest:
         skipped += more_skipped
         for user, counts in more.items():
             mine = per_user.get(user)
@@ -333,7 +345,7 @@ def _parse_pieces(
             else:
                 for code, n in counts.items():
                     mine[code] = mine.get(code, 0) + n
-    return per_user, skipped
+    return CheckinTable(per_user, skipped, totals)
 
 
 def parse_checkins(
@@ -371,7 +383,7 @@ def parse_checkins(
         cuts = _cuts(source, fmt)
         if len(cuts) > 2:
             try:
-                return CheckinTable(*_parse_pieces(source, fmt, strict, cuts))
+                return _parse_pieces(source, fmt, strict, cuts)
             except ParseError:
                 pass  # parsed again in one piece, which raises the serial error
     with _open_lines(source) as lines:

@@ -47,6 +47,15 @@ def regex_parse_timestamp(text: str) -> int:
     return int(stamp.timestamp())
 
 
+def per_user_country_totals(user_country_counts: dict[str, dict[str, int]]) -> dict[str, int]:
+    """Each country's check-ins, added up one user and one country at a time."""
+    totals: dict[str, int] = {}
+    for per_country in user_country_counts.values():
+        for code, n in per_country.items():
+            totals[code] = totals.get(code, 0) + n
+    return totals
+
+
 def min_key_homes(user_country_counts: dict[str, dict[str, int]]) -> dict[str, str]:
     """Each user's home as ``min`` picks it with a (-count, code) key per country."""
     return {user: min(counts, key=lambda code: (-counts[code], code))

@@ -16,6 +16,7 @@ from tourflow import (
     MobilityGraph,
     motif_zscores,
     rewire,
+    topk_in,
     topk_out,
     triad_census,
     z_percent_diff,
@@ -449,7 +450,7 @@ class TestBatchedEnsemble:
         self, name: str, size: int, scalar_calls: list, chain_samples: list
     ) -> None:
         g = SWAP_GRAPHS[name]
-        counts = census._null_counts(g, size, 11, 3)
+        counts = census._null_counts([g], size, [11], 3)[0]
         batched = size >= BATCH_MIN_ENSEMBLE
         # Batched ensembles draw sample 0 with rewire too, as a cross-check.
         assert len(scalar_calls) == (1 if batched else size)
@@ -462,7 +463,7 @@ class TestBatchedEnsemble:
         monkeypatch.setattr(
             census, "rewire", lambda graph, seed, swaps: rewire(graph, seed + 1, swaps))
         with pytest.raises(RuntimeError, match="diverged"):
-            census._null_counts(g, BATCH_MIN_ENSEMBLE, 14, 2)
+            census._null_counts([g], BATCH_MIN_ENSEMBLE, [14], 2)
 
     def test_rewire_and_kernel_share_one_draw_rule(
         self, chain_samples: list, monkeypatch
@@ -479,7 +480,7 @@ class TestBatchedEnsemble:
         g = SWAP_GRAPHS["hub-heavy"]
         unshifted = rewire(g, derive_seed(19, 0), 3).edges
         monkeypatch.setattr(census, "_swap_draws", shifted)
-        census._null_counts(g, BATCH_MIN_ENSEMBLE, 19, 3)
+        census._null_counts([g], BATCH_MIN_ENSEMBLE, [19], 3)
         expected = [rewire(g, derive_seed(19, i), 3).edges for i in range(BATCH_MIN_ENSEMBLE)]
         assert expected[0] != unshifted
         assert sample_arcs(g, chain_samples) == expected
@@ -490,21 +491,21 @@ class TestBatchedEnsemble:
         g = SWAP_GRAPHS["hub-heavy"]
         monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, BATCH_MIN_ENSEMBLE) - 1)
         size = 2 * BATCH_MIN_ENSEMBLE
-        counts = census._null_counts(g, size, 13, 2)
+        counts = census._null_counts([g], size, [13], 2)[0]
         assert scalar_calls == [(g, derive_seed(13, i), 2) for i in range(size)]
         assert counts.tolist() == rewired_counts(g, 13, size, 2)
 
     def test_blocks_split_below_the_floor_fall_back_to_rewire(
         self, scalar_calls: list, chain_seeds: list
     ) -> None:
-        # A block of a 385-node graph with 3 arcs a node holds 16 chains,
+        # A block of a 459-node graph with 3 arcs a node holds 16 chains,
         # but 100 chains split evenly into 7 blocks of 14 or 15.
-        n = 385
+        n = 459
         codes = codes_for(n)
         g = MobilityGraph.build({(codes[i], codes[(i + step) % n]): 1
                                  for i in range(n) for step in (1, 2, 3)}, codes)
         assert census._BLOCK_BYTES // census._chain_bytes(n, len(g.edges)) == BATCH_MIN_ENSEMBLE
-        counts = census._null_counts(g, 100, 18, 1)
+        counts = census._null_counts([g], 100, [18], 1)[0]
         assert chain_seeds == []
         assert scalar_calls == [(g, derive_seed(18, i), 1) for i in range(100)]
         assert counts.tolist() == rewired_counts(g, 18, 100, 1)
@@ -565,7 +566,7 @@ class TestBatchedEnsemble:
         # A 117-node Top-3 graph (351 arcs) and 100 chains.
         g = topk_out(circulant_graph(), 3)
         assert (len(g.nodes), len(g.edges)) == (117, 351)
-        census._null_counts(g, 100, 16, 1)
+        census._null_counts([g], 100, [16], 1)
         assert chain_seeds == [[derive_seed(16, i) for i in range(100)]]
 
     @pytest.mark.parametrize("blocks", [1, 2, 4])
@@ -575,11 +576,83 @@ class TestBatchedEnsemble:
         g = SWAP_GRAPHS["hub-heavy"]
         size = 4 * BATCH_MIN_ENSEMBLE
         monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, size // blocks))
-        counts = census._null_counts(g, size, 17, 3)
+        counts = census._null_counts([g], size, [17], 3)[0]
         bounds = [size * b // blocks for b in range(blocks + 1)]
         assert chain_seeds == [
             [derive_seed(17, i) for i in range(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
         assert counts.tolist() == rewired_counts(g, 17, size, 3)
+
+
+def ring_lattice(n: int, steps: tuple[int, ...]) -> MobilityGraph:
+    """Node i links to node i + s for each step s, on n nodes."""
+    codes = codes_for(n)
+    return MobilityGraph.build({(codes[i], codes[(i + step) % n]): 1
+                                for i in range(n) for step in steps}, codes)
+
+
+def joint_pairs() -> dict[str, tuple[MobilityGraph, MobilityGraph]]:
+    """Two graphs on the same nodes with as many arcs, as two datasets' Top-k subgraphs are."""
+    a, b = (random_digraph(np.random.default_rng(seed), 14, 1.0) for seed in (30, 31))
+    pairs = {f"top-{k} {direction}": (topk(a, k), topk(b, k))
+             for direction, topk in (("out", topk_out), ("in", topk_in)) for k in (1, 3)}
+    pairs["rings"] = ring_lattice(15, (1, 2, 3)), ring_lattice(15, (1, 4, 6))
+    return pairs
+
+
+JOINT_PAIRS = joint_pairs()
+
+
+class TestJointBlock:
+    """Graphs of one shape share a lockstep block; each keeps its own samples."""
+
+    @pytest.mark.parametrize("name", list(JOINT_PAIRS))
+    def test_every_row_matches_rewire_of_its_graph(self, name: str) -> None:
+        g, h = JOINT_PAIRS[name]
+        assert (len(g.nodes), g.edge_count) == (len(h.nodes), h.edge_count)
+        assert g.arcs[1].tolist() != h.arcs[1].tolist()
+        seeds = [derive_seed(23, i) for i in range(6)]
+        rows = census._rewire_chains(
+            len(g.nodes), np.array([g.arcs[0], h.arcs[0]]), np.array([g.arcs[1], h.arcs[1]]),
+            seeds, 7)
+        expected = [rewire(graph, seed, 7).edges
+                    for graph, part in ((g, seeds[:3]), (h, seeds[3:])) for seed in part]
+        assert sample_arcs(g, rows[:3]) + sample_arcs(h, rows[3:]) == expected
+
+    @pytest.mark.parametrize("name", ["top-3 out", "rings"])
+    def test_one_block_gives_each_graph_its_own_ensemble(
+        self, name: str, scalar_calls: list, chain_seeds: list
+    ) -> None:
+        g, h = JOINT_PAIRS[name]
+        size = BATCH_MIN_ENSEMBLE
+        counts = census._null_counts([g, h], size, [24, 25], 3)
+        assert chain_seeds == [[derive_seed(seed, i) for seed in (24, 25) for i in range(size)]]
+        # Each graph keeps its own sample-0 cross-check.
+        assert scalar_calls == [(g, derive_seed(24, 0), 3), (h, derive_seed(25, 0), 3)]
+        assert counts.tolist() == [rewired_counts(g, 24, size, 3), rewired_counts(h, 25, size, 3)]
+
+    def test_blocks_hold_an_even_share_of_each_graph(
+        self, chain_seeds: list, monkeypatch
+    ) -> None:
+        g, h = JOINT_PAIRS["top-1 in"]
+        size = 4 * BATCH_MIN_ENSEMBLE
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, size))
+        counts = census._null_counts([g, h], size, [26, 27], 2)
+        half = size // 2
+        assert chain_seeds == [[derive_seed(seed, i) for seed in (26, 27) for i in range(lo, hi)]
+                               for lo, hi in ((0, half), (half, size))]
+        assert counts.tolist() == [rewired_counts(g, 26, size, 2), rewired_counts(h, 27, size, 2)]
+
+    def test_a_joint_block_below_the_floor_runs_each_graph_alone(
+        self, scalar_calls: list, chain_seeds: list, monkeypatch
+    ) -> None:
+        # One block holds 31 chains: 15 of each graph jointly, 16 alone.
+        g, h = JOINT_PAIRS["rings"]
+        size = BATCH_MIN_ENSEMBLE
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, 2 * size) - 1)
+        counts = census._null_counts([g, h], size, [28, 29], 3)
+        assert chain_seeds == [[derive_seed(seed, i) for i in range(size)] for seed in (28, 29)]
+        assert len(scalar_calls) == 2
+        assert counts.tolist() == [rewired_counts(g, 28, size, 3), rewired_counts(h, 29, size, 3)]
 
 
 def stream_windows(seeds: list[int], edge_count: int, steps: int) -> list[np.ndarray]:
@@ -702,7 +775,7 @@ class TestSwapStream:
         # in three draw windows), its kernel rows and four rewire samples.
         g = golden_graph()
         assert 20 >= BATCH_MIN_ENSEMBLE and len(g.edges) * 12 > 2 * census._DRAW_WINDOW
-        counts = census._null_counts(g, 20, 5, 12)
+        counts = census._null_counts([g], 20, [5], 12)[0]
         rows = census._rewire_chains(len(g.nodes), *g.arcs, [derive_seed(5, i) for i in range(20)], 12)
         samples = [rewire(g, derive_seed(5, i), 12).arcs for i in range(4)]
         assert sha256_of([counts]) == (
@@ -715,7 +788,7 @@ class TestSwapStream:
     def test_no_generator_is_made(self, scalar_calls: list, monkeypatch) -> None:
         g = SWAP_GRAPHS["hub-heavy"]
         size = BATCH_MIN_ENSEMBLE
-        batched = census._null_counts(g, size, 22, 3)
+        batched = census._null_counts([g], size, [22], 3)[0]
         sample = rewire(g, derive_seed(22, 0), 3).edges
         assert len(scalar_calls) == 1
 
@@ -723,10 +796,10 @@ class TestSwapStream:
             raise AssertionError("the package made a numpy Generator")
 
         monkeypatch.setattr(np.random, "default_rng", refused)
-        assert np.array_equal(census._null_counts(g, size, 22, 3), batched)
+        assert np.array_equal(census._null_counts([g], size, [22], 3)[0], batched)
         assert rewire(g, derive_seed(22, 0), 3).edges == sample
         monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, size) - 1)
-        assert np.array_equal(census._null_counts(g, size, 22, 3), batched)
+        assert np.array_equal(census._null_counts([g], size, [22], 3)[0], batched)
         assert len(scalar_calls) == 2 + size
 
 
@@ -749,7 +822,7 @@ class TestPooledEnsemble:
         return motif_zscores(self.graph, ensemble_size=self.size, seed=21, swaps_per_edge=5)
 
     def test_multi_block_ensemble_starts_no_process(self, two_cpus: list) -> None:
-        counts = census._null_counts(self.graph, self.size, 21, 5)
+        counts = census._null_counts([self.graph], self.size, [21], 5)[0]
         assert two_cpus == []
         assert counts.tolist() == rewired_counts(self.graph, 21, self.size, 5)
 

@@ -939,6 +939,85 @@ def unit_seed(name: str, direction: str, k: int) -> int:
     return derive_seed(derive_seed(derive_seed(0, "census"), name, direction, k), 0)
 
 
+def log_blocks(monkeypatch, log: Path) -> None:
+    """Append the chain count of every _rewire_chains call, in any lane, to ``log``."""
+    kernel = census._rewire_chains
+
+    def logged(n, src, dst0, seeds, swaps_per_edge):
+        with open(log, "a") as handle:
+            handle.write(f"{len(seeds)}\n")
+        return kernel(n, src, dst0, seeds, swaps_per_edge)
+
+    monkeypatch.setattr(census, "_rewire_chains", logged)
+
+
+def logged_blocks(log: Path) -> list[int]:
+    blocks = [int(line) for line in log.read_text().split()] if log.exists() else []
+    log.unlink(missing_ok=True)
+    return blocks
+
+
+class TestJointNulls:
+    """The two datasets' units of one direction and k draw their ensembles as one block."""
+
+    size = census.BATCH_MIN_ENSEMBLE
+
+    def test_dataset_a_motifs_do_not_depend_on_dataset_b(
+        self, tmp_path: Path, monkeypatch, one_cpu
+    ) -> None:
+        log = tmp_path / "blocks"
+        log_blocks(monkeypatch, log)
+        bodies = {}
+        for datasets in ("a", "ab"):
+            work = tmp_path / datasets
+            work.mkdir()
+            base = [*bundle_args(work, datasets), "--set", f"ensemble_size={self.size}"]
+            assert main(["build", *base]) == EXIT_OK
+            assert main(["analyze", *base]) == EXIT_OK
+            bodies[datasets] = {path.name: body(path)
+                                for path in sorted((work / "out").glob("motifs_a_*.csv"))}
+            # Both datasets' graphs are equal, so every pair runs as one block.
+            assert logged_blocks(log) == [len(datasets) * self.size] * 6
+        assert len(bodies["a"]) == 6
+        assert bodies["a"] == bodies["ab"]
+
+    def test_subgraphs_of_other_shapes_run_alone(
+        self, tmp_path: Path, monkeypatch, one_cpu
+    ) -> None:
+        log = tmp_path / "blocks"
+        log_blocks(monkeypatch, log)
+        base = [*bundle_args(tmp_path, "ab"), "--set", f"ensemble_size={self.size}"]
+        # Dataset b loses a country, so no Top-k subgraph of it has a's node count.
+        edges = sample_edges()
+        dropped = min(c for pair in edges for c in pair)
+        write_flow_csv(tmp_path / "flows_b.csv",
+                       {pair: w for pair, w in edges.items() if dropped not in pair})
+        assert main(["build", *base]) == EXIT_OK
+        assert main(["analyze", *base]) == EXIT_OK
+        assert logged_blocks(log) == [self.size] * 12
+        # Below the batching floor no unit is paired.
+        assert main(["analyze", *base, "--set", f"ensemble_size={self.size - 1}"]) == EXIT_OK
+        assert logged_blocks(log) == []
+
+    def test_three_lanes_keep_each_pair_in_one_lane(
+        self, tmp_path: Path, monkeypatch
+    ) -> None:
+        log = tmp_path / "blocks"
+        log_blocks(monkeypatch, log)
+        base = [*bundle_args(tmp_path, "ab"), "--set", f"ensemble_size={self.size}"]
+        out = tmp_path / "out"
+        assert main(["build", *base]) == EXIT_OK
+        bundles = []
+        for mask in ({0, 1, 2}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
+            assert main(["analyze", *base]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            # A pair split over two lanes would draw the second unit's block again.
+            assert sorted(logged_blocks(log)) == [2 * self.size] * 6
+            bundles.append(snapshot(out))
+        assert bundles[0] == bundles[1]
+
+
 class TestLanes:
     """Analyze runs its Top-k units in one lane per CPU, itself being lane 0.
 
@@ -980,7 +1059,28 @@ class TestLanes:
         self, tmp_path: Path, monkeypatch, capsys, two_cpus: list,
         datasets: str, failing: set, message: str
     ) -> None:
-        base = bundle_args(tmp_path, datasets)
+        self.check_serial_message(tmp_path, monkeypatch, capsys, two_cpus, datasets, failing,
+                                  message, [])
+
+    @pytest.mark.parametrize("datasets, failing, message", [
+        ("ab", {("b", "out", 1), ("a", "in", 1)}, "dataset a, top-1 in"),
+        ("ab", {("b", "out", 1), ("a", "out", 2)}, "dataset a, top-2 out"),
+        ("ab", {("b", "in", 3)}, "dataset b, top-3 in"),
+    ])
+    def test_failed_unit_of_a_joint_block_gives_the_serial_message(
+        self, tmp_path: Path, monkeypatch, capsys, two_cpus: list,
+        datasets: str, failing: set, message: str
+    ) -> None:
+        # Each Top-k unit of a draws its pair's ensembles, b's included.
+        self.check_serial_message(tmp_path, monkeypatch, capsys, two_cpus, datasets, failing,
+                                  message, ["--set", f"ensemble_size={census.BATCH_MIN_ENSEMBLE}"])
+
+    @staticmethod
+    def check_serial_message(
+        tmp_path: Path, monkeypatch, capsys, two_cpus: list,
+        datasets: str, failing: set, message: str, overrides: list[str]
+    ) -> None:
+        base = [*bundle_args(tmp_path, datasets), *overrides]
         out = tmp_path / "out"
         assert main(["build", *base]) == EXIT_OK
         assert main(["analyze", *base]) == EXIT_OK

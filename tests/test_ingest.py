@@ -39,6 +39,7 @@ from oracles import (
     codes_for,
     min_key_homes,
     pair_tally_edges,
+    per_user_country_totals,
     regex_parse_timestamp,
 )
 
@@ -423,6 +424,28 @@ class TestPieces:
         serial = serial_outcome(fuzz_file, fmt, strict=False)
         assert piece_outcome(fuzz_file, cpus, fmt, strict=False)[0] == serial
         assert isinstance(serial, tuple)
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    @given(events=_EVENTS, cpus=st.integers(2, 4))
+    @example(events=[("u1", "US", "100"), ("u2", "FR", "100"), ("u1", "FR", "-5")] * 4, cpus=3)
+    @settings(max_examples=30, deadline=None)
+    def test_country_totals_equal_the_per_user_loop(
+        self, fuzz_file, fmt: str, events, cpus: int
+    ) -> None:
+        # Lanes sum their own pieces' totals; a table built by hand sums its users'.
+        lines = (["user_id,country,timestamp"] if fmt == "csv" else []) + [
+            (",".join([user, country] if stamp is None else [user, country, stamp])
+             if fmt == "csv" else ndjson_line(user, country, stamp))
+            for user, country, stamp in events]
+        fuzz_file.write_text("".join(line + "\n" for line in lines))
+        with lanes_of(1):
+            serial = parse_checkins(fuzz_file, fmt=fmt, strict=False)
+        with lanes_of(cpus):
+            pieces = parse_checkins(fuzz_file, fmt=fmt, strict=False)
+        expected = per_user_country_totals(serial.user_country_counts)
+        for table in (serial, pieces, CheckinTable(serial.user_country_counts)):
+            assert table.country_counts == expected
+            assert table.record_count == sum(expected.values())
 
     @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
     def test_a_piece_per_line(self, tmp_path: Path, fmt: str) -> None:

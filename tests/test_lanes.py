@@ -44,6 +44,29 @@ def test_deal_balances_the_lanes() -> None:
     assert lanes._deal([1] * 3, 3) == [[0], [1], [2]]
 
 
+def test_items_dealt_together_share_a_lane() -> None:
+    # analyze's units at k = 1..3 of two datasets, each paired with the
+    # other dataset's unit of its direction and k.
+    weights = [k for _ in "ab" for _ in ("out", "in") for k in (1, 2, 3)]
+    pairs = [(i, i + 6) for i in range(6)]
+    alone = lanes._deal(weights, 3)
+    assert any(lane.count(i) != lane.count(j) for lane in alone for i, j in pairs)
+    for count in (1, 2, 3, 4):
+        dealt = lanes._deal(weights, count, pairs)
+        assert sorted(sum(dealt, [])) == list(range(len(weights)))
+        assert all(lane.count(i) == lane.count(j) for lane in dealt for i, j in pairs)
+        assert all(lane == sorted(lane) for lane in dealt)
+    assert [sum(weights[i] for i in lane) for lane in lanes._deal(weights, 3, pairs)] == [8, 8, 8]
+    # No groups: the deal of items alone.
+    assert lanes._deal(weights, 3, []) == alone
+
+
+def test_a_lane_per_group_at_most(two_cpus: list) -> None:
+    results = run_lanes(failing_at(set()), [1, 1], "test", [(0, 1)])
+    assert [pid for _, pid in results] == [os.getpid()] * 2
+    assert two_cpus == []
+
+
 def test_results_come_back_in_item_order(two_cpus: list) -> None:
     # Lane 0 is dealt items 0 and 2; the forked lane 1, 3 and 4.
     results = run_lanes(failing_at(set()), [3, 1, 2, 1, 3], "test")
