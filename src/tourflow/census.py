@@ -171,10 +171,11 @@ def _slot_dtype(edge_count: int) -> type:
 def _mapped(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
     """Zeroed arrays of these (shape, dtype)s, cut from one anonymous memory map.
 
-    The swap kernel's large arrays live here.  The map goes back to the
-    system as soon as its last array is gone.  Made by numpy instead,
-    they came from the allocator's heap once it had freed the first, and
-    stayed there: peak RSS crept up by 0.2-0.4 MB with every ensemble.
+    A chain block's bitmaps and index windows live here, and the map
+    goes back to the system as soon as the block ends.  Made by numpy
+    instead, they came from the allocator's heap once it had freed the
+    first block, and stayed there: peak RSS crept up by 0.2-0.4 MB with
+    every ensemble.
     """
     sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64 for shape, dtype in specs]
     buffer = np.frombuffer(mmap.mmap(-1, sum(sizes)), dtype=np.uint8)
@@ -261,9 +262,9 @@ def _swap_draws(seeds: list[int], edge_count: int, steps: int) -> Iterator[np.nd
     carried = np.zeros(chains, dtype=bool)  # chain c holds the spare half-word carry[c]
     carry = np.zeros(chains, dtype=np.uint32)
     batch = min(chains, _DRAW_CHAINS)
-    draws, words, products = _mapped(
-        ((chains, _DRAW_WINDOW, 2), _slot_dtype(edge_count)), ((batch, _DRAW_WINDOW), np.uint64),
-        ((batch, _DRAW_WINDOW, 2), np.uint64))
+    draws = np.empty((chains, _DRAW_WINDOW, 2), dtype=_slot_dtype(edge_count))
+    words = np.empty((batch, _DRAW_WINDOW), dtype=np.uint64)
+    products = np.empty((batch, _DRAW_WINDOW, 2), dtype=np.uint64)
     halves = words.view("<u4").reshape(batch, _DRAW_WINDOW, 2)  # the low then the high half
     flat = halves.reshape(batch, 2 * _DRAW_WINDOW)
     remaining = steps
