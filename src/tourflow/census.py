@@ -107,7 +107,7 @@ def _census_counts(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
     Every node pair v < u joined by at least one arc is taken once, with
     every third node w at a time: the guarded code of (v, u, w) (see
-    ``_guarded_classes``) is put together from the rows of v and u in
+    ``_guarded_classes``) is assembled from the rows of v and u in
     two n-by-n byte matrices.  The codes are counted with one
     ``bincount`` and folded into classes; the empty class 003 closes
     the total to C(n, 3).
@@ -376,7 +376,7 @@ def _rewire_chains(
     row order: with G graphs, chain c rewires graph ``c // (chains //
     G)`` and reads its sources from that graph's row of the one table.
     Each slot keeps its source for good, and a swap exchanges the
-    destinations of two slots.  All chains advance together, one swap
+    destinations of two slots.  All chains advance in lockstep, one swap
     step per Python iteration, on numpy arrays.  Chain c owns
     ``dst[c*E:(c+1)*E]``, as int16 (a block's bitmaps keep n below 500),
     and the presence bitmap ``present[c*n*n:(c+1)*n*n]``, whose diagonal
@@ -550,7 +550,9 @@ def motif_zscores(
     swaps_per_edge)``, and is counted on its node-index arcs by the
     same kernel as ``triad_census``.  ``null`` takes those counts where
     they were drawn already, as the row of ``_null_counts`` that a joint
-    block of this graph and another of its shape gave it.  The standard
+    block of this graph and another of its shape gave it: one row of
+    ``len(CONNECTED_TRIADS)`` counts per sample, ``ensemble_size`` rows,
+    or a ``ValueError``.  The standard
     deviation is the population one (ddof 0); classes with zero spread
     get z = None.  The real counts come from ``triad_census(graph)``,
     which reads the graph's cached census, so a graph already counted is
@@ -561,6 +563,9 @@ def motif_zscores(
     observed = triad_census(graph)
     if null is None:
         null = _null_counts([graph], ensemble_size, [seed], swaps_per_edge)[0]
+    elif null.shape != (ensemble_size, len(CONNECTED_TRIADS)):
+        raise ValueError(f"null must hold {ensemble_size} samples of the "
+                         f"{len(CONNECTED_TRIADS)} connected classes, got shape {null.shape}")
     samples = null.astype(np.float64)
     means = samples.mean(axis=0)
     stds = samples.std(axis=0)

@@ -7,8 +7,8 @@ carries a metadata header (tool version, config hash, seed), a command
 commits all of its files or none, and repeated runs with the same config
 produce byte-identical bundles.
 
-``analyze`` runs its Top-k units (one dataset, direction and k each),
-and ``build`` parses a check-in log in byte pieces, through
+``analyze`` runs its Top-k units (one direction and k each, over every
+dataset), and ``build`` parses a check-in log in byte pieces, through
 :func:`tourflow.lanes.run_lanes`, which deals them to one lane per CPU
 of the process's affinity mask and raises the earliest failure.
 """
@@ -166,12 +166,19 @@ def _meta_items(config: RunConfig | None) -> list[str]:
 
 
 def _write_output(out: str, payload: bytes) -> None:
-    """Write a single output file (plot or export) via a sibling temp file renamed over it."""
+    """Write a single output file (plot or export) via a sibling temp file renamed over it.
+
+    The temp file is named for this process and created exclusively, so
+    a second writer never shares it and a symlink at its name is never
+    followed: ``O_EXCL`` fails on any existing entry, a symlink included.
+    """
     target = Path(out)
     target.parent.mkdir(parents=True, exist_ok=True)
-    temp = target.with_name(target.name + ".tmp")
+    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        temp.write_bytes(payload)
+        with open(fd, "wb") as handle:
+            handle.write(payload)
         temp.replace(target)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -190,7 +197,7 @@ def _listed_files(manifest: Path) -> set[str]:
 
 
 class _Bundle:
-    """One command's output files, committed together with their manifest or not at all.
+    """One command's output files, committed with their manifest as one, or not at all.
 
     Used as a context manager.  Entering it takes an exclusive ``flock``
     on the output directory itself, so a second command on the same
@@ -346,107 +353,76 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-class _JointNulls:
-    """Paired Top-k units, whose null ensembles run as one lockstep block.
-
-    ``units`` are dataset-major, so with two datasets unit i and unit
-    ``i + len(units) // 2`` are the same direction and k of datasets a
-    and b.  They are paired when the ensemble is large enough to batch
-    (``BATCH_MIN_ENSEMBLE``).  When the first of a pair reaches its
-    null model and the two subgraphs share their node and arc counts, it
-    draws both ensembles with one ``_null_counts`` call, and leaves its
-    partner's subgraph and counts here; with other shapes it leaves the
-    subgraph only.  Both units of a pair share a lane, which runs its
-    units in index order, so the second finds them in its own process.
-    """
-
-    def __init__(self, config: RunConfig, units: list[tuple[str, MobilityGraph, str, int]]) -> None:
-        self.config = config
-        self.units = units
-        half = len(units) // 2
-        paired = units[0][0] != units[-1][0] and config.ensemble_size >= BATCH_MIN_ENSEMBLE
-        self.partner = {i: i + half for i in range(half)} if paired else {}
-        self.left: dict[int, tuple[MobilityGraph, np.ndarray | None]] = {}
-
-    def subgraph(self, index: int) -> MobilityGraph:
-        if index in self.left:
-            return self.left[index][0]
-        _, graph, direction, k = self.units[index]
-        return (topk_out if direction == "out" else topk_in)(graph, k)
-
-    def seed(self, index: int) -> int:
-        name, _, direction, k = self.units[index]
-        return derive_seed(derive_seed(self.config.seed, "census"), name, direction, k)
-
-    def counts(self, index: int, sg: MobilityGraph) -> np.ndarray | None:
-        """Unit ``index``'s null counts where its pair draws them together, else None."""
-        if index in self.left:
-            return self.left.pop(index)[1]
-        other = self.partner.get(index)
-        if other is None:
-            return None
-        partner = self.subgraph(other)
-        if (partner.node_count, partner.edge_count) != (sg.node_count, sg.edge_count):
-            self.left[other] = partner, None
-            return None
-        mine, theirs = _null_counts([sg, partner], self.config.ensemble_size,
-                                    [self.seed(index), self.seed(other)], self.config.swaps_per_edge)
-        self.left[other] = partner, theirs
-        return mine
-
-
 def _topk_unit(
     config: RunConfig, bundle: _Bundle, region_map: RegionMap, averaged_k: set[int],
-    nulls: _JointNulls, index: int,
-) -> tuple[MotifZScores, FeatureMatrix | None, RegionalFlowMatrix | None]:
-    """Every report of Top-k unit ``index`` (its dataset, direction and k), staged through ``bundle``.
+    graphs: dict[str, MobilityGraph], direction: str, k: int,
+) -> dict[str, tuple[MotifZScores, FeatureMatrix | None, RegionalFlowMatrix | None]]:
+    """Every report of the Top-k unit of ``direction`` and ``k``, staged through ``bundle``.
 
-    Returns the subgraph's motif z-scores; for k in ``averaged_k`` (the
-    averaged distances' inputs), its feature matrix; and for the largest
-    k, whose subgraph the regional reports read, its regional shares.
+    Each dataset's reports run in turn, on its Top-k subgraph.  Where the
+    two datasets' subgraphs share their node and arc counts and the
+    ensemble is large enough to batch (``BATCH_MIN_ENSEMBLE``), dataset
+    a's null model draws both ensembles as one ``_null_counts`` block.
+    Returns, for each dataset, the subgraph's motif z-scores; for k in
+    ``averaged_k`` (the averaged distances' inputs), its feature matrix;
+    and for the largest k, whose subgraph the regional reports read, its
+    regional shares.
     """
-    name, _, direction, k = nulls.units[index]
-    tag = f"{name}_{direction}_{k}"
-    stage = f"top-{k} {direction}"
-    try:
-        sg = nulls.subgraph(index)
-        report = structural_report(sg)
-        bundle.write_json(f"structural_{tag}.json", report.to_dict())
-        bundle.write_csv(f"structural_{tag}.csv", report.to_csv())
-        table = centrality_table(
-            sg,
-            damping=config.pagerank_damping,
-            tol=config.pagerank_tol,
-            max_iter=config.pagerank_max_iter,
-        )
-        for measure in MEASURES:
-            bundle.write_csv(f"centrality_{tag}_{measure}.csv", table.to_csv(measure))
-        comps = scc(sg)
-        bundle.write_csv(f"scc_{tag}.csv", comps.to_csv())
-        dm = distance_matrix(sg)
-        bundle.write_csv(f"distance_{tag}.csv", dm.to_csv())
-        clusters = filter_singletons(average_linkage(dm, config.n_clusters))
-        bundle.write_csv(f"clusters_{tag}.csv", clusters.to_csv())
-        bundle.write_csv(f"triads_{tag}.csv", triad_census(sg).to_csv())
-        zscores = motif_zscores(
-            sg,
-            ensemble_size=config.ensemble_size,
-            seed=nulls.seed(index),
-            swaps_per_edge=config.swaps_per_edge,
-            null=nulls.counts(index, sg),
-        )
-        bundle.write_csv(f"motifs_{tag}.csv", zscores.to_csv())
-        share = None
-        if k == max(config.k_values):
-            stage = f"regional top-{k} {direction}"
-            raw = regional_flows(sg, region_map)
-            share = to_shares(raw)
-            bundle.write_csv(f"regional_{name}_{direction}_raw.csv", raw.to_csv())
-            bundle.write_csv(f"regional_{name}_{direction}_share.csv", share.to_csv())
-        return zscores, feature_matrix(sg, table, comps) if k in averaged_k else None, share
-    except (TourflowError, ValueError) as exc:
-        exc.args = (f"analyze dataset {name}, {stage}: {exc}",)
-        raise
+    topk = topk_out if direction == "out" else topk_in
+    subgraphs = {name: topk(graph, k) for name, graph in graphs.items()}
+    seeds = {name: derive_seed(derive_seed(config.seed, "census"), name, direction, k)
+             for name in graphs}
+    shapes = {(sg.node_count, sg.edge_count) for sg in subgraphs.values()}
+    joint = len(graphs) > 1 and len(shapes) == 1 and config.ensemble_size >= BATCH_MIN_ENSEMBLE
+    nulls: dict[str, np.ndarray] = {}
+    results = {}
+    for name, sg in subgraphs.items():
+        tag = f"{name}_{direction}_{k}"
+        stage = f"top-{k} {direction}"
+        try:
+            report = structural_report(sg)
+            bundle.write_json(f"structural_{tag}.json", report.to_dict())
+            bundle.write_csv(f"structural_{tag}.csv", report.to_csv())
+            table = centrality_table(
+                sg,
+                damping=config.pagerank_damping,
+                tol=config.pagerank_tol,
+                max_iter=config.pagerank_max_iter,
+            )
+            for measure in MEASURES:
+                bundle.write_csv(f"centrality_{tag}_{measure}.csv", table.to_csv(measure))
+            comps = scc(sg)
+            bundle.write_csv(f"scc_{tag}.csv", comps.to_csv())
+            dm = distance_matrix(sg)
+            bundle.write_csv(f"distance_{tag}.csv", dm.to_csv())
+            clusters = filter_singletons(average_linkage(dm, config.n_clusters))
+            bundle.write_csv(f"clusters_{tag}.csv", clusters.to_csv())
+            bundle.write_csv(f"triads_{tag}.csv", triad_census(sg).to_csv())
+            if joint and not nulls:
+                nulls = dict(zip(subgraphs, _null_counts(
+                    list(subgraphs.values()), config.ensemble_size, list(seeds.values()),
+                    config.swaps_per_edge)))
+            zscores = motif_zscores(
+                sg,
+                ensemble_size=config.ensemble_size,
+                seed=seeds[name],
+                swaps_per_edge=config.swaps_per_edge,
+                null=nulls.get(name),
+            )
+            bundle.write_csv(f"motifs_{tag}.csv", zscores.to_csv())
+            share = None
+            if k == max(config.k_values):
+                stage = f"regional top-{k} {direction}"
+                raw = regional_flows(sg, region_map)
+                share = to_shares(raw)
+                bundle.write_csv(f"regional_{name}_{direction}_raw.csv", raw.to_csv())
+                bundle.write_csv(f"regional_{name}_{direction}_share.csv", share.to_csv())
+            matrix = feature_matrix(sg, table, comps) if k in averaged_k else None
+            results[name] = zscores, matrix, share
+        except (TourflowError, ValueError) as exc:
+            exc.args = (f"analyze dataset {name}, {stage}: {exc}",)
+            raise
+    return results
 
 
 def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | None = None) -> int:
@@ -471,24 +447,22 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
     # EXPECTED_SUBGRAPHS: all of them or none.
     averaged_k = {k for _, k in EXPECTED_SUBGRAPHS}
     averaged_k = averaged_k if averaged_k <= set(config.k_values) else set()
-    # A Top-k unit: dataset name, its graph, direction and k.  Its cost
-    # grows with its subgraph's arcs, so each lane is dealt units by k,
-    # the two units of a pair (_JointNulls) to one lane.
-    units = [(name, graph, direction, k) for name, graph in graphs.items()
-             for direction in ("out", "in") for k in config.k_values]
-    nulls = _JointNulls(config, units)
+    # A Top-k unit: one direction and k, over every dataset.  Its cost
+    # grows with its subgraphs' arcs, so each lane is dealt units by k.
+    units = [(direction, k) for direction in ("out", "in") for k in config.k_values]
     with _Bundle(config, "analyze_manifest.json", {"datasets": sorted(graphs)}) as bundle:
         motifs, shares, features = {}, {}, {name: [] for name in graphs}
         # A forked lane stages its files into the bundle and sends back only its results.
         results = run_lanes(
-            lambda i: _topk_unit(config, bundle, region_map, averaged_k, nulls, i),
-            [k for *_, k in units], "analyze", list(nulls.partner.items()))
-        for (name, _, direction, k), (zscores, matrix, share) in zip(units, results):
-            motifs[name, direction, k] = zscores
-            if matrix is not None:
-                features[name].append(matrix)
-            if share is not None:
-                shares[name, direction] = share
+            lambda i: _topk_unit(config, bundle, region_map, averaged_k, graphs, *units[i]),
+            [k for _, k in units], "analyze")
+        for (direction, k), unit in zip(units, results):
+            for name, (zscores, matrix, share) in unit.items():
+                motifs[name, direction, k] = zscores
+                if matrix is not None:
+                    features[name].append(matrix)
+                if share is not None:
+                    shares[name, direction] = share
         averaged = {}
         if averaged_k:
             for name in graphs:

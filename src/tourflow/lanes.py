@@ -5,7 +5,8 @@ work to the lanes, runs each lane's items in order until one raises,
 and raises the earliest failure once every lane has ended, so the error
 is the one a serial run gives.  ``tourflow build`` parses a large
 check-in log in byte pieces through it, and ``tourflow analyze`` runs
-its Top-k units.  Every lane but lane 0 is a forked child process.
+its Top-k units, one direction and k each.  Every lane but lane 0 is a
+forked child process.
 ``taskset`` limits them; there is no setting.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import io
 import os
 import pickle
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -36,23 +37,19 @@ class _Pickler(pickle.Pickler):
         return NotImplemented
 
 
-def _deal(weights: list[int], lanes: int, together: Sequence[Sequence[int]] = ()) -> list[list[int]]:
+def _deal(weights: list[int], lanes: int) -> list[list[int]]:
     """The item indices of each lane, each lane's in ascending order.
 
-    The items listed in one entry of ``together`` form a group, which
-    goes to one lane and weighs their sum; every other item is a group
-    of its own.  Longest processing time first: groups taken by
-    descending weight, ties by smallest index, each to the least loaded
-    lane, ties to the lowest lane.
+    Longest processing time first: items taken by descending weight,
+    ties by index, each to the least loaded lane, ties to the lowest
+    lane.
     """
-    grouped = {i: tuple(sorted(group)) for group in together for i in group}
-    groups = dict.fromkeys(grouped.get(i, (i,)) for i in range(len(weights)))
     loads = [0] * lanes
     dealt: list[list[int]] = [[] for _ in range(lanes)]
-    for group in sorted(groups, key=lambda g: (-sum(weights[i] for i in g), g[0])):
+    for index in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
         lane = loads.index(min(loads))
-        dealt[lane].extend(group)
-        loads[lane] += sum(weights[i] for i in group)
+        dealt[lane].append(index)
+        loads[lane] += weights[index]
     return [sorted(indices) for indices in dealt]
 
 
@@ -75,15 +72,11 @@ def _child(task: Callable[[int], T], indices: list[int], conn) -> None:
     conn.close()
 
 
-def run_lanes(
-    task: Callable[[int], T], weights: list[int], what: str,
-    together: Sequence[Sequence[int]] = (),
-) -> list[T]:
+def run_lanes(task: Callable[[int], T], weights: list[int], what: str) -> list[T]:
     """Run ``task(i)`` for each item ``i`` in ``range(len(weights))``; return the results in item order.
 
-    The items are dealt by weight to at most ``cpu_count()`` lanes, one
-    per group at most, where the items of each entry of ``together``
-    make one group and share a lane (:func:`_deal`).  Lane 0 runs in this process, every other
+    The items are dealt by weight to ``min(cpu_count(), len(weights))``
+    lanes (:func:`_deal`).  Lane 0 runs in this process, every other
     lane in a forked child that sends its results back through a one-way
     pipe.  Each lane runs its items in index order and stops at the
     first that raises.  Once every lane has ended, the exception of the
@@ -94,8 +87,7 @@ def run_lanes(
     with ``RuntimeError("<what> lane N exited with code C before
     reporting")``.
     """
-    groups = len(weights) - sum(len(group) - 1 for group in together)
-    dealt = _deal(weights, max(1, min(cpu_count(), groups)), together)
+    dealt = _deal(weights, max(1, min(cpu_count(), len(weights))))
     children = []
     try:
         if len(dealt) > 1:

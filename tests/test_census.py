@@ -311,6 +311,12 @@ class TestMotifZScores:
         with pytest.raises(ValueError, match="ensemble_size"):
             motif_zscores(g, ensemble_size=1)
 
+    @pytest.mark.parametrize("shape", [(5, 13), (1000, 16)], ids=["few-samples", "full-census"])
+    def test_null_of_the_wrong_shape_rejected(self, shape: tuple[int, int]) -> None:
+        g = random_digraph(np.random.default_rng(51), 8, 0.4)
+        with pytest.raises(ValueError, match=rf"1000 samples of the 13 .* shape \({shape[0]}, "):
+            motif_zscores(g, ensemble_size=1000, null=np.zeros(shape, dtype=np.int64))
+
     def test_rigid_graph_flags_everything_undefined(self) -> None:
         # A single 3-cycle admits no accepted swap, so the null ensemble
         # is constant and every spread is zero.

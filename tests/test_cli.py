@@ -473,6 +473,22 @@ class TestPlot:
         assert [path.name for path in target.iterdir()] == ["keep.txt"]
         assert (target / "keep.txt").read_text() == "mine\n"
 
+    def test_symlink_at_the_temp_name_is_not_followed(self, tmp_path: Path) -> None:
+        report = tmp_path / "correlations.csv"
+        report.write_text("country,rho,flag\nAA,0.5,\n", encoding="utf-8")
+        target = tmp_path / "out.svg"
+        victim = tmp_path / "victim.txt"
+        victim.write_text("mine\n")
+        (tmp_path / "out.svg.tmp").symlink_to(victim)
+        assert main(["plot", "--report", str(report), "--kind", "bar",
+                     "--out", str(target)]) == EXIT_OK
+        assert victim.read_text() == "mine\n"
+        assert target.is_file() and not target.is_symlink()
+        assert target.read_text().endswith("</svg>\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 class TestExport:
     def build_graph(self, tmp_path: Path) -> Path:
@@ -546,6 +562,18 @@ class TestExport:
         assert not list(tmp_path.glob("*.tmp"))
         assert [path.name for path in target.iterdir()] == ["keep.txt"]
         assert (target / "keep.txt").read_text() == "mine\n"
+
+    def test_symlink_at_the_temp_name_is_not_followed(self, tmp_path: Path) -> None:
+        graph = self.build_graph(tmp_path)
+        target = tmp_path / "graph.dot"
+        victim = tmp_path / "victim.txt"
+        victim.write_text("mine\n")
+        (tmp_path / "graph.dot.tmp").symlink_to(victim)
+        assert main(["export", "--graph", str(graph), "--format", "dot",
+                     "--out", str(target)]) == EXIT_OK
+        assert victim.read_text() == "mine\n"
+        assert target.is_file() and not target.is_symlink()
+        assert target.read_text().startswith("// tool: tourflow ")
 
 
 CYCLE3 = {("AA", "AB"): 3, ("AB", "AC"): 2, ("AC", "AA"): 1}
@@ -958,7 +986,7 @@ def logged_blocks(log: Path) -> list[int]:
 
 
 class TestJointNulls:
-    """The two datasets' units of one direction and k draw their ensembles as one block."""
+    """A Top-k unit draws the two datasets' ensembles of its direction and k as one block."""
 
     size = census.BATCH_MIN_ENSEMBLE
 
@@ -1012,7 +1040,7 @@ class TestJointNulls:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
             assert main(["analyze", *base]) == EXIT_OK
             assert multiprocessing.active_children() == []
-            # A pair split over two lanes would draw the second unit's block again.
+            # Whichever lane runs a unit draws its two ensembles as one block.
             assert sorted(logged_blocks(log)) == [2 * self.size] * 6
             bundles.append(snapshot(out))
         assert bundles[0] == bundles[1]
@@ -1021,9 +1049,33 @@ class TestJointNulls:
 class TestLanes:
     """Analyze runs its Top-k units in one lane per CPU, itself being lane 0.
 
-    With k = 1..3, lane 0 runs every Out unit and the forked lane every
-    In unit, of each dataset.
+    With k = 1..3 or 1..10, lane 0 runs every Out unit and the forked
+    lane every In unit, each over every dataset.
     """
+
+    @pytest.mark.parametrize("datasets", ["a", "ab"])
+    @pytest.mark.parametrize("k_values", ["1,2,3", "1,2,3,4,5,6,7,8,9,10"])
+    def test_out_units_run_in_lane_0_and_in_units_in_the_forked_lane(
+        self, tmp_path: Path, monkeypatch, two_cpus: list, datasets: str, k_values: str
+    ) -> None:
+        base = [*bundle_args(tmp_path, datasets), "--set", f"k_values={k_values}"]
+        assert main(["build", *base]) == EXIT_OK
+        log = tmp_path / "units"
+        scc = cli.scc
+
+        def logged(graph):
+            with open(log, "a") as handle:
+                handle.write(f"{graph.label} {graph.direction} {graph.k} {os.getpid()}\n")
+            return scc(graph)
+
+        monkeypatch.setattr(cli, "scc", logged)
+        assert main(["analyze", *base]) == EXIT_OK
+        assert len(two_cpus) == 1
+        lane_pid = {"out": os.getpid(), "in": two_cpus[0]}
+        ran = sorted(tuple(line.split()) for line in log.read_text().splitlines())
+        assert ran == sorted((name, direction, k, str(lane_pid[direction]))
+                             for name in datasets for direction in ("out", "in")
+                             for k in k_values.split(","))
 
     @pytest.mark.parametrize("datasets, overrides", [
         pytest.param("a", [], id="a"),
@@ -1050,9 +1102,10 @@ class TestLanes:
         ("a", {("a", "in", 2)}, "dataset a, top-2 in"),
         # Both lanes fail; the earlier unit's message wins, in either lane.
         ("a", {("a", "out", 3), ("a", "in", 1)}, "dataset a, top-3 out"),
-        ("ab", {("b", "out", 1), ("a", "in", 1)}, "dataset a, top-1 in"),
+        ("ab", {("b", "out", 1), ("a", "in", 1)}, "dataset b, top-1 out"),
         ("ab", {("a", "out", 3), ("b", "in", 1)}, "dataset a, top-3 out"),
-        # Dataset a's regional units run before any unit of b fails.
+        # The Top-3 Out unit, with dataset a's regional reports, runs
+        # before the Top-1 In unit.
         ("ab", {("a", "regional", 3), ("b", "in", 1)}, "dataset a, regional top-3 out"),
     ])
     def test_failed_unit_gives_the_serial_message(
@@ -1063,15 +1116,15 @@ class TestLanes:
                                   message, [])
 
     @pytest.mark.parametrize("datasets, failing, message", [
-        ("ab", {("b", "out", 1), ("a", "in", 1)}, "dataset a, top-1 in"),
-        ("ab", {("b", "out", 1), ("a", "out", 2)}, "dataset a, top-2 out"),
+        ("ab", {("b", "out", 1), ("a", "in", 1)}, "dataset b, top-1 out"),
+        ("ab", {("b", "out", 1), ("a", "out", 2)}, "dataset b, top-1 out"),
         ("ab", {("b", "in", 3)}, "dataset b, top-3 in"),
     ])
     def test_failed_unit_of_a_joint_block_gives_the_serial_message(
         self, tmp_path: Path, monkeypatch, capsys, two_cpus: list,
         datasets: str, failing: set, message: str
     ) -> None:
-        # Each Top-k unit of a draws its pair's ensembles, b's included.
+        # Dataset a's null stage of each unit draws b's ensemble too.
         self.check_serial_message(tmp_path, monkeypatch, capsys, two_cpus, datasets, failing,
                                   message, ["--set", f"ensemble_size={census.BATCH_MIN_ENSEMBLE}"])
 
