@@ -433,7 +433,7 @@ def _rewire_chains(
                 # A rejected chain writes back the values it read.
                 present[row + ends] = rejected
                 present[proposed] = taken == rejected
-                np.copyto(swapped, ends, where=rejected)
+                np.putmask(swapped, rejected, ends)
                 dst[slot] = swapped
     return dst.reshape(chains, edge_count)
 

@@ -13,16 +13,17 @@ result is a pure function of the input graph.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-# Every two-letter ASCII upper-case code, user-assigned ones included.
-_COUNTRY_CODES = frozenset(
-    a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# Every two-letter ASCII upper-case code, user-assigned ones included, to
+# its position in sorted order.
+_COUNTRY_CODES = {code: i for i, code in enumerate(
+    a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")}
 
 EXPORT_FORMATS = ("csv", "dot", "graphml")
 
@@ -48,8 +49,11 @@ class MobilityGraph:
     ``nodes`` is sorted lexicographically and may include isolated
     countries.  ``arcs`` holds the node positions (sources, destinations)
     of the arcs, sorted by endpoint pair, and ``arc_weights`` their int64
-    weights, each >= 1; all three arrays are read-only.  :meth:`build`
-    makes a graph from a mapping, which ``edges`` gives back as a view.
+    weights, each >= 1; all three arrays are read-only.  The constructor
+    takes these arrays, as :func:`tourflow.ingest.parse_flow_matrix` and
+    Top-k extraction give them; :meth:`build` makes a graph from a
+    mapping, which ``edges`` gives back as a view for callers.  The
+    pipeline itself, exporters included, reads only the arrays.
 
     A Top-k subgraph (see :func:`topk_out` and :func:`topk_in`) records
     which endpoint was constrained in ``direction``: ``"in"`` means every
@@ -138,9 +142,7 @@ class MobilityGraph:
     @cached_property
     def edges(self) -> Mapping[tuple[str, str], int]:
         """``(origin, destination) -> weight``, read-only, in sorted pair order."""
-        codes, (src, dst) = self.nodes, self.arcs
-        return MappingProxyType({(codes[o], codes[d]): w for o, d, w
-                                 in zip(src.tolist(), dst.tolist(), self.arc_weights.tolist())})
+        return MappingProxyType({(o, d): w for o, d, w in _arc_rows(self)})
 
     @cached_property
     def shortest_paths(self) -> tuple[np.ndarray, int, int, int, np.ndarray]:
@@ -218,9 +220,16 @@ def topk_in(graph: MobilityGraph, k: int) -> MobilityGraph:
     return _topk(graph, k, "in")
 
 
+def _arc_rows(graph: MobilityGraph) -> Iterator[tuple[str, str, int]]:
+    """The origin code, destination code and weight of each arc, in sorted pair order."""
+    codes, (src, dst) = graph.nodes, graph.arcs
+    return ((codes[o], codes[d], w)
+            for o, d, w in zip(src.tolist(), dst.tolist(), graph.arc_weights.tolist()))
+
+
 def _to_csv(graph: MobilityGraph) -> str:
     lines = [("# nodes: " + " ".join(graph.nodes)).rstrip(), "origin,destination,count"]
-    lines += [f"{origin},{dest},{weight}" for (origin, dest), weight in graph.edges.items()]
+    lines += [f"{origin},{dest},{weight}" for origin, dest, weight in _arc_rows(graph)]
     return "\n".join(lines) + "\n"
 
 
@@ -228,7 +237,7 @@ def _to_dot(graph: MobilityGraph) -> str:
     name = (graph.label or "mobility").replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'digraph "{name}" {{']
     lines += [f'  "{code}";' for code in graph.nodes]
-    lines += [f'  "{o}" -> "{d}" [weight={w}];' for (o, d), w in graph.edges.items()]
+    lines += [f'  "{o}" -> "{d}" [weight={w}];' for o, d, w in _arc_rows(graph)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -246,7 +255,7 @@ def _to_graphml(graph: MobilityGraph) -> str:
     lines += [f'    <node id="{_xml_escape(code)}"/>' for code in graph.nodes]
     lines += [f'    <edge source="{_xml_escape(origin)}" target="{_xml_escape(dest)}">'
               f'<data key="d0">{weight}</data></edge>'
-              for (origin, dest), weight in graph.edges.items()]
+              for origin, dest, weight in _arc_rows(graph)]
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ Two input families are supported.  A *check-in log* is a list of
 into a :class:`CheckinTable`; the home country of each user is inferred
 from it and country-to-country flows are counted as distinct travellers.
 A *flow matrix* is an already-aggregated origin/destination CSV, parsed
-directly into a :class:`tourflow.graph.MobilityGraph`.
+straight into the arc arrays of a :class:`tourflow.graph.MobilityGraph`.
 """
 
 from __future__ import annotations
@@ -14,11 +14,14 @@ import csv
 import io
 import json
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import ParseError
 from .graph import _COUNTRY_CODES, MobilityGraph, is_country_code
@@ -504,7 +507,11 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
     (possibly isolated) nodes; :func:`tourflow.graph.export_graph`
     writes such a line so graphs round-trip exactly.  The counts may
     total at most 2**53, which keeps every sum of them exact.
+
+    The rows are folded into int64 arrays of pair keys and counts, with
+    no per-edge Python object, then sorted once into the graph's arcs.
     """
+    codes = _COUNTRY_CODES
     nodes: set[str] = set()
 
     def add_nodes(comment: str) -> None:
@@ -515,15 +522,19 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
                 nodes.add(code)
 
     with read_table(source, "flow matrix", ("origin", "destination", "count"), add_nodes) as reader:
-        edges: dict[tuple[str, str], int] = {}
+        # Each row's pair as origin * len(codes) + destination, over the
+        # codes' sorted positions, and its count.
+        keys, counts = array("q"), array("q")
+        seen = bytearray(len(codes) ** 2)
         total = 0
         for line, row in reader:
             if len(row) != 3:
                 raise ParseError(f"flow matrix line {line} has {len(row)} fields, expected 3")
             origin, dest, count_text = (field.strip() for field in row)
-            if not is_country_code(origin) or not is_country_code(dest):
+            o, d = codes.get(origin), codes.get(dest)
+            if o is None or d is None:
                 raise ParseError(f"invalid country code in flow matrix line {line}")
-            if origin == dest:
+            if o == d:
                 raise ParseError(f"self-loop {origin}->{dest} in flow matrix line {line}")
             try:
                 count = int(count_text) if _is_int_literal(count_text) else 0
@@ -534,8 +545,21 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
             total += count
             if total > 2**53:
                 raise ParseError(f"counts total more than 2**53 at flow matrix line {line}")
-            pair = (origin, dest)
-            if pair in edges:
+            key = o * len(codes) + d
+            if seen[key]:
                 raise ParseError(f"duplicate edge {origin}->{dest} in flow matrix line {line}")
-            edges[pair] = count
-    return MobilityGraph.build(edges, nodes, label)
+            seen[key] = 1
+            keys.append(key)
+            counts.append(count)
+    pairs = np.frombuffer(keys, np.int64)
+    order = np.argsort(pairs)
+    src, dst = np.divmod(pairs[order], len(codes))
+    # The codes in use, endpoints and nodes lines' codes, and their positions among them.
+    used = np.zeros(len(codes), dtype=bool)
+    used[src] = used[dst] = True
+    used[[codes[code] for code in nodes]] = True
+    position = np.cumsum(used) - 1
+    names = list(codes)
+    return MobilityGraph(tuple(names[i] for i in np.flatnonzero(used).tolist()),
+                         (position[src], position[dst]), np.frombuffer(counts, np.int64)[order],
+                         label)

@@ -6,16 +6,16 @@ and raises the earliest failure once every lane has ended, so the error
 is the one a serial run gives.  ``tourflow build`` parses a large
 check-in log in byte pieces through it, and ``tourflow analyze`` runs
 its Top-k units, one direction and k each.  Every lane but lane 0 is a
-forked child process.
+child process started with ``os.fork``, which reports through a pipe.
 ``taskset`` limits them; there is no setting.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
-from typing import Callable, TypeVar
+import sys
+from typing import IO, Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -64,12 +64,40 @@ def _lane(task: Callable[[int], T], indices: list[int]) -> tuple[list[T], BaseEx
     return results, None
 
 
-def _child(task: Callable[[int], T], indices: list[int], conn) -> None:
-    """A forked lane: run its items, then send back the outcome."""
-    payload = io.BytesIO()
-    _Pickler(payload, pickle.HIGHEST_PROTOCOL).dump(_lane(task, indices))
-    conn.send_bytes(payload.getbuffer())
-    conn.close()
+def _flush_std_streams() -> None:
+    """Flush stdout and stderr, passing over one that is missing or closed."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass
+
+
+def _fork(task: Callable[[int], T], indices: list[int]) -> tuple[int, IO[bytes]]:
+    """Start a lane that runs ``indices`` in a forked child; its pid, and the pipe it reports through.
+
+    The child pickles :func:`_lane`'s outcome into the pipe and exits 0
+    once all of it is written; it never returns into the caller's stack.
+    """
+    reader, writer = os.pipe()
+    _flush_std_streams()  # else the child would write the buffered text again
+    pid = os.fork()
+    if pid:
+        os.close(writer)
+        return pid, open(reader, "rb")
+    code = 1
+    try:
+        os.close(reader)
+        with open(writer, "wb") as pipe:
+            _Pickler(pipe, pickle.HIGHEST_PROTOCOL).dump(_lane(task, indices))
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(code)
 
 
 def run_lanes(task: Callable[[int], T], weights: list[int], what: str) -> list[T]:
@@ -77,45 +105,36 @@ def run_lanes(task: Callable[[int], T], weights: list[int], what: str) -> list[T
 
     The items are dealt by weight to ``min(cpu_count(), len(weights))``
     lanes (:func:`_deal`).  Lane 0 runs in this process, every other
-    lane in a forked child that sends its results back through a one-way
-    pipe.  Each lane runs its items in index order and stops at the
-    first that raises.  Once every lane has ended, the exception of the
-    earliest item that raised is raised: every item before it has run,
-    so a serial run would raise it too.  An exception from a child that
+    lane in a child forked with ``os.fork`` (:func:`_fork`) that sends
+    its results back through a pipe; every child is reaped before this
+    returns or raises.  Each lane runs its items in index order and
+    stops at the first that raises.  Once every lane has ended, the
+    exception of the earliest item that raised is raised: every item
+    before it has run, so a serial run would raise it too.  An exception from a child that
     does not pickle arrives as a ``RuntimeError`` naming its type and
     message; a child that exits before reporting fails at its first item
     with ``RuntimeError("<what> lane N exited with code C before
-    reporting")``.
+    reporting")``, C being -signum for a child that a signal ended.
     """
     dealt = _deal(weights, max(1, min(cpu_count(), len(weights))))
+    # A forked child inherits its task's inputs instead of being sent them,
+    # and its CPU time counts in this process's RUSAGE_CHILDREN.  Starting
+    # one takes a pipe and a fork, no helper thread, and the pipeline
+    # starts no thread of its own, so forking is safe.
     children = []
     try:
-        if len(dealt) > 1:
-            import multiprocessing
-
-            # fork: a child inherits its task's inputs instead of being sent
-            # them, and its CPU time counts in this process's
-            # RUSAGE_CHILDREN.  Process and Pipe start no thread here, and
-            # the pipeline starts none, so forking is safe.
-            context = multiprocessing.get_context("fork")
-            for indices in dealt[1:]:
-                reader, writer = context.Pipe(duplex=False)
-                child = context.Process(target=_child, args=(task, indices, writer))
-                child.start()
-                writer.close()
-                children.append((child, reader))
+        for indices in dealt[1:]:
+            children.append(_fork(task, indices))
         outcomes = [_lane(task, dealt[0])]
-        for lane, (child, reader) in enumerate(children, start=1):
-            try:
-                outcomes.append(pickle.loads(reader.recv_bytes()))
-            except EOFError:
-                child.join()
-                outcomes.append(([], RuntimeError(
-                    f"{what} lane {lane} exited with code {child.exitcode} before reporting")))
+        payloads = [pipe.read() for _, pipe in children]
     finally:
-        for child, reader in children:
-            reader.close()
-            child.join()
+        codes = []
+        for pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for lane, (payload, code) in enumerate(zip(payloads, codes), start=1):
+        outcomes.append(pickle.loads(payload) if payload and code == 0 else ([], RuntimeError(
+            f"{what} lane {lane} exited with code {code} before reporting")))
     failures = [(indices[len(done)], exc)
                 for indices, (done, exc) in zip(dealt, outcomes) if exc is not None]
     if failures:

@@ -29,3 +29,10 @@ def two_cpus(monkeypatch) -> list[int]:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    """Every process in ``pids`` has been waited for: none is left running or a zombie."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -18,7 +18,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from tourflow.clustering import DistanceMatrix, Merge
-from tourflow.graph import MobilityGraph
+from tourflow.errors import ParseError
+from tourflow.graph import MobilityGraph, is_country_code
+from tourflow.ingest import _is_int_literal, read_table
 from tourflow.regional import RegionMap
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,49 @@ def pair_tally_edges(
                 pair = (home, country)
                 edges[pair] = edges.get(pair, 0) + 1
     return edges
+
+
+# ---------------------------------------------------------------------------
+# flow matrices
+
+
+def dict_parse_flow_matrix(source, label: str = "") -> MobilityGraph:
+    """``parse_flow_matrix`` as a fold of the rows into an ``(origin,
+    destination) -> count`` dict, which ``MobilityGraph.build`` sorts."""
+    nodes: set[str] = set()
+
+    def add_nodes(comment: str) -> None:
+        if comment.startswith("nodes:"):
+            for code in comment[len("nodes:"):].split():
+                if not is_country_code(code):
+                    raise ParseError(f"invalid country code {code!r} in nodes line")
+                nodes.add(code)
+
+    with read_table(source, "flow matrix", ("origin", "destination", "count"), add_nodes) as reader:
+        edges: dict[tuple[str, str], int] = {}
+        total = 0
+        for line, row in reader:
+            if len(row) != 3:
+                raise ParseError(f"flow matrix line {line} has {len(row)} fields, expected 3")
+            origin, dest, count_text = (field.strip() for field in row)
+            if not is_country_code(origin) or not is_country_code(dest):
+                raise ParseError(f"invalid country code in flow matrix line {line}")
+            if origin == dest:
+                raise ParseError(f"self-loop {origin}->{dest} in flow matrix line {line}")
+            try:
+                count = int(count_text) if _is_int_literal(count_text) else 0
+            except ValueError:  # more digits than int() converts
+                count = 0
+            if count < 1:
+                raise ParseError(f"count must be a positive integer in flow matrix line {line}")
+            total += count
+            if total > 2**53:
+                raise ParseError(f"counts total more than 2**53 at flow matrix line {line}")
+            pair = (origin, dest)
+            if pair in edges:
+                raise ParseError(f"duplicate edge {origin}->{dest} in flow matrix line {line}")
+            edges[pair] = count
+    return MobilityGraph.build(edges, nodes, label)
 
 
 # ---------------------------------------------------------------------------

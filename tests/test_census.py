@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -840,8 +839,7 @@ class TestPooledEnsemble:
 
     def test_one_cpu_starts_no_process(self, one_cpu, scalar_calls: list) -> None:
         self.scores()
-        assert len(scalar_calls) == 1
-        assert multiprocessing.active_children() == []
+        assert len(scalar_calls) == 1  # one_cpu fails the test at any fork
 
 
 class TestZPercentDiff:

@@ -47,8 +47,10 @@ from tourflow.cli import (
     load_config,
     main,
 )
+from tourflow.graph import EXPORT_FORMATS
 from tourflow.seeds import derive_seed
 
+from conftest import assert_reaped
 from oracles import random_digraph
 
 FAST = [
@@ -284,13 +286,15 @@ class TestAnalyze:
     def test_analyze_never_builds_the_edges_view(
         self, tmp_path: Path, monkeypatch, one_cpu
     ) -> None:
-        # Ensembles of 16 run batched, with rewire's sample-0 cross-check.
+        # Nor do build and export: flow graphs are parsed into, and
+        # written from, their arrays.
         base = bundle_args(tmp_path, "ab")
-        assert main(["build", *base]) == EXIT_OK
 
         def forbidden(graph):
-            raise AssertionError("an analysis read MobilityGraph.edges")
+            raise AssertionError("a command read MobilityGraph.edges")
 
+        monkeypatch.setattr(MobilityGraph, "edges", property(forbidden))
+        assert main(["build", *base]) == EXIT_OK
         calls = []
         for name in ("rewire", "_rewire_chains"):
             def counted(*args, name=name, kernel=getattr(census, name)):
@@ -298,10 +302,15 @@ class TestAnalyze:
                 return kernel(*args)
 
             monkeypatch.setattr(census, name, counted)
-        monkeypatch.setattr(MobilityGraph, "edges", property(forbidden))
+        # Ensembles of 16 run batched, with rewire's sample-0 cross-check.
         assert main(["analyze", *base, "--set", "ensemble_size=16",
                      "--set", "swaps_per_edge=1"]) == EXIT_OK
         assert sorted(set(calls)) == ["_rewire_chains", "rewire"]
+        for fmt in EXPORT_FORMATS:
+            target = tmp_path / f"graph.{fmt}"
+            assert main(["export", "--graph", str(tmp_path / "out" / "graph_a.csv"),
+                         "--format", fmt, "--out", str(target)]) == EXIT_OK
+            assert target.stat().st_size > 0
 
     def test_regional_reports_read_the_largest_k(self, tmp_path: Path) -> None:
         base = [*bundle_args(tmp_path, "ab"), "--set", "k_values=2,5"]
@@ -1028,7 +1037,7 @@ class TestJointNulls:
         assert logged_blocks(log) == []
 
     def test_three_lanes_keep_each_pair_in_one_lane(
-        self, tmp_path: Path, monkeypatch
+        self, tmp_path: Path, monkeypatch, two_cpus: list
     ) -> None:
         log = tmp_path / "blocks"
         log_blocks(monkeypatch, log)
@@ -1039,10 +1048,11 @@ class TestJointNulls:
         for mask in ({0, 1, 2}, {0}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
             assert main(["analyze", *base]) == EXIT_OK
-            assert multiprocessing.active_children() == []
+            assert_reaped(two_cpus)
             # Whichever lane runs a unit draws its two ensembles as one block.
             assert sorted(logged_blocks(log)) == [2 * self.size] * 6
             bundles.append(snapshot(out))
+        assert len(two_cpus) == 2  # two lanes forked by the three-CPU analyze
         assert bundles[0] == bundles[1]
 
 
@@ -1091,7 +1101,7 @@ class TestLanes:
         assert main(["build", *base]) == EXIT_OK
         assert main(["analyze", *base]) == EXIT_OK
         assert len(two_cpus) == 1
-        assert multiprocessing.active_children() == []
+        assert_reaped(two_cpus)
         lanes = snapshot(out)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert main(["analyze", *base]) == EXIT_OK
@@ -1159,7 +1169,7 @@ class TestLanes:
             assert main(["analyze", *base, "--set", "seed=1"]) == EXIT_DOMAIN
             errors.append(capsys.readouterr().err)
             assert snapshot(out) == before
-            assert multiprocessing.active_children() == []
+            assert_reaped(two_cpus)
         assert len(two_cpus) == 2  # one lane forked by each two-CPU analyze
         assert errors[0] == errors[1] == f"error: analyze {message}: injected failure\n"
 
@@ -1183,7 +1193,7 @@ class TestLanes:
             main(["analyze", *base, "--set", f"ensemble_size={census.BATCH_MIN_ENSEMBLE}"])
         assert len(two_cpus) == forked + 1
         assert snapshot(out) == before
-        assert multiprocessing.active_children() == []
+        assert_reaped(two_cpus)
 
     def test_exception_that_does_not_pickle_still_fails_the_run(
         self, tmp_path: Path, monkeypatch, two_cpus: list
@@ -1206,7 +1216,7 @@ class TestLanes:
         with pytest.raises(RuntimeError, match="Unpicklable: lost in transit"):
             main(["analyze", *base])
         assert snapshot(out) == before
-        assert multiprocessing.active_children() == []
+        assert_reaped(two_cpus)
 
     def test_lane_that_dies_fails_the_run(
         self, tmp_path: Path, monkeypatch, two_cpus: list
@@ -1226,7 +1236,26 @@ class TestLanes:
         with pytest.raises(RuntimeError, match="analyze lane 1 exited with code 3 before reporting"):
             main(["analyze", *base])
         assert snapshot(out) == before
-        assert multiprocessing.active_children() == []
+        assert_reaped(two_cpus)
+
+    def test_lanes_leave_multiprocessing_unimported(self, tmp_path: Path) -> None:
+        # Importing multiprocessing takes about 0.7 MB and 11 ms, which
+        # lanes forked with os.fork do without.
+        code = """if True:
+            import os, sys
+            from tourflow.cli import main
+            os.sched_getaffinity = lambda pid: {0, 1}
+            fork, forks = os.fork, []
+            os.fork = lambda: forks.append(1) or fork()
+            for command in ("build", "analyze"):
+                assert main([command, *sys.argv[1:]]) == 0
+            print(len(forks), "multiprocessing" in sys.modules)
+        """
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        result = subprocess.run([sys.executable, "-c", code, *bundle_args(tmp_path, "ab")],
+                                env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "1 False"  # analyze forked one lane
 
     def test_lane_cpu_time_counts_in_the_caller(self, tmp_path: Path, two_cpus: list) -> None:
         # Lanes that are not this process's children would escape

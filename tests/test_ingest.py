@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
 import tracemalloc
@@ -33,10 +32,12 @@ from tourflow.cli import EXIT_OK, EXIT_PARSE, main
 from tourflow.graph import is_country_code
 from tourflow.ingest import CHECKIN_FIELDS, _is_int_literal, _valid_timestamp
 
+from conftest import assert_reaped
 from oracles import (
     COUNTRY_CODE_RE,
     INT_LITERAL_RE,
     codes_for,
+    dict_parse_flow_matrix,
     min_key_homes,
     pair_tally_edges,
     per_user_country_totals,
@@ -361,7 +362,7 @@ def lanes_of(cpus: int, piece_bytes: int = 1):
         patch.setattr(os, "fork", counted)
         patch.setattr(ingest, "_MIN_PIECE_BYTES", piece_bytes)
         yield pids
-    assert multiprocessing.active_children() == []
+    assert_reaped(pids)
 
 
 def in_order(table: CheckinTable) -> tuple[list, int]:
@@ -733,6 +734,56 @@ class TestBuildMobilityGraph:
         assert graph.nodes == tuple(sorted(kept))
 
 
+# Far apart in sorted order, and QQ only ever an isolated node.
+_FLOW_CODES = ("AA", "AZ", "BA", "FR", "MX", "US", "ZA", "ZZ")
+_MALFORMED = (None, "duplicate", "self-loop", "code", "nodes code", "count", "width", "total")
+
+
+@st.composite
+def flow_files(draw) -> tuple[bytes, str | None]:
+    """A flow file with nodes lines, comments, blank lines, spaces around
+    fields and one line end throughout, and the kind of the one malformed
+    row or nodes line it holds (None for a valid file)."""
+    code = st.sampled_from(_FLOW_CODES)
+    pairs = draw(st.lists(st.tuples(code, code).filter(lambda pair: pair[0] != pair[1]),
+                          unique=True, max_size=25))
+    counts = draw(st.lists(st.integers(1, 10**12), min_size=len(pairs), max_size=len(pairs)))
+    pad = st.sampled_from(["", " ", "\t"])
+    rows = [f"{o}{draw(pad)},{draw(pad)}{d},{c}{draw(pad)}" for (o, d), c in zip(pairs, counts)]
+    kind = draw(st.sampled_from(_MALFORMED))
+    if kind == "duplicate":
+        if not pairs:
+            pairs, rows = [("AA", "ZZ")], ["AA,ZZ,1"]
+        o, d = draw(st.sampled_from(pairs))
+        bad = f"{o},{d},{draw(st.integers(1, 9))}"
+    elif kind == "self-loop":
+        bad = "{0},{0},1".format(draw(code))
+    elif kind == "code":
+        bad = f"{draw(st.sampled_from(['us', 'U1', 'USA', '']))},FR,1"
+    elif kind == "count":
+        bad = f"US,FR,{draw(st.sampled_from(['0', '-5', '1.5', 'x', '', '1e3']))}"
+    elif kind == "width":
+        bad = draw(st.sampled_from(["US,FR", "US,FR,1,2", "US"]))
+    elif kind == "total":
+        # The running total passes 2**53 at this row or a later one; the
+        # total is checked before the pair, which may be a duplicate.
+        o, d = draw(st.sampled_from([*pairs, ("QQ", "US")]))
+        bad = f"{o},{d},{2**53 + 1 - sum(counts)}"
+    if kind not in (None, "nodes code"):
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    lines = ["origin,destination,count", *rows]
+    nodes = st.lists(st.sampled_from([*_FLOW_CODES, "QQ"]), max_size=4).map(
+        lambda codes: "# nodes: " + " ".join(codes))
+    extras = draw(st.lists(st.one_of(nodes, st.sampled_from(["# a comment", "#", "", "  "])),
+                           max_size=4))
+    if kind == "nodes code":
+        extras.append("# nodes: US x1")
+    for extra in extras:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return (end.join(lines) + end).encode("utf-8"), kind
+
+
 class TestParseFlowMatrix:
     def test_two_directed_edges(self) -> None:
         g = parse_flow_matrix(io.StringIO("origin,destination,count\nFR,ES,100\nES,FR,80\n"))
@@ -767,6 +818,21 @@ class TestParseFlowMatrix:
         text = "# nodes: AA BB CC\norigin,destination,count\nAA,BB,2\n"
         g = parse_flow_matrix(io.StringIO(text))
         assert g.nodes == ("AA", "BB", "CC")
+
+    @given(flow_file=flow_files())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_dict_oracle(self, fuzz_file, flow_file) -> None:
+        payload, kind = flow_file
+        fuzz_file.write_bytes(payload)
+        outcomes = []
+        for parse in (parse_flow_matrix, dict_parse_flow_matrix):
+            try:
+                outcomes.append(parse(fuzz_file, "x"))
+            except ParseError as exc:
+                outcomes.append(str(exc))
+        # Equal graphs (nodes, arcs and weights), or the same message and line.
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (kind is not None)
 
     def test_reparse_oracle(self) -> None:
         rng = np.random.default_rng(55)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from tourflow import lanes
 from tourflow.lanes import run_lanes
+
+from conftest import assert_reaped
 
 
 class Failure(Exception):
@@ -51,7 +55,7 @@ def test_results_come_back_in_item_order(two_cpus: list) -> None:
     assert [i for i, _ in results] == list(range(5))
     assert [i for i, pid in results if pid != os.getpid()] == [1, 3, 4]
     assert len(two_cpus) == 1
-    assert multiprocessing.active_children() == []
+    assert_reaped(two_cpus)
 
 
 @pytest.mark.parametrize("failing, earliest", [
@@ -69,7 +73,7 @@ def test_the_earliest_failure_wins_in_either_lane(
         with pytest.raises(Failure) as raised:
             run_lanes(failing_at(failing), [1] * 4, "test")
         assert raised.value.args == (earliest,)
-        assert multiprocessing.active_children() == []
+        assert_reaped(two_cpus)
     assert len(two_cpus) == 1
 
 
@@ -105,7 +109,38 @@ def test_a_child_that_dies_fails_at_its_first_item(
 
     with pytest.raises(error, match=message):
         run_lanes(task, [1] * 4, "test")
-    assert multiprocessing.active_children() == []
+    assert_reaped(two_cpus)
+
+
+def test_a_child_that_a_signal_ends_reports_minus_signum(two_cpus: list) -> None:
+    def task(i: int) -> int:
+        if i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(RuntimeError, match=f"^test lane 1 exited with code -{signal.SIGKILL:d} "):
+        run_lanes(task, [1, 1], "test")
+    assert_reaped(two_cpus)
+
+
+def test_text_buffered_before_a_fork_is_written_once() -> None:
+    # Both streams are block-buffered into pipes, and a child flushes them
+    # on leaving: unflushed text from before the fork would come out twice.
+    code = """if True:
+        import os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        from tourflow.lanes import run_lanes
+        print("out", end="")
+        print("err", end="", file=sys.stderr)
+        results = run_lanes(lambda i: print(f"[{i}]", end="") or os.getpid(), [1, 1], "test")
+        assert results[0] == os.getpid() != results[1]
+    """
+    package_root = str(Path(lanes.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    result = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": package_root}, capture_output=True,
+                            text=True, check=True)
+    # Lane 1's text is flushed as its child exits, lane 0's as this process does.
+    assert (result.stdout, result.stderr) == ("out[1][0]", "err")
 
 
 def test_an_exception_that_does_not_pickle_arrives_by_name(two_cpus: list) -> None:
