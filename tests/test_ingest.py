@@ -734,7 +734,7 @@ class TestBuildMobilityGraph:
         assert graph.nodes == tuple(sorted(kept))
 
 
-# Far apart in sorted order, and QQ only ever an isolated node.
+# Codes far apart in sorted order; QQ appears only in nodes lines and the total row.
 _FLOW_CODES = ("AA", "AZ", "BA", "FR", "MX", "US", "ZA", "ZZ")
 _MALFORMED = (None, "duplicate", "self-loop", "code", "nodes code", "count", "width", "total")
 
