@@ -244,8 +244,11 @@ class _Bundle:
             raise
         return self
 
-    def write_csv(self, name: str, text: str) -> None:
-        (self.staging / name).write_bytes((self.comment + text).encode("utf-8"))
+    def write_csv(self, name: str, text: str | bytes) -> None:
+        """Stage the CSV ``text``, or its UTF-8 bytes, after the metadata header."""
+        with open(self.staging / name, "wb") as handle:
+            handle.write(self.comment.encode("utf-8"))
+            handle.write(text.encode("utf-8") if isinstance(text, str) else text)
 
     def write_json(self, name: str, fields: dict) -> None:
         text = json.dumps({"meta": self.meta, **fields}, indent=2) + "\n"
@@ -321,7 +324,7 @@ def _build_one(config: RunConfig, name: str) -> tuple[MobilityGraph, dict] | Non
             "kind": "checkins",
             "records": table.record_count,
             "skipped_rows": table.skipped,
-            "users": len(table.user_country_counts),
+            "users": len(table.user_ids),
             "threshold": config.checkin_threshold,
             "countries_kept": len(kept),
         }
@@ -344,7 +347,7 @@ def cmd_build(config: RunConfig) -> int:
                 continue
             graph, stats = result
             filename = f"graph_{name}.csv"
-            bundle.write_csv(filename, export_graph(graph, "csv").decode("utf-8"))
+            bundle.write_csv(filename, export_graph(graph, "csv"))
             dataset_stats[name] = {**stats, "file": filename}
             print(f"dataset {name}: {graph.node_count} nodes, {graph.edge_count} edges -> "
                   f"{bundle.outdir / filename}")

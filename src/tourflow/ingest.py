@@ -2,8 +2,10 @@
 
 Two input families are supported.  A *check-in log* is a list of
 (user, country, timestamp) events from a location-based service, parsed
-into a :class:`CheckinTable`; the home country of each user is inferred
-from it and country-to-country flows are counted as distinct travellers.
+into a :class:`CheckinTable`: its users, and one row of user, country
+and check-in count per pair, as arrays.  The home country of each user
+is inferred from it, and country-to-country flows are counted as
+distinct travellers, each step one numpy pass over the rows.
 A *flow matrix* is an already-aggregated origin/destination CSV, parsed
 straight into the arc arrays of a :class:`tourflow.graph.MobilityGraph`.
 """
@@ -15,26 +17,32 @@ import io
 import json
 import os
 from array import array
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import ParseError
-from .graph import _COUNTRY_CODES, MobilityGraph, is_country_code
+from .graph import _COUNTRY_CODES, MobilityGraph, _read_only, is_country_code
 from .lanes import cpu_count, run_lanes
 
 CHECKIN_FIELDS = ("user_id", "country", "timestamp")
 
 # The smallest byte piece of a check-in log parsed in a lane of its own.
-# Measured on 2 vCPUs with the 1M-row benchmark log: parsing takes about
-# 0.12 s per MB; forking and joining a lane about 7 ms; pickling,
-# sending and merging the table of its 14 MB second half (38,845 users,
-# a 1.1 MB pickle) 0.21 s.  The log's first 2 MB parsed in 0.20 s as two
-# 1 MiB pieces, against 0.27 s as one.
+# Measured on 2 vCPUs with the 1M-row benchmark log (28.6 MB, best of 7):
+# parsing takes about 0.043 s per MB in one piece; forking and joining a
+# lane about 2 ms.  Its 14 MB second half (34,854 users) becomes arrays
+# and a 2.6 MB pickle in 26 ms, and unpickling it and merging both
+# halves takes 35 ms.  The log's first 2 MB parsed in 0.072 s as two
+# 1 MiB pieces, against 0.074 s as one; its first 8 MB in 0.20 s as two
+# pieces, against 0.30 s as one.
 _MIN_PIECE_BYTES = 1 << 20
 
 # int() reads every integer literal of at most this many characters:
@@ -45,49 +53,161 @@ _INT_DIGITS_ALWAYS_READ = 640
 # user id -> home country code
 HomeAssignment = dict[str, str]
 
-
-def _summed(counts: Iterable[dict[str, int]]) -> dict[str, int]:
-    """The per-country sum of country -> count mappings: a table's country totals."""
-    totals: dict[str, int] = {}
-    for per_country in counts:
-        for code, n in per_country.items():
-            totals[code] = totals.get(code, 0) + n
-    return totals
+# Each two-letter code at its position in ``_COUNTRY_CODES``.
+_CODES = tuple(_COUNTRY_CODES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckinTable:
-    """Per-user country counts of a check-in log.
+    """Per-user country counts of a check-in log, as arrays.
 
-    ``user_country_counts[user][country]`` is the number of the user's
-    check-ins in that country; the log's rows themselves are not kept,
-    so a table's size is bounded by users x countries.  ``skipped``
-    reports how many malformed rows were dropped during a lenient parse;
-    it is 0 after a strict parse.  ``country_counts`` totals each
-    country's check-ins.  :func:`parse_checkins` passes the totals of a
-    log parsed in pieces, each piece's summed in its own lane; a table
-    given none sums ``user_country_counts`` by the same rule
-    (``_summed``).  So ``user_country_counts`` must not be modified
-    after parsing.  The table is not hashable, since it holds a dict.
+    ``user_ids`` lists the users in the order of their first check-in.
+    ``visits`` holds one row per (user, country) pair of the log: the
+    user's position in ``user_ids`` and the country's position among the
+    sorted two-letter codes, sorted by user, then country.
+    ``visit_counts`` holds each pair's check-ins, each >= 1, and they
+    total at most 2**53.  Both arrays are read-only.  The log's rows
+    themselves are not kept, so a table's size is bounded by users x
+    countries.  ``skipped`` reports how many malformed rows were dropped
+    during a lenient parse; it is 0 after a strict parse.
+
+    :meth:`build` makes a table from ``user -> country -> count``
+    mappings, which ``user_country_counts`` gives back as a view for
+    tests and library callers; the pipeline reads only the arrays.  Two
+    tables are equal when their users' counts and ``skipped`` are, in
+    any user order.  The table is not hashable.
     """
 
-    user_country_counts: dict[str, dict[str, int]]
+    user_ids: tuple[str, ...]
+    visits: tuple[np.ndarray, np.ndarray]
+    visit_counts: np.ndarray
     skipped: int = 0
-    country_counts: dict[str, int] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.country_counts is None:
-            object.__setattr__(
-                self, "country_counts", _summed(self.user_country_counts.values()))
+        user, country = (_read_only(np.asarray(end, dtype=np.intp)) for end in self.visits)
+        counts = _read_only(np.asarray(self.visit_counts, dtype=np.int64))
+        object.__setattr__(self, "user_ids", tuple(self.user_ids))
+        object.__setattr__(self, "visits", (user, country))
+        object.__setattr__(self, "visit_counts", counts)
+        if not user.shape == country.shape == counts.shape == (user.size,):
+            raise ValueError("visits and visit_counts must be 1-d arrays of one length")
+        if ((country < 0) | (country >= len(_CODES))).any():
+            raise ValueError("a visit references an unknown country")
+        if (np.diff(user * len(_CODES) + country) <= 0).any():
+            raise ValueError("visits must be sorted by user, then country, without duplicates")
+        if not np.array_equal(user[np.diff(user, prepend=-1) != 0], np.arange(len(self.user_ids))):
+            raise ValueError("every user must have a visit, and every visit a listed user")
+        if len(set(self.user_ids)) != len(self.user_ids):
+            raise ValueError("user_ids must be free of duplicates")
+        if (counts < 1).any():
+            raise ValueError("every visit count must be >= 1")
+
+    @classmethod
+    def build(cls, user_country_counts: Mapping[str, Mapping[str, int]],
+              skipped: int = 0) -> CheckinTable:
+        """The table of ``user -> country -> count`` mappings, its users in
+        the mapping's order.  Each user has a country, each code is a
+        two-letter code, each count is a Python int >= 1, and the counts
+        total at most 2**53."""
+        total = 0
+        for user, counts in user_country_counts.items():
+            if not counts:
+                raise ValueError(f"user {user!r} has no check-in")
+            for code, n in counts.items():
+                if not is_country_code(code):
+                    raise ValueError(f"user {user!r} has invalid country code {code!r}")
+                if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                    raise ValueError(f"user {user!r} has non-positive count {n!r} in {code}")
+                total += n
+        if total > 2**53:
+            raise ValueError("check-in counts total more than 2**53")
+        per_user = {user: dict(counts) for user, counts in user_country_counts.items()}
+        return _merged([(_arrays(per_user), skipped)])
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt by the constructor: the arrays come back read-only, the views unbuilt.
+        return type(self), (self.user_ids, self.visits, self.visit_counts, self.skipped)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckinTable):
+            return NotImplemented
+        return (self.skipped, self.user_country_counts) == (other.skipped, other.user_country_counts)
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def record_count(self) -> int:
         """The number of check-ins parsed (malformed rows excluded)."""
-        return sum(self.country_counts.values())
+        return int(self.visit_counts.sum())
 
     @property
     def users(self) -> tuple[str, ...]:
-        return tuple(sorted(self.user_country_counts))
+        """The user ids, sorted."""
+        return tuple(sorted(self.user_ids))
+
+    @cached_property
+    def country_totals(self) -> np.ndarray:
+        """Each country's check-ins, by position among the sorted codes; read-only."""
+        return _read_only(
+            np.bincount(self.visits[1], self.visit_counts, len(_CODES)).astype(np.int64))
+
+    @property
+    def country_counts(self) -> Mapping[str, int]:
+        """``country -> check-ins`` of every country checked into, read-only, in code order."""
+        totals = self.country_totals
+        return MappingProxyType({_CODES[i]: int(totals[i]) for i in np.flatnonzero(totals)})
+
+    @cached_property
+    def user_country_counts(self) -> Mapping[str, Mapping[str, int]]:
+        """``user -> country -> check-ins``, read-only: users in ``user_ids``
+        order, each user's countries in code order."""
+        per_user: dict[str, dict[str, int]] = {user: {} for user in self.user_ids}
+        user, country = self.visits
+        for u, c, n in zip(user.tolist(), country.tolist(), self.visit_counts.tolist()):
+            per_user[self.user_ids[u]][_CODES[c]] = n
+        return MappingProxyType({user: MappingProxyType(counts)
+                                 for user, counts in per_user.items()})
+
+
+# A piece's users in the order of their first row, then one row per user
+# and country of the piece: user position, country position and count.
+_PieceArrays = tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
+
+
+def _arrays(per_user: dict[str, dict[str, int]]) -> _PieceArrays:
+    """A fold's per-user counts as arrays, the rows in the fold's order."""
+    per_country = per_user.values()
+    sizes = np.fromiter(map(len, per_country), np.intp, len(per_user))
+    rows = int(sizes.sum())
+    country = np.fromiter(map(_COUNTRY_CODES.__getitem__, chain.from_iterable(per_country)),
+                          np.intp, rows)
+    count = np.fromiter(chain.from_iterable(map(dict.values, per_country)), np.int64, rows)
+    return list(per_user), np.repeat(np.arange(len(per_user)), sizes), country, count
+
+
+def _merged(pieces: list[tuple[_PieceArrays, int]]) -> CheckinTable:
+    """The table of a log's pieces, given in order, each with its skipped rows.
+
+    Each user takes the position of its first appearance, so the users
+    keep the order a serial parse gives them.  One sort of the (user,
+    country) keys and one ``add.reduceat`` sum the rows of a pair that
+    several pieces hold.
+    """
+    position: dict[str, int] = {}
+    users, countries, counts = [], [], []
+    for (names, user, country, count), _ in pieces:
+        mapped = np.fromiter((position.setdefault(name, len(position)) for name in names),
+                             np.intp, len(names))
+        users.append(mapped[user])
+        countries.append(country)
+        counts.append(count)
+    key = np.concatenate(users) * len(_CODES) + np.concatenate(countries)
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return CheckinTable(tuple(position), np.divmod(key[first], len(_CODES)),
+                        np.add.reduceat(np.concatenate(counts)[order], first),
+                        sum(skipped for _, skipped in pieces))
 
 
 def _is_int_literal(text: str) -> bool:
@@ -322,33 +442,21 @@ def _parse_pieces(path: str | Path, fmt: str, strict: bool, cuts: list[int]) -> 
 
     The pieces weigh the same, so :func:`tourflow.lanes.run_lanes` gives
     piece i to lane i, and raises the earliest piece's exception once
-    every lane has ended.  Each lane also sums its piece's country
-    totals, and the table's totals are their sum.
+    every lane has ended.  Each lane turns its piece's counts into
+    arrays (:func:`_arrays`), so a child sends back its users and three
+    flat arrays, and :func:`_merged` adds the pieces up.
     """
     width = 0
     if fmt == "csv":
         with _open_lines(path) as lines:
             width = _csv_width(csv.reader(lines))
 
-    def piece(i: int) -> tuple[dict[str, dict[str, int]], int, dict[str, int]]:
+    def piece(i: int) -> tuple[_PieceArrays, int]:
         with _open_lines(path, (cuts[i], cuts[i + 1])) as lines:
             per_user, skipped = _fold(*_rows(lines, fmt, width if i else 0), strict)
-        return per_user, skipped, _summed(per_user.values())
+        return _arrays(per_user), skipped
 
-    pieces = run_lanes(piece, [1] * (len(cuts) - 1), "check-in parse")
-    totals = _summed(piece_totals for _, _, piece_totals in pieces)
-    (per_user, skipped, _), *rest = pieces
-    # Users, and each user's countries, keep the order of their first appearance.
-    for more, more_skipped, _ in rest:
-        skipped += more_skipped
-        for user, counts in more.items():
-            mine = per_user.get(user)
-            if mine is None:
-                per_user[user] = counts
-            else:
-                for code, n in counts.items():
-                    mine[code] = mine.get(code, 0) + n
-    return CheckinTable(per_user, skipped, totals)
+    return _merged(run_lanes(piece, [1] * (len(cuts) - 1), "check-in parse"))
 
 
 def parse_checkins(
@@ -363,7 +471,7 @@ def parse_checkins(
     A log file is cut into one byte piece per CPU of the affinity mask,
     each at least ``_MIN_PIECE_BYTES`` long, and the pieces are parsed
     in lanes (:mod:`tourflow.lanes`) and merged in order, so the table,
-    dict order included, is the one a serial parse gives.  A stream, or
+    user order included, is the one a serial parse gives.  A stream, or
     a CSV file holding a ``"`` byte, is parsed in one piece.  If any
     piece raises, the file is parsed again in one piece, so errors are
     the serial ones.
@@ -390,7 +498,8 @@ def parse_checkins(
             except ParseError:
                 pass  # parsed again in one piece, which raises the serial error
     with _open_lines(source) as lines:
-        return CheckinTable(*_fold(*_rows(lines, fmt), strict))
+        per_user, skipped = _fold(*_rows(lines, fmt), strict)
+    return _merged([(_arrays(per_user), skipped)])
 
 
 def infer_homes(table: CheckinTable) -> HomeAssignment:
@@ -398,26 +507,25 @@ def infer_homes(table: CheckinTable) -> HomeAssignment:
 
     Ties go to the lexicographically smallest country code, so the
     assignment is deterministic.  The table must contain at least one
-    record, and each count must be at least 1, as :func:`parse_checkins`
-    makes them.  One pass over each user's counts keeps the best so far.
+    record.  Each user's visits are contiguous and in code order, so the
+    first that holds the user's most check-ins (one ``maximum.reduceat``)
+    is the home.  The mapping lists the users in ``table.user_ids`` order.
     """
-    if not table.user_country_counts:
+    if not table.user_ids:
         raise ValueError("cannot infer home countries from an empty check-in table")
-    homes: HomeAssignment = {}
-    for user, counts in table.user_country_counts.items():
-        home, most = None, 0
-        for code, n in counts.items():
-            if n > most or n == most and code < home:
-                home, most = code, n
-        homes[user] = home
-    return homes
+    user, country = table.visits
+    counts = table.visit_counts
+    most = np.maximum.reduceat(counts, np.flatnonzero(np.diff(user, prepend=-1)))
+    best = np.flatnonzero(counts == most[user])
+    home = country[best[np.flatnonzero(np.diff(user[best], prepend=-1))]]
+    return dict(zip(table.user_ids, map(_CODES.__getitem__, home.tolist())))
 
 
 def filter_countries(table: CheckinTable, threshold: int = 1000) -> frozenset[str]:
     """Countries whose total check-in count strictly exceeds ``threshold``."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return frozenset(c for c, n in table.country_counts.items() if n > threshold)
+    return frozenset(_CODES[i] for i in np.flatnonzero(table.country_totals > threshold).tolist())
 
 
 def build_mobility_graph(
@@ -432,25 +540,29 @@ def build_mobility_graph(
     home is ``home`` and who has at least one check-in in ``visited``.
     Users whose home country is not in ``allowed`` contribute nothing,
     and visited countries outside ``allowed`` are ignored.  The node set
-    is exactly ``allowed`` (isolated countries included).
+    is exactly ``allowed`` (isolated countries included).  Each visit
+    row is one traveller, so one ``bincount`` over home x visited gives
+    the arcs.
     """
-    kept = frozenset(allowed)
-    # home -> country -> users, the home itself and countries outside kept included
-    visitors: dict[str, dict[str, int]] = {}
-    for user, counts in table.user_country_counts.items():
-        try:
-            home = homes[user]
-        except KeyError:
-            raise ValueError(f"no home assignment for user {user!r}") from None
-        if home in kept:
-            tally = visitors.get(home)
-            if tally is None:
-                tally = visitors[home] = {}
-            for country in counts:
-                tally[country] = tally.get(country, 0) + 1
-    edges = {(home, country): n for home, tally in visitors.items()
-             for country, n in tally.items() if country != home and country in kept}
-    return MobilityGraph.build(edges, kept, label)
+    nodes = tuple(sorted(set(allowed)))
+    node = {code: i for i, code in enumerate(nodes)}
+    try:
+        home = np.fromiter((node.get(homes[user], -1) for user in table.user_ids),
+                           np.intp, len(table.user_ids))
+    except KeyError as exc:
+        raise ValueError(f"no home assignment for user {exc.args[0]!r}") from None
+    # Each code's node, -1 outside ``allowed``.
+    code_node = np.full(len(_CODES), -1, np.intp)
+    for code, i in node.items():
+        if is_country_code(code):
+            code_node[_COUNTRY_CODES[code]] = i
+    user, country = table.visits
+    src, dst = home[user], code_node[country]
+    travelled = (src >= 0) & (dst >= 0) & (src != dst)
+    n = len(nodes)
+    tally = np.bincount(src[travelled] * n + dst[travelled], minlength=n * n)
+    pairs = np.flatnonzero(tally)
+    return MobilityGraph(nodes, np.divmod(pairs, n), tally[pairs], label)
 
 
 def _data_lines(lines: Iterator[str], on_comment: Callable[[str], object] | None) -> Iterator[str]:
@@ -559,7 +671,6 @@ def parse_flow_matrix(source: str | Path | IO[str], label: str = "") -> Mobility
     used[src] = used[dst] = True
     used[[codes[code] for code in nodes]] = True
     position = np.cumsum(used) - 1
-    names = list(codes)
-    return MobilityGraph(tuple(names[i] for i in np.flatnonzero(used).tolist()),
+    return MobilityGraph(tuple(_CODES[i] for i in np.flatnonzero(used).tolist()),
                          (position[src], position[dst]), np.frombuffer(counts, np.int64)[order],
                          label)

@@ -26,6 +26,7 @@ from tourflow import (
     census,
     cli,
     distance_matrix,
+    ingest,
     parse_flow_matrix,
     regional_flows,
     structural_report,
@@ -179,6 +180,42 @@ class TestBuild:
         assert stats["kind"] == "checkins"
         assert stats["users"] == 30
         assert stats["threshold"] == 5
+
+    def test_shuffled_log_rows_give_the_same_graph_and_counts(
+        self, tmp_path: Path, two_cpus, monkeypatch
+    ) -> None:
+        # Row order moves only the users' first-appearance order, which no
+        # output reads.  Both builds parse the log in two pieces, and use one
+        # log path and one output path, which every file header hashes.  No
+        # step builds a dict view of the table or the graph.
+        monkeypatch.setattr(ingest, "_MIN_PIECE_BYTES", 1 << 12)
+
+        def forbidden(value):
+            raise AssertionError(f"build read a dict view of {type(value).__name__}")
+
+        for cls, view in ((ingest.CheckinTable, "user_country_counts"),
+                          (ingest.CheckinTable, "country_counts"), (MobilityGraph, "edges")):
+            monkeypatch.setattr(cls, view, property(forbidden))
+        rng = np.random.default_rng(27)
+        codes = ("AR", "DE", "FR", "MX", "TR", "US")
+        country = rng.choice(len(codes), 3000, p=[0.4, 0.3, 0.15, 0.1, 0.04, 0.01])
+        rows = [f"u{rng.integers(80)},{codes[c]},{1_500_000_000 + i}"
+                for i, c in enumerate(country.tolist())]
+        rows[::101] = ["u1,Germany,1"] * len(rows[::101])
+        log, out = tmp_path / "log.csv", tmp_path / "out"
+        sets = ["--set", f"dataset_a_checkins={log}", "--set", "strict=false",
+                "--set", "checkin_threshold=200", "--set", f"output_dir={out}"]
+        bundles = []
+        for order in (rows, list(rng.permutation(rows))):
+            log.write_text("user_id,country,timestamp\n" + "\n".join(order) + "\n")
+            assert main(["build", *sets]) == EXIT_OK
+            bundles.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert bundles[0] == bundles[1]
+        stats = json.loads(bundles[0]["build_manifest.json"])["datasets"]["a"]
+        assert (stats["records"], stats["skipped_rows"], stats["users"]) == (2970, 30, 80)
+        assert stats["countries_kept"] == 4
+        assert len(two_cpus) == 2
+        assert_reaped(two_cpus)
 
     def test_both_sources_rejected(self, tmp_path: Path, capsys) -> None:
         flows = tmp_path / "flows.csv"

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -444,7 +445,7 @@ class TestPieces:
         with lanes_of(cpus):
             pieces = parse_checkins(fuzz_file, fmt=fmt, strict=False)
         expected = per_user_country_totals(serial.user_country_counts)
-        for table in (serial, pieces, CheckinTable(serial.user_country_counts)):
+        for table in (serial, pieces, CheckinTable.build(serial.user_country_counts)):
             assert table.country_counts == expected
             assert table.record_count == sum(expected.values())
 
@@ -586,7 +587,7 @@ _TABLES = st.dictionaries(
     st.sampled_from([f"u{i}" for i in range(12)]),
     st.dictionaries(st.sampled_from(codes_for(5)), st.integers(1, 3), min_size=1),
     min_size=1,
-).map(CheckinTable)
+).map(CheckinTable.build)
 
 
 class TestInferHomes:
@@ -601,7 +602,7 @@ class TestInferHomes:
 
     def test_empty_table_rejected(self) -> None:
         with pytest.raises(ValueError, match="empty"):
-            infer_homes(CheckinTable({}))
+            infer_homes(CheckinTable.build({}))
 
     def test_matches_brute_force_argmax(self) -> None:
         rng = np.random.default_rng(7)
@@ -643,7 +644,7 @@ class TestFilterCountries:
 
     def test_negative_threshold_rejected(self) -> None:
         with pytest.raises(ValueError, match="threshold"):
-            filter_countries(CheckinTable({}), -1)
+            filter_countries(CheckinTable.build({}), -1)
 
     def test_matches_recount(self) -> None:
         rng = np.random.default_rng(5)
@@ -732,6 +733,115 @@ class TestBuildMobilityGraph:
         expected = MobilityGraph.build(pair_tally_edges(users, homes, kept), kept, "x")
         assert graph == expected
         assert graph.nodes == tuple(sorted(kept))
+
+
+# Check-in events over few users and codes, so that users recur across
+# pieces, counts tie and some countries stay below a threshold.
+_LOG_EVENTS = st.lists(st.tuples(st.sampled_from([f"u{i}" for i in range(8)]),
+                                 st.sampled_from(("AA", "FR", "MX", "US", "ZZ"))), max_size=40)
+
+
+def dict_fold(events: list[tuple[str, str]]) -> dict[str, dict[str, int]]:
+    """Per-user country counts, users and their countries in the order of their first event."""
+    per_user: dict[str, dict[str, int]] = {}
+    for user, code in events:
+        counts = per_user.setdefault(user, {})
+        counts[code] = counts.get(code, 0) + 1
+    return per_user
+
+
+def piece_table(events: list[tuple[str, str]], cuts: list[int]) -> CheckinTable:
+    """The table of events folded in pieces cut before each of ``cuts``,
+    each piece turned into arrays and the pieces merged, as lanes do."""
+    bounds = [0, *sorted(cuts), len(events)]
+    pieces = []
+    for start, end in zip(bounds, bounds[1:]):
+        rows = iter([[user, code, "1"] for user, code in events[start:end]])
+        pieces.append((ingest._arrays(ingest._fold(rows, 3, True)[0]), 0))
+    return ingest._merged(pieces)
+
+
+def piece_cuts(events: list, data) -> list[int]:
+    """Up to four cuts of ``events``: one to five pieces, some maybe empty."""
+    return data.draw(st.lists(st.integers(0, len(events)), max_size=4), label="cuts")
+
+
+class TestArrayTable:
+    """The array-backed table of a log cut into pieces against the dict oracles."""
+
+    @given(events=_LOG_EVENTS, data=st.data())
+    @example(events=[("u1", "US"), ("u1", "FR"), ("u2", "FR"), ("u1", "US"), ("u1", "FR")],
+             data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_match_the_dict_oracles(self, events, data) -> None:
+        cuts = [2] if data is None else piece_cuts(events, data)
+        table = piece_table(events, cuts)
+        serial = dict_fold(events)
+        assert table.user_ids == tuple(serial)
+        assert table.user_country_counts == serial
+        totals = per_user_country_totals(serial)
+        assert table.country_counts == totals
+        assert table.record_count == len(events)
+        if not events:
+            with pytest.raises(ValueError, match="empty"):
+                infer_homes(table)
+            return
+        homes = infer_homes(table)
+        assert list(homes.items()) == list(min_key_homes(serial).items())
+        threshold = 1 if data is None else data.draw(st.integers(0, max(totals.values())))
+        kept = filter_countries(table, threshold)
+        assert kept == {code for code, n in totals.items() if n > threshold}
+        graph = build_mobility_graph(table, homes, kept, "x")
+        assert graph == MobilityGraph.build(pair_tally_edges(serial, homes, kept), kept, "x")
+
+    @given(events=_LOG_EVENTS, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_rows_double_the_counts_not_the_arrays(self, events, data) -> None:
+        # Aim 3's bound: the table grows with users x countries, not with rows.
+        once = piece_table(events, piece_cuts(events, data))
+        doubled = [event for event in events for _ in range(2)]
+        twice = piece_table(doubled, piece_cuts(doubled, data))
+        assert twice.user_ids == once.user_ids
+        for a, b in zip(twice.visits, once.visits):
+            assert np.array_equal(a, b)
+        assert np.array_equal(twice.visit_counts, 2 * once.visit_counts)
+        assert twice.record_count == 2 * once.record_count
+
+    def test_arrays_and_views_are_read_only(self) -> None:
+        table = CheckinTable.build({"u1": {"US": 2, "FR": 1}, "u2": {"FR": 1}})
+        for array in (*table.visits, table.visit_counts, table.country_totals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(TypeError):
+            table.user_country_counts["u1"]["US"] = 5  # type: ignore[index]
+        assert table.user_country_counts == {"u1": {"FR": 1, "US": 2}, "u2": {"FR": 1}}
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and not copy.visit_counts.flags.writeable
+
+    @pytest.mark.parametrize("users, visits, counts, message", [
+        pytest.param(("u1",), ([0, 0], [5, 4]), [1, 1], "sorted", id="unsorted"),
+        pytest.param(("u1",), ([0, 0], [5, 5]), [1, 1], "sorted", id="duplicate"),
+        pytest.param(("u1", "u2"), ([0], [5]), [1], "every user", id="user-without-visit"),
+        pytest.param(("u1",), ([0, 1], [5, 5]), [1, 1], "every user", id="unlisted-user"),
+        pytest.param(("u1",), ([0], [676]), [1], "unknown country", id="unknown-country"),
+        pytest.param(("u1",), ([0], [5]), [0], ">= 1", id="zero-count"),
+        pytest.param(("u1",), ([0], [5]), [1, 1], "one length", id="lengths"),
+        pytest.param(("u1", "u1"), ([0, 1], [5, 5]), [1, 1], "duplicates", id="repeated-user"),
+    ])
+    def test_constructor_rejects_arrays_out_of_form(self, users, visits, counts, message) -> None:
+        with pytest.raises(ValueError, match=message):
+            CheckinTable(users, visits, counts)
+
+    @pytest.mark.parametrize("counts, message", [
+        pytest.param({"u1": {}}, "no check-in", id="no-country"),
+        pytest.param({"u1": {"us": 1}}, "invalid country code", id="bad-code"),
+        pytest.param({"u1": {"US": 0}}, "non-positive", id="zero"),
+        pytest.param({"u1": {"US": True}}, "non-positive", id="bool"),
+        pytest.param({"u1": {"US": 2**52}, "u2": {"FR": 2**52 + 1}}, "2\\*\\*53", id="total"),
+    ])
+    def test_build_rejects_bad_counts(self, counts, message) -> None:
+        with pytest.raises(ValueError, match=message):
+            CheckinTable.build(counts)
 
 
 # Codes far apart in sorted order; QQ appears only in nodes lines and the total row.
