@@ -770,12 +770,9 @@ class TestArrayTable:
     """The array-backed table of a log cut into pieces against the dict oracles."""
 
     @given(events=_LOG_EVENTS, data=st.data())
-    @example(events=[("u1", "US"), ("u1", "FR"), ("u2", "FR"), ("u1", "US"), ("u1", "FR")],
-             data=None)
     @settings(max_examples=300, deadline=None)
     def test_pieces_match_the_dict_oracles(self, events, data) -> None:
-        cuts = [2] if data is None else piece_cuts(events, data)
-        table = piece_table(events, cuts)
+        table = piece_table(events, piece_cuts(events, data))
         serial = dict_fold(events)
         assert table.user_ids == tuple(serial)
         assert table.user_country_counts == serial
@@ -788,7 +785,7 @@ class TestArrayTable:
             return
         homes = infer_homes(table)
         assert list(homes.items()) == list(min_key_homes(serial).items())
-        threshold = 1 if data is None else data.draw(st.integers(0, max(totals.values())))
+        threshold = data.draw(st.integers(0, max(totals.values())), label="threshold")
         kept = filter_countries(table, threshold)
         assert kept == {code for code, n in totals.items() if n > threshold}
         graph = build_mobility_graph(table, homes, kept, "x")
