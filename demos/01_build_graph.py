@@ -9,6 +9,7 @@ digraph where w(i -> j) counts distinct residents of i seen in j.
 
 import io
 import random
+from string import ascii_uppercase
 
 from tourflow import (
     build_mobility_graph,
@@ -37,9 +38,11 @@ for user in range(300):
 table = parse_checkins(io.StringIO("\n".join(rows) + "\n"))
 print(f"parsed {table.record_count} check-ins from {len(table.users)} users")
 
-# Home country = country with the most check-ins per user.
+# Home country = country with the most check-ins per user, one code
+# position per user in table.user_ids order.
 homes = infer_homes(table)
-print("first user home:", homes["u0"])
+codes = [a + b for a in ascii_uppercase for b in ascii_uppercase]  # sorted
+print("first user home:", codes[homes[table.user_ids.index("u0")]])
 
 # Keep only countries whose total check-in count clears the threshold.
 kept = filter_countries(table, threshold=100)

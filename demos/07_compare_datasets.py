@@ -49,8 +49,10 @@ def averaged_distances(graph: MobilityGraph):
 a = averaged_distances(dataset(1, noise=0.0))
 b = averaged_distances(dataset(1, noise=0.3))
 
+# rho is an array in report.countries order, NaN where a row is constant.
 report = country_correlations(a, b)
-defined = {code: rho for code, rho in report.rho.items() if rho is not None}
+defined = {code: rho for code, rho in zip(report.countries, report.rho.tolist())
+           if not np.isnan(rho)}
 print(f"{report.common_count} common countries, {len(defined)} with defined rho")
 print(f"mean rho: {sum(defined.values()) / len(defined):.4f}")
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MobilityGraph
+from .graph import MobilityGraph, _read_only
 from .metrics import flagged_csv, sig6
 from .seeds import derive_seed
 
@@ -56,12 +56,13 @@ TRICODES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriadCensus:
-    """Counts of all 16 triad classes; they sum to C(n, 3)."""
+    """Counts of all 16 triad classes, a read-only int64 array in
+    TRIAD_NAMES order; they sum to C(n, 3)."""
 
     node_count: int
-    counts: dict[str, int]
+    counts: np.ndarray
 
     @property
     def total(self) -> int:
@@ -70,8 +71,8 @@ class TriadCensus:
 
     def to_csv(self) -> str:
         lines = ["class,count"]
-        for name in TRIAD_NAMES:
-            lines.append(f"{name},{self.counts[name]}")
+        for name, count in zip(TRIAD_NAMES, self.counts.tolist()):
+            lines.append(f"{name},{count}")
         return "\n".join(lines) + "\n"
 
 
@@ -145,7 +146,7 @@ def triad_census(graph: MobilityGraph) -> TriadCensus:
     n = len(graph.nodes)
     if n < 3:
         raise ValueError(f"triad census needs >= 3 nodes, got {n}")
-    return TriadCensus(n, dict(zip(TRIAD_NAMES, graph.triad_counts.tolist())))
+    return TriadCensus(n, graph.triad_counts)
 
 
 def _check_swaps(edge_count: int, swaps_per_edge: int) -> None:
@@ -492,27 +493,25 @@ RELEVANT_Z = 2.0
 RELEVANT_COUNT = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotifZScores:
     """Real counts of the 13 connected triad classes against a null.
 
-    ``z`` is None (and the class flagged undefined) when the null
-    ensemble has zero spread for that class.
+    ``real``, ``null_mean``, ``null_std`` and ``z`` are read-only arrays
+    in ``classes`` order.  ``z`` is NaN (and the class flagged
+    undefined) when the null ensemble has zero spread for that class.
     """
 
     classes: tuple[str, ...]
-    real: dict[str, int]
-    null_mean: dict[str, float]
-    null_std: dict[str, float]
-    z: dict[str, float | None]
+    real: np.ndarray
+    null_mean: np.ndarray
+    null_std: np.ndarray
+    z: np.ndarray
 
-    def relevant(self) -> dict[str, bool]:
-        """Annotation flags: z at least RELEVANT_Z, backed by RELEVANT_COUNT real triads."""
-        return {
-            name: (self.z[name] is not None and self.z[name] >= RELEVANT_Z
-                   and self.real[name] >= RELEVANT_COUNT)
-            for name in self.classes
-        }
+    def relevant(self) -> np.ndarray:
+        """Annotation flags in ``classes`` order: z at least RELEVANT_Z,
+        backed by RELEVANT_COUNT real triads; never for a NaN z."""
+        return (self.z >= RELEVANT_Z) & (self.real >= RELEVANT_COUNT)
 
     def to_csv(self) -> str:
         """One row per class: ``class,real,mean,std,z,flag``.
@@ -520,16 +519,13 @@ class MotifZScores:
         The flag column reads ``undefined`` when the null spread is
         zero, ``relevant`` when the annotation rule fires, else empty.
         """
-        flags = self.relevant()
         lines = ["class,real,mean,std,z,flag"]
-        for name in self.classes:
-            z = self.z[name]
-            z_text = "" if z is None else sig6(z)
-            flag = "undefined" if z is None else ("relevant" if flags[name] else "")
-            lines.append(
-                f"{name},{self.real[name]},{sig6(self.null_mean[name])},"
-                f"{sig6(self.null_std[name])},{z_text},{flag}"
-            )
+        for name, real, mean, std, z, relevant in zip(
+                self.classes, self.real.tolist(), self.null_mean.tolist(),
+                self.null_std.tolist(), self.z.tolist(), self.relevant().tolist()):
+            z_text = "" if math.isnan(z) else sig6(z)
+            flag = "undefined" if math.isnan(z) else ("relevant" if relevant else "")
+            lines.append(f"{name},{real},{sig6(mean)},{sig6(std)},{z_text},{flag}")
         return "\n".join(lines) + "\n"
 
 
@@ -554,7 +550,7 @@ def motif_zscores(
     ``len(CONNECTED_TRIADS)`` counts per sample, ``ensemble_size`` rows,
     or a ``ValueError``.  The standard
     deviation is the population one (ddof 0); classes with zero spread
-    get z = None.  The real counts come from ``triad_census(graph)``,
+    get a NaN z.  The real counts come from ``triad_census(graph)``,
     which reads the graph's cached census, so a graph already counted is
     not counted again.
     """
@@ -569,39 +565,26 @@ def motif_zscores(
     samples = null.astype(np.float64)
     means = samples.mean(axis=0)
     stds = samples.std(axis=0)
-    real = {name: observed.counts[name] for name in CONNECTED_TRIADS}
-    z: dict[str, float | None] = {}
-    for pos, name in enumerate(CONNECTED_TRIADS):
-        if stds[pos] == 0.0:
-            z[name] = None
-        else:
-            z[name] = (real[name] - means[pos]) / float(stds[pos])
-    return MotifZScores(
-        classes=CONNECTED_TRIADS,
-        real=real,
-        null_mean={name: float(means[pos]) for pos, name in enumerate(CONNECTED_TRIADS)},
-        null_std={name: float(stds[pos]) for pos, name in enumerate(CONNECTED_TRIADS)},
-        z=z,
-    )
+    # CONNECTED_TRIADS is TRIAD_NAMES[3:].
+    real = observed.counts[3:]
+    z = np.full(len(CONNECTED_TRIADS), np.nan)
+    np.divide(real - means, stds, out=z, where=stds != 0.0)
+    return MotifZScores(CONNECTED_TRIADS, real, _read_only(means), _read_only(stds),
+                        _read_only(z))
 
 
-def z_percent_diff(a: MotifZScores, b: MotifZScores) -> dict[str, float | None]:
+def z_percent_diff(a: MotifZScores, b: MotifZScores) -> np.ndarray:
     """Relative z-score change 100 * (z_a - z_b) / |z_b| per class.
 
-    None marks classes where either score is undefined or the reference
-    ``z_b`` is exactly zero.
+    A read-only array in ``classes`` order.  NaN marks classes where
+    either score is undefined or the reference ``z_b`` is zero.
     """
     if a.classes != b.classes:
         raise ValueError("z-score tables cover different motif classes")
-    diff: dict[str, float | None] = {}
-    for name in a.classes:
-        za, zb = a.z[name], b.z[name]
-        if za is None or zb is None or zb == 0.0:
-            diff[name] = None
-        else:
-            diff[name] = 100.0 * (za - zb) / abs(zb)
-    return diff
+    diff = np.full(len(a.classes), np.nan)
+    np.divide(100.0 * (a.z - b.z), np.abs(b.z), out=diff, where=b.z != 0.0)
+    return _read_only(diff)
 
 
-def z_percent_diff_csv(diff: dict[str, float | None]) -> str:
-    return flagged_csv("class,percent_diff,flag", ((name, diff[name]) for name in CONNECTED_TRIADS))
+def z_percent_diff_csv(diff: np.ndarray) -> str:
+    return flagged_csv("class,percent_diff,flag", CONNECTED_TRIADS, diff)

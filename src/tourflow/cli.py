@@ -487,7 +487,7 @@ def cmd_analyze(config: RunConfig, graph_a: str | None = None, graph_b: str | No
             if averaged:
                 correlations = country_correlations(averaged["a"], averaged["b"])
                 bundle.write_csv("correlations.csv", correlations.to_csv())
-                defined = [v for v in correlations.rho.values() if v is not None]
+                defined = [v for v in correlations.rho.tolist() if not math.isnan(v)]
                 summary["correlation"] = {
                     "common_countries": correlations.common_count,
                     "defined": len(defined),

@@ -12,12 +12,13 @@ distance rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graph import MobilityGraph
+from .graph import MobilityGraph, _read_only
 from .metrics import CentralityTable, ComponentAssignment, flagged_csv, matrix_csv
 
 NUMERIC_FEATURES = ("in_strength", "out_strength", "betweenness", "pagerank")
@@ -125,35 +126,36 @@ def avg_distance_matrix(matrices: Sequence[FeatureMatrix]) -> AveragedDistances:
     return AveragedDistances(codes, total / float(len(matrices)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationReport:
     """Per-country Pearson correlation between two datasets.
 
-    ``rho`` is None for countries whose distance rows are too short or
-    constant; each is taken over the ``common_count - 1`` off-diagonal
-    entries of the country's row.
+    ``rho`` is a read-only array in ``countries`` order, NaN for
+    countries whose distance rows are too short or constant; each is
+    taken over the ``common_count - 1`` off-diagonal entries of the
+    country's row.
     """
 
     countries: tuple[str, ...]
-    rho: dict[str, float | None]
+    rho: np.ndarray
 
     @property
     def common_count(self) -> int:
         return len(self.countries)
 
     def to_csv(self) -> str:
-        return flagged_csv("country,rho,flag", ((code, self.rho[code]) for code in self.countries))
+        return flagged_csv("country,rho,flag", self.countries, self.rho)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     if len(x) < 3:
-        return None
+        return math.nan
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
     if sx == 0.0 or sy == 0.0:
-        return None
+        return math.nan
     return float((dx * dy).sum() / (sx * sy))
 
 
@@ -173,11 +175,7 @@ def country_correlations(a: AveragedDistances, b: AveragedDistances) -> Correlat
     rows_b = np.array([index_b[code] for code in common], dtype=np.intp)
     sub_a = a.values[np.ix_(rows_a, rows_a)]
     sub_b = b.values[np.ix_(rows_b, rows_b)]
-    m = len(common)
-    rho: dict[str, float | None] = {}
-    mask = ~np.eye(m, dtype=bool)
-    for i, code in enumerate(common):
-        row_a = sub_a[i][mask[i]]
-        row_b = sub_b[i][mask[i]]
-        rho[code] = _pearson(row_a, row_b)
-    return CorrelationReport(tuple(common), rho)
+    mask = ~np.eye(len(common), dtype=bool)
+    rho = np.array([_pearson(row_a[keep], row_b[keep])
+                    for row_a, row_b, keep in zip(sub_a, sub_b, mask)])
+    return CorrelationReport(tuple(common), _read_only(rho))

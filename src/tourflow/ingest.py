@@ -50,9 +50,6 @@ _MIN_PIECE_BYTES = 1 << 20
 # limit) aside.  Python before 3.10.7 has no limit.
 _INT_DIGITS_ALWAYS_READ = 640
 
-# user id -> home country code
-HomeAssignment = dict[str, str]
-
 # Each two-letter code at its position in ``_COUNTRY_CODES``.
 _CODES = tuple(_COUNTRY_CODES)
 
@@ -175,14 +172,18 @@ _PieceArrays = tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
 
 
 def _arrays(per_user: dict[str, dict[str, int]]) -> _PieceArrays:
-    """A fold's per-user counts as arrays, the rows in the fold's order."""
+    """A fold's per-user counts as arrays, the rows in the fold's order.
+
+    User positions are int32 and country positions int16, which keeps
+    the pickle a lane sends small; :func:`_merged` widens them.
+    """
     per_country = per_user.values()
     sizes = np.fromiter(map(len, per_country), np.intp, len(per_user))
     rows = int(sizes.sum())
     country = np.fromiter(map(_COUNTRY_CODES.__getitem__, chain.from_iterable(per_country)),
-                          np.intp, rows)
+                          np.int16, rows)
     count = np.fromiter(chain.from_iterable(map(dict.values, per_country)), np.int64, rows)
-    return list(per_user), np.repeat(np.arange(len(per_user)), sizes), country, count
+    return list(per_user), np.repeat(np.arange(len(per_user), dtype=np.int32), sizes), country, count
 
 
 def _merged(pieces: list[tuple[_PieceArrays, int]]) -> CheckinTable:
@@ -502,14 +503,16 @@ def parse_checkins(
     return _merged([(_arrays(per_user), skipped)])
 
 
-def infer_homes(table: CheckinTable) -> HomeAssignment:
+def infer_homes(table: CheckinTable) -> np.ndarray:
     """Assign each user the country holding most of their check-ins.
 
     Ties go to the lexicographically smallest country code, so the
     assignment is deterministic.  The table must contain at least one
     record.  Each user's visits are contiguous and in code order, so the
     first that holds the user's most check-ins (one ``maximum.reduceat``)
-    is the home.  The mapping lists the users in ``table.user_ids`` order.
+    is the home.  Returns a read-only int array in ``table.user_ids``
+    order: each home as a position among the sorted two-letter codes,
+    the index of ``table.visits[1]``.
     """
     if not table.user_ids:
         raise ValueError("cannot infer home countries from an empty check-in table")
@@ -517,8 +520,7 @@ def infer_homes(table: CheckinTable) -> HomeAssignment:
     counts = table.visit_counts
     most = np.maximum.reduceat(counts, np.flatnonzero(np.diff(user, prepend=-1)))
     best = np.flatnonzero(counts == most[user])
-    home = country[best[np.flatnonzero(np.diff(user[best], prepend=-1))]]
-    return dict(zip(table.user_ids, map(_CODES.__getitem__, home.tolist())))
+    return _read_only(country[best[np.flatnonzero(np.diff(user[best], prepend=-1))]])
 
 
 def filter_countries(table: CheckinTable, threshold: int = 1000) -> frozenset[str]:
@@ -530,13 +532,15 @@ def filter_countries(table: CheckinTable, threshold: int = 1000) -> frozenset[st
 
 def build_mobility_graph(
     table: CheckinTable,
-    homes: HomeAssignment,
+    homes: np.ndarray,
     allowed: Iterable[str],
     label: str = "",
 ) -> MobilityGraph:
     """Count distinct travellers between home and visited countries.
 
-    An edge ``home -> visited`` gains one unit per user whose inferred
+    ``homes`` holds each user's home as :func:`infer_homes` gives it: a
+    position among the sorted two-letter codes, in ``table.user_ids``
+    order.  An edge ``home -> visited`` gains one unit per user whose
     home is ``home`` and who has at least one check-in in ``visited``.
     Users whose home country is not in ``allowed`` contribute nothing,
     and visited countries outside ``allowed`` are ignored.  The node set
@@ -544,20 +548,18 @@ def build_mobility_graph(
     row is one traveller, so one ``bincount`` over home x visited gives
     the arcs.
     """
+    homes = np.asarray(homes)
+    if homes.shape != (len(table.user_ids),) or homes.dtype.kind not in "iu" or (
+            ((homes < 0) | (homes >= len(_CODES))).any()):
+        raise ValueError("homes must hold one country position per user of the table")
     nodes = tuple(sorted(set(allowed)))
-    node = {code: i for i, code in enumerate(nodes)}
-    try:
-        home = np.fromiter((node.get(homes[user], -1) for user in table.user_ids),
-                           np.intp, len(table.user_ids))
-    except KeyError as exc:
-        raise ValueError(f"no home assignment for user {exc.args[0]!r}") from None
     # Each code's node, -1 outside ``allowed``.
     code_node = np.full(len(_CODES), -1, np.intp)
-    for code, i in node.items():
+    for i, code in enumerate(nodes):
         if is_country_code(code):
             code_node[_COUNTRY_CODES[code]] = i
     user, country = table.visits
-    src, dst = home[user], code_node[country]
+    src, dst = code_node[homes][user], code_node[country]
     travelled = (src >= 0) & (dst >= 0) & (src != dst)
     n = len(nodes)
     tally = np.bincount(src[travelled] * n + dst[travelled], minlength=n * n)

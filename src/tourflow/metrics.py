@@ -8,8 +8,9 @@ pairs is reported alongside instead of being folded into the mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,12 +42,13 @@ def matrix_csv(corner: str, labels: Sequence[str], values: np.ndarray, spec: str
     return "\n".join(lines) + "\n"
 
 
-def flagged_csv(header: str, items: Iterable[tuple[str, float | None]]) -> str:
-    """``label,value,flag`` rows under ``header``: a value in :func:`sig6`
-    and no flag, or, for None, a blank value flagged ``undefined``."""
+def flagged_csv(header: str, labels: Sequence[str], values: np.ndarray) -> str:
+    """``label,value,flag`` rows under ``header``, one per label and value:
+    a value in :func:`sig6` and no flag, or, for NaN, a blank value
+    flagged ``undefined``."""
     lines = [header]
-    for label, value in items:
-        lines.append(f"{label},,undefined" if value is None else f"{label},{sig6(value)},")
+    for label, value in zip(labels, values.tolist()):
+        lines.append(f"{label},,undefined" if math.isnan(value) else f"{label},{sig6(value)},")
     return "\n".join(lines) + "\n"
 
 

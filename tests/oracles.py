@@ -14,10 +14,13 @@ import itertools
 import re
 from collections import deque
 from datetime import datetime, timezone
+from string import ascii_uppercase
 
 import numpy as np
 
+from tourflow.census import CONNECTED_TRIADS
 from tourflow.clustering import DistanceMatrix, Merge
+from tourflow.compare import AveragedDistances
 from tourflow.errors import ParseError
 from tourflow.graph import MobilityGraph, is_country_code
 from tourflow.ingest import _is_int_literal, read_table
@@ -62,6 +65,28 @@ def min_key_homes(user_country_counts: dict[str, dict[str, int]]) -> dict[str, s
     """Each user's home as ``min`` picks it with a (-count, code) key per country."""
     return {user: min(counts, key=lambda code: (-counts[code], code))
             for user, counts in user_country_counts.items()}
+
+
+def dict_infer_homes(user_country_counts: dict[str, dict[str, int]]) -> dict[str, str]:
+    """Each user's home by one pass over the user's counts, keeping the best
+    so far: the most check-ins, ties to the smaller code."""
+    homes: dict[str, str] = {}
+    for user, counts in user_country_counts.items():
+        home, most = None, 0
+        for code, n in counts.items():
+            if n > most or n == most and code < home:
+                home, most = code, n
+        homes[user] = home
+    return homes
+
+
+# Every two-letter code in sorted order: a home position's code.
+ALL_CODES = tuple(a + b for a in ascii_uppercase for b in ascii_uppercase)
+
+
+def homes_by_user(user_ids: tuple[str, ...], homes: np.ndarray) -> dict[str, str]:
+    """Homes given as code positions, in ``user_ids`` order, as a user -> code dict."""
+    return {user: ALL_CODES[home] for user, home in zip(user_ids, homes.tolist())}
 
 
 def pair_tally_edges(
@@ -660,3 +685,77 @@ def swap_class(arcs: frozenset[tuple[int, int]]) -> set[frozenset[tuple[int, int
                 seen.add(swapped)
                 queue.append(swapped)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# z-scores, their percent change and per-country correlations, keyed by
+# class or code, with None where a value is undefined
+
+
+def dict_motif_z(real: dict[str, int], null: np.ndarray) -> dict[str, float | None]:
+    """Each connected class's z-score against null samples, one class at a time.
+
+    ``null`` holds one row of CONNECTED_TRIADS counts per sample.  None
+    marks a class whose samples have zero (population) spread.
+    """
+    samples = null.astype(np.float64)
+    means = samples.mean(axis=0)
+    stds = samples.std(axis=0)
+    z: dict[str, float | None] = {}
+    for pos, name in enumerate(CONNECTED_TRIADS):
+        if stds[pos] == 0.0:
+            z[name] = None
+        else:
+            z[name] = (real[name] - means[pos]) / float(stds[pos])
+    return z
+
+
+def dict_z_percent_diff(
+    z_a: dict[str, float | None], z_b: dict[str, float | None]
+) -> dict[str, float | None]:
+    """100 * (z_a - z_b) / |z_b| per class, None where either score is
+    undefined or the reference is zero."""
+    diff: dict[str, float | None] = {}
+    for name, za in z_a.items():
+        zb = z_b[name]
+        if za is None or zb is None or zb == 0.0:
+            diff[name] = None
+        else:
+            diff[name] = 100.0 * (za - zb) / abs(zb)
+    return diff
+
+
+def _dict_pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    if len(x) < 3:
+        return None
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = float(np.sqrt((dx * dx).sum()))
+    sy = float(np.sqrt((dy * dy).sum()))
+    if sx == 0.0 or sy == 0.0:
+        return None
+    return float((dx * dy).sum() / (sx * sy))
+
+
+def dict_country_correlations(a: AveragedDistances, b: AveragedDistances) -> dict[str, float | None]:
+    """Each common country's Pearson correlation of its off-diagonal
+    distance rows, in code order, one country at a time; None for a row
+    too short (under 3 entries) or constant."""
+    common = sorted(set(a.countries) & set(b.countries))
+    rows_a = [a.countries.index(code) for code in common]
+    rows_b = [b.countries.index(code) for code in common]
+    rho: dict[str, float | None] = {}
+    for i, code in enumerate(common):
+        others = [j for j in range(len(common)) if j != i]
+        row_a = a.values[rows_a[i], [rows_a[j] for j in others]]
+        row_b = b.values[rows_b[i], [rows_b[j] for j in others]]
+        rho[code] = _dict_pearson(row_a, row_b)
+    return rho
+
+
+def assert_same_floats(actual: np.ndarray, expected: list[float | None]) -> None:
+    """``actual`` is NaN exactly where ``expected`` holds None, and holds
+    the same bits everywhere else (so 0.0 and -0.0 differ)."""
+    assert np.isnan(actual).tolist() == [value is None for value in expected]
+    defined = [value for value in expected if value is not None]
+    assert actual[~np.isnan(actual)].tobytes() == np.array(defined, dtype=np.float64).tobytes()

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tourflow import (
     CONNECTED_TRIADS,
@@ -21,39 +23,55 @@ from tourflow import (
     z_percent_diff,
 )
 from tourflow import census
-from tourflow.census import BATCH_MIN_ENSEMBLE, z_percent_diff_csv
+from tourflow.census import (
+    BATCH_MIN_ENSEMBLE, RELEVANT_COUNT, RELEVANT_Z, MotifZScores, z_percent_diff_csv)
 from tourflow.seeds import derive_seed
 
 from oracles import (
     ASYMMETRIC_PER_CLASS,
     MUTUAL_PER_CLASS,
     NULL_PER_CLASS,
+    assert_same_floats,
     brute_force_triad_census,
+    by_code,
     circulant_graph,
     codes_for,
+    dict_motif_z,
+    dict_z_percent_diff,
     random_digraph,
     swap_class,
 )
 from tourflow.metrics import dyad_census, structural_report
 
 
+def census_by_name(g: MobilityGraph) -> dict[str, int]:
+    """triad_census(g)'s counts by class name, to compare with the oracles'."""
+    return by_code(TRIAD_NAMES, triad_census(g).counts)
+
+
+def score_fields(scores: MotifZScores) -> tuple:
+    """A z-score table's classes and the bytes of its four arrays, to compare two tables."""
+    return scores.classes, *(getattr(scores, field).tobytes()
+                             for field in ("real", "null_mean", "null_std", "z"))
+
+
 class TestTriadCensus:
     def test_empty_graph_is_all_003(self) -> None:
         g = MobilityGraph.build({}, codes_for(5))
-        counts = triad_census(g).counts
+        counts = census_by_name(g)
         assert counts["003"] == 10
         assert sum(counts.values()) == 10
 
     def test_complete_mutual_triple_is_300(self) -> None:
         codes = codes_for(3)
         edges = {(a, b): 1 for a in codes for b in codes if a != b}
-        counts = triad_census(MobilityGraph.build(edges, codes)).counts
+        counts = census_by_name(MobilityGraph.build(edges, codes))
         assert counts["300"] == 1
         assert sum(counts.values()) == 1
 
     def test_single_arc_in_triple(self) -> None:
         g = MobilityGraph.build({("AA", "AB"): 1}, codes_for(3))
-        assert triad_census(g).counts["012"] == 1
+        assert census_by_name(g)["012"] == 1
 
     def test_two_node_graph_rejected(self) -> None:
         g = MobilityGraph.build({("AA", "BB"): 1})
@@ -66,28 +84,28 @@ class TestTriadCensus:
             {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1}, codes)
         transitive = MobilityGraph.build(
             {("AA", "AB"): 1, ("AB", "AC"): 1, ("AA", "AC"): 1}, codes)
-        assert triad_census(cyclic).counts["030C"] == 1
-        assert triad_census(transitive).counts["030T"] == 1
+        assert census_by_name(cyclic)["030C"] == 1
+        assert census_by_name(transitive)["030T"] == 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force_classification(self, seed: int) -> None:
         rng = np.random.default_rng(600 + seed)
         n = int(rng.integers(5, 16))
         g = random_digraph(rng, n, float(rng.uniform(0.05, 0.6)))
-        assert triad_census(g).counts == brute_force_triad_census(g)
+        assert census_by_name(g) == brute_force_triad_census(g)
 
     @given(seed=st.integers(0, 100_000), n=st.integers(3, 25))
     @settings(max_examples=60, deadline=None)
     def test_total_is_n_choose_3(self, seed: int, n: int) -> None:
         g = random_digraph(np.random.default_rng(seed), n, 0.25)
         census = triad_census(g)
-        assert sum(census.counts.values()) == census.total
+        assert sum(census.counts.tolist()) == census.total
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dyad_counts_recoverable_from_triads(self, seed: int) -> None:
         n = 10
         g = random_digraph(np.random.default_rng(700 + seed), n, 0.3)
-        counts = triad_census(g).counts
+        counts = census_by_name(g)
         dyads = dyad_census(g)
         mutual = sum(counts[c] * k for c, k in MUTUAL_PER_CLASS.items())
         asymmetric = sum(counts[c] * k for c, k in ASYMMETRIC_PER_CLASS.items())
@@ -115,7 +133,7 @@ class TestCensusCache:
     def test_counts_are_read_only_and_match_the_census(self) -> None:
         g = random_digraph(np.random.default_rng(55), 12, 0.3)
         assert g.triad_counts is g.triad_counts
-        assert dict(zip(TRIAD_NAMES, g.triad_counts.tolist())) == triad_census(g).counts
+        assert triad_census(g).counts is g.triad_counts
         with pytest.raises(ValueError, match="read-only"):
             g.triad_counts[0] = 0
 
@@ -130,7 +148,7 @@ class TestCensusCache:
         monkeypatch.setattr(census, "_census_counts", counted)
         g = topk_out(random_digraph(np.random.default_rng(56), 12, 0.4), 3)
         structural_report(g)
-        assert triad_census(g) == triad_census(g)
+        assert np.array_equal(triad_census(g).counts, triad_census(g).counts)
         assert calls == [12]
         # Only the null samples are counted: the real counts are cached.
         motif_zscores(g, ensemble_size=20, seed=4)
@@ -183,7 +201,7 @@ class TestCensusKernel:
     def test_arc_order_does_not_matter(self) -> None:
         g = random_digraph(np.random.default_rng(810), 11, 0.35)
         shuffled = MobilityGraph.build(dict(reversed(list(g.edges.items()))), g.nodes)
-        assert kernel_census(shuffled) == kernel_census(g) == triad_census(g).counts
+        assert kernel_census(shuffled) == kernel_census(g) == census_by_name(g)
 
 
 def degree_sequences(g: MobilityGraph) -> tuple[dict[str, int], dict[str, int]]:
@@ -301,9 +319,9 @@ class TestMotifZScores:
         g = random_digraph(np.random.default_rng(50), 12, 0.3)
         a = motif_zscores(g, ensemble_size=20, seed=9)
         b = motif_zscores(g, ensemble_size=20, seed=9)
-        assert a.null_mean == b.null_mean
-        assert a.null_std == b.null_std
-        assert a.z == b.z
+        assert a.null_mean.tobytes() == b.null_mean.tobytes()
+        assert a.null_std.tobytes() == b.null_std.tobytes()
+        assert a.z.tobytes() == b.z.tobytes()
 
     def test_small_ensemble_rejected(self) -> None:
         g = random_digraph(np.random.default_rng(51), 8, 0.4)
@@ -322,7 +340,7 @@ class TestMotifZScores:
         g = MobilityGraph.build(
             {("AA", "AB"): 1, ("AB", "AC"): 1, ("AC", "AA"): 1}, codes_for(3))
         scores = motif_zscores(g, ensemble_size=5, seed=0)
-        assert all(z is None for z in scores.z.values())
+        assert np.isnan(scores.z).all()
         csv_rows = scores.to_csv().splitlines()[1:]
         assert all(row.endswith(",undefined") for row in csv_rows)
 
@@ -330,10 +348,28 @@ class TestMotifZScores:
         g = random_digraph(np.random.default_rng(52), 14, 0.3)
         scores = motif_zscores(g, ensemble_size=30, seed=3)
         flags = scores.relevant()
-        for name in scores.classes:
-            z = scores.z[name]
-            expected = z is not None and z >= 2.0 and scores.real[name] >= 4
-            assert flags[name] == expected
+        for i in range(len(scores.classes)):
+            z = scores.z[i]
+            expected = not np.isnan(z) and z >= 2.0 and scores.real[i] >= 4
+            assert flags[i] == expected
+
+    @given(seed=st.integers(0, 100_000), size=st.integers(2, 6), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_dict_z_loop(self, seed: int, size: int, data) -> None:
+        # Null counts of 0..2 leave many classes without spread (z undefined).
+        g = random_digraph(np.random.default_rng(seed), 7, 0.35)
+        null = data.draw(arrays(np.int64, (size, len(CONNECTED_TRIADS)), elements=st.integers(0, 2)))
+        scores = motif_zscores(g, ensemble_size=size, null=null)
+        real = census_by_name(g)
+        expected = dict_motif_z(real, null)
+        assert scores.classes == tuple(expected)
+        assert scores.real.tolist() == [real[name] for name in CONNECTED_TRIADS]
+        assert_same_floats(scores.z, list(expected.values()))
+        assert scores.relevant().tolist() == [
+            z is not None and z >= RELEVANT_Z and real[name] >= RELEVANT_COUNT
+            for name, z in expected.items()]
+        for field in (scores.real, scores.null_mean, scores.null_std, scores.z):
+            assert not field.flags.writeable
 
     def test_csv_layout(self) -> None:
         g = random_digraph(np.random.default_rng(53), 10, 0.4)
@@ -348,13 +384,13 @@ class TestMotifZScores:
         scores = motif_zscores(g, ensemble_size=size, seed=5, swaps_per_edge=10)
         samples = np.empty((size, len(CONNECTED_TRIADS)), dtype=np.float64)
         for i in range(size):
-            counts = triad_census(rewire(g, derive_seed(5, i), 10)).counts
+            counts = census_by_name(rewire(g, derive_seed(5, i), 10))
             samples[i] = [counts[name] for name in CONNECTED_TRIADS]
         means = samples.mean(axis=0)
         stds = samples.std(axis=0)
-        for pos, name in enumerate(CONNECTED_TRIADS):
-            assert scores.null_mean[name] == float(means[pos])
-            assert scores.null_std[name] == float(stds[pos])
+        for pos in range(len(CONNECTED_TRIADS)):
+            assert scores.null_mean[pos] == float(means[pos])
+            assert scores.null_std[pos] == float(stds[pos])
 
 
 def hub_heavy_digraph(seed: int, n: int = 18) -> MobilityGraph:
@@ -397,7 +433,7 @@ def sample_arcs(g: MobilityGraph, samples) -> list[dict[tuple[str, str], int]]:
 
 def rewired_counts(g: MobilityGraph, seed: int, size: int, swaps: int) -> list[list[int]]:
     """The CONNECTED_TRIADS counts of rewire's samples 0 .. size-1."""
-    counts = (triad_census(rewire(g, derive_seed(seed, i), swaps)).counts for i in range(size))
+    counts = (census_by_name(rewire(g, derive_seed(seed, i), swaps)) for i in range(size))
     return [[sample[name] for name in CONNECTED_TRIADS] for sample in counts]
 
 
@@ -525,7 +561,7 @@ class TestBatchedEnsemble:
         monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, BATCH_MIN_ENSEMBLE) - 1)
         fallback = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
         assert len(scalar_calls) == 1 + size
-        assert fallback == batched
+        assert score_fields(fallback) == score_fields(batched)
 
     def test_chains_match_rewire_over_several_windows(self) -> None:
         g = hub_heavy_digraph(61)
@@ -842,42 +878,47 @@ class TestPooledEnsemble:
         assert len(scalar_calls) == 1  # one_cpu fails the test at any fork
 
 
+# z-scores as the pipeline gives them, undefined (NaN) and zero of either sign included.
+_Z_SCORES = st.one_of(st.sampled_from([math.nan, 0.0, -0.0]),
+                      st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+T030 = CONNECTED_TRIADS.index("030T")
+
+
 class TestZPercentDiff:
     @staticmethod
-    def scores_with(z: dict[str, float | None]) -> "object":
-        from tourflow.census import MotifZScores
-
-        filled = {name: z.get(name) for name in CONNECTED_TRIADS}
-        zeros = dict.fromkeys(CONNECTED_TRIADS, 0)
-        zerosf = dict.fromkeys(CONNECTED_TRIADS, 0.0)
-        return MotifZScores(CONNECTED_TRIADS, zeros, zerosf, zerosf, filled)
+    def scores_with(z: dict[str, float]) -> MotifZScores:
+        """Scores whose z is ``z`` by class, NaN (undefined) for every other class."""
+        filled = np.array([z.get(name, math.nan) for name in CONNECTED_TRIADS])
+        zeros = np.zeros(len(CONNECTED_TRIADS))
+        return MotifZScores(CONNECTED_TRIADS, zeros.astype(np.int64), zeros, zeros, filled)
 
     def test_identity_is_zero(self) -> None:
         a = self.scores_with({"030T": 4.2})
-        assert z_percent_diff(a, a)["030T"] == 0.0
+        assert z_percent_diff(a, a)[T030] == 0.0
 
     def test_doubling_is_plus_hundred(self) -> None:
         a = self.scores_with({"030T": 8.4})
         b = self.scores_with({"030T": 4.2})
-        assert z_percent_diff(a, b)["030T"] == pytest.approx(100.0)
+        assert z_percent_diff(a, b)[T030] == pytest.approx(100.0)
 
     def test_negative_reference_uses_absolute_value(self) -> None:
         a = self.scores_with({"030T": -1.0})
         b = self.scores_with({"030T": -2.0})
-        assert z_percent_diff(a, b)["030T"] == pytest.approx(50.0)
+        assert z_percent_diff(a, b)[T030] == pytest.approx(50.0)
 
     def test_zero_or_undefined_reference_is_none(self) -> None:
         a = self.scores_with({"030T": 1.0})
         zero = self.scores_with({"030T": 0.0})
         undefined = self.scores_with({})
-        assert z_percent_diff(a, zero)["030T"] is None
-        assert z_percent_diff(a, undefined)["030T"] is None
-        assert z_percent_diff(undefined, a)["030T"] is None
+        assert np.isnan(z_percent_diff(a, zero)[T030])
+        assert np.isnan(z_percent_diff(a, undefined)[T030])
+        assert np.isnan(z_percent_diff(undefined, a)[T030])
 
     def test_known_arithmetic(self) -> None:
         a = self.scores_with({"030T": 7.4})
         b = self.scores_with({"030T": 4.21})
-        assert z_percent_diff(a, b)["030T"] == pytest.approx(75.77, abs=0.005)
+        assert z_percent_diff(a, b)[T030] == pytest.approx(75.77, abs=0.005)
 
     def test_csv_marks_undefined(self) -> None:
         a = self.scores_with({"030T": 1.0})
@@ -886,3 +927,18 @@ class TestZPercentDiff:
         assert lines[0] == "class,percent_diff,flag"
         row = next(ln for ln in lines if ln.startswith("030T,"))
         assert row == "030T,,undefined"
+
+    @given(z_a=st.lists(_Z_SCORES, min_size=13, max_size=13),
+           z_b=st.lists(_Z_SCORES, min_size=13, max_size=13))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dict_loop(self, z_a: list[float], z_b: list[float]) -> None:
+        diff = z_percent_diff(self.scores_with(dict(zip(CONNECTED_TRIADS, z_a))),
+                              self.scores_with(dict(zip(CONNECTED_TRIADS, z_b))))
+        expected = dict_z_percent_diff(
+            *({name: None if math.isnan(z) else z for name, z in zip(CONNECTED_TRIADS, zs)}
+              for zs in (z_a, z_b)))
+        assert_same_floats(diff, list(expected.values()))
+        assert not diff.flags.writeable
+        assert z_percent_diff_csv(diff).splitlines()[1:] == [
+            f"{name},,undefined" if value is None else f"{name},{value:.6g},"
+            for name, value in expected.items()]

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourflow import (
     avg_distance_matrix,
@@ -20,7 +22,7 @@ from tourflow import (
 from tourflow.compare import AveragedDistances, FeatureMatrix, _euclidean_distances
 from tourflow.graph import MobilityGraph
 
-from oracles import codes_for, random_digraph
+from oracles import assert_same_floats, by_code, codes_for, dict_country_correlations, random_digraph
 
 
 def feature_set(g: MobilityGraph) -> list[FeatureMatrix]:
@@ -163,16 +165,18 @@ class TestCountryCorrelations:
     def test_self_comparison_is_rho_one(self) -> None:
         g = random_digraph(np.random.default_rng(11), 10, 0.4)
         result = country_correlations(averaged(g), averaged(g))
+        rho = by_code(result.countries, result.rho)
         for code in result.countries:
-            assert result.rho[code] == pytest.approx(1.0, abs=1e-9)
+            assert rho[code] == pytest.approx(1.0, abs=1e-9)
 
     def test_affine_transform_of_rows_keeps_rho(self) -> None:
         g = random_digraph(np.random.default_rng(12), 10, 0.4)
         base = averaged(g)
         shifted = AveragedDistances(base.countries, 3.0 * base.values + 1.0)
         result = country_correlations(base, shifted)
+        rho = by_code(result.countries, result.rho)
         for code in result.countries:
-            assert result.rho[code] == pytest.approx(1.0, abs=1e-9)
+            assert rho[code] == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_common_countries_rejected(self) -> None:
         a = AveragedDistances(("AA", "AB"), np.zeros((2, 2)))
@@ -187,7 +191,7 @@ class TestCountryCorrelations:
         np.fill_diagonal(values, 0.0)
         b = AveragedDistances(codes_for(4), (values + values.T) / 2)
         result = country_correlations(a, b)
-        assert all(result.rho[code] is None for code in result.countries)
+        assert np.isnan(result.rho).all()
         lines = result.to_csv().splitlines()
         assert lines[0] == "country,rho,flag"
         assert all(ln.endswith(",undefined") for ln in lines[1:])
@@ -197,13 +201,14 @@ class TestCountryCorrelations:
         g2 = random_digraph(np.random.default_rng(15), 12, 0.45)
         a, b = averaged(g1), averaged(g2)
         result = country_correlations(a, b)
+        rho = by_code(result.countries, result.rho)
         for i, code in enumerate(result.countries):
             xs = [a.values[i, j] for j in range(12) if j != i]
             ys = [b.values[i, j] for j in range(12) if j != i]
             mx, my = sum(xs) / 11, sum(ys) / 11
             num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
             den = (sum((x - mx) ** 2 for x in xs) * sum((y - my) ** 2 for y in ys)) ** 0.5
-            assert result.rho[code] == pytest.approx(num / den, abs=1e-12)
+            assert rho[code] == pytest.approx(num / den, abs=1e-12)
 
     def test_common_subset_is_intersection(self) -> None:
         rng = np.random.default_rng(16)
@@ -224,5 +229,25 @@ class TestCountryCorrelations:
         scaled = MobilityGraph.build({p: w * 9 for p, w in g.edges.items()}, g.nodes)
         base = country_correlations(averaged(g), averaged(g))
         cross = country_correlations(averaged(g), averaged(scaled))
+        base_rho, cross_rho = by_code(base.countries, base.rho), by_code(cross.countries, cross.rho)
         for code in base.countries:
-            assert cross.rho[code] == pytest.approx(base.rho[code], abs=1e-9)
+            assert cross_rho[code] == pytest.approx(base_rho[code], abs=1e-9)
+
+    @given(seed=st.integers(0, 100_000), levels=st.sampled_from([1, 2, 3, 1000]),
+           only_a=st.integers(0, 2), only_b=st.integers(0, 2), common=st.integers(3, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dict_loop(
+        self, seed: int, levels: int, only_a: int, only_b: int, common: int
+    ) -> None:
+        # Few distance levels make constant rows, and 3 common countries
+        # rows too short to correlate: both undefined.
+        rng = np.random.default_rng(seed)
+        codes = codes_for(only_a + common + only_b)
+        codes_a, codes_b = codes[:only_a + common], codes[only_a:]
+        a, b = (AveragedDistances(c, rng.integers(0, levels, (len(c), len(c))).astype(float))
+                for c in (codes_a, codes_b))
+        result = country_correlations(a, b)
+        expected = dict_country_correlations(a, b)
+        assert result.countries == tuple(expected)
+        assert_same_floats(result.rho, list(expected.values()))
+        assert not result.rho.flags.writeable

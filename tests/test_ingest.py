@@ -37,8 +37,11 @@ from conftest import assert_reaped
 from oracles import (
     COUNTRY_CODE_RE,
     INT_LITERAL_RE,
+    ALL_CODES,
     codes_for,
+    dict_infer_homes,
     dict_parse_flow_matrix,
+    homes_by_user,
     min_key_homes,
     pair_tally_edges,
     per_user_country_totals,
@@ -590,15 +593,20 @@ _TABLES = st.dictionaries(
 ).map(CheckinTable.build)
 
 
+def home_codes(table: CheckinTable) -> dict[str, str]:
+    """``infer_homes(table)`` as a user -> code dict, users in table order."""
+    return homes_by_user(table.user_ids, infer_homes(table))
+
+
 class TestInferHomes:
     def test_majority_wins(self) -> None:
         rows = ["u1,TR,1"] * 5 + ["u1,US,2"] * 2
         table = parse_checkins(csv_stream([f"u1,TR,{i}" for i in range(5)] + [f"u1,US,{i}" for i in range(2)]))
-        assert infer_homes(table)["u1"] == "TR"
+        assert home_codes(table)["u1"] == "TR"
 
     def test_tie_breaks_lexicographically(self) -> None:
         table = parse_checkins(csv_stream(["u2,BR,1", "u2,AR,2", "u2,BR,3", "u2,AR,4"]))
-        assert infer_homes(table)["u2"] == "AR"
+        assert home_codes(table)["u2"] == "AR"
 
     def test_empty_table_rejected(self) -> None:
         with pytest.raises(ValueError, match="empty"):
@@ -608,7 +616,7 @@ class TestInferHomes:
         rng = np.random.default_rng(7)
         text, events = synthetic_checkin_text(rng, 500, codes_for(8))
         table = parse_checkins(io.StringIO(text))
-        homes = infer_homes(table)
+        homes = home_codes(table)
         per_user: dict[str, dict[str, int]] = {}
         for user, country in events:
             per_user.setdefault(user, {})
@@ -620,14 +628,17 @@ class TestInferHomes:
     @given(table=_TABLES)
     @settings(max_examples=300, deadline=None)
     def test_matches_min_key_oracle(self, table: CheckinTable) -> None:
-        expected = min_key_homes(table.user_country_counts)
-        assert list(infer_homes(table).items()) == list(expected.items())
+        homes = infer_homes(table)
+        assert homes.dtype.kind == "i" and not homes.flags.writeable
+        by_user = homes_by_user(table.user_ids, homes)
+        assert list(by_user.items()) == list(min_key_homes(table.user_country_counts).items())
+        assert by_user == dict_infer_homes(table.user_country_counts)
 
     def test_home_count_dominates_all_others(self) -> None:
         rng = np.random.default_rng(8)
         text, _ = synthetic_checkin_text(rng, 300, codes_for(6))
         table = parse_checkins(io.StringIO(text))
-        for user, home in infer_homes(table).items():
+        for user, home in home_codes(table).items():
             counts = table.user_country_counts[user]
             assert all(counts[home] >= c for c in counts.values())
 
@@ -684,9 +695,12 @@ class TestBuildMobilityGraph:
         assert g.edges == {("US", "MX"): 1}
 
     def test_missing_home_rejected(self) -> None:
+        # Each user needs one home, as a position among the 676 codes.
         table = parse_checkins(csv_stream(["u1,US,1"]))
-        with pytest.raises(ValueError, match="no home assignment"):
-            build_mobility_graph(table, {}, {"US"})
+        for homes in ({}, np.array([], dtype=np.intp), np.array([[540]]), np.array([540.0]),
+                      np.array([-1]), np.array([676])):
+            with pytest.raises(ValueError, match="one country position per user"):
+                build_mobility_graph(table, homes, {"US"})
 
     def test_record_order_irrelevant(self) -> None:
         rng = np.random.default_rng(3)
@@ -706,9 +720,9 @@ class TestBuildMobilityGraph:
         rng = np.random.default_rng(21)
         text, events = synthetic_checkin_text(rng, 1000, codes_for(9))
         table = parse_checkins(io.StringIO(text))
-        homes = infer_homes(table)
+        homes = home_codes(table)
         allowed = filter_countries(table, 100)
-        g = build_mobility_graph(table, homes, allowed)
+        g = build_mobility_graph(table, infer_homes(table), allowed)
         visitors: dict[tuple[str, str], set[str]] = {}
         for user, country in events:
             home = homes[user]
@@ -726,10 +740,11 @@ class TestBuildMobilityGraph:
         # some homes lie outside the kept set.
         codes = codes_for(5)
         users = table.user_country_counts
-        homes = infer_homes(table) if data.draw(st.booleans()) else {
+        homes = home_codes(table) if data.draw(st.booleans()) else {
             user: data.draw(st.sampled_from(codes)) for user in users}
         kept = data.draw(st.frozensets(st.sampled_from(codes)))
-        graph = build_mobility_graph(table, homes, kept, "x")
+        positions = np.array([ALL_CODES.index(homes[user]) for user in table.user_ids])
+        graph = build_mobility_graph(table, positions, kept, "x")
         expected = MobilityGraph.build(pair_tally_edges(users, homes, kept), kept, "x")
         assert graph == expected
         assert graph.nodes == tuple(sorted(kept))
@@ -783,12 +798,12 @@ class TestArrayTable:
             with pytest.raises(ValueError, match="empty"):
                 infer_homes(table)
             return
-        homes = infer_homes(table)
+        homes = home_codes(table)
         assert list(homes.items()) == list(min_key_homes(serial).items())
         threshold = data.draw(st.integers(0, max(totals.values())), label="threshold")
         kept = filter_countries(table, threshold)
         assert kept == {code for code, n in totals.items() if n > threshold}
-        graph = build_mobility_graph(table, homes, kept, "x")
+        graph = build_mobility_graph(table, infer_homes(table), kept, "x")
         assert graph == MobilityGraph.build(pair_tally_edges(serial, homes, kept), kept, "x")
 
     @given(events=_LOG_EVENTS, data=st.data())
