@@ -234,7 +234,7 @@ def node_index(graph: MobilityGraph) -> dict[str, int]:
 
 
 def by_code(codes: tuple[str, ...], values: np.ndarray) -> dict:
-    """A per-node array as a code -> value dict, to compare with an oracle's."""
+    """A per-node (or per-class) array as a label -> value dict, to compare with an oracle's."""
     return dict(zip(codes, values.tolist()))
 
 
