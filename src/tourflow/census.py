@@ -196,9 +196,9 @@ def _lemire(
 
     A half-word h gives the slot ``(h * edge_count) >> 32``, unless the
     low 32 bits of that product fall below ``threshold`` (``2**32 %
-    edge_count``); then h is rejected.  The product is made in uint64 by
-    name: under numpy 1.x value-based casting, a uint32 array times a
-    small ``np.uint64`` stays uint32 and wraps.
+    edge_count``); then h is rejected.  The product of two 32-bit factors
+    needs 64 bits, so it is made in uint64 by name: under numpy 2's rules
+    (NEP 50), a uint32 array times a Python int stays uint32 and wraps.
     """
     product = np.multiply(halves, np.uint64(edge_count), dtype=np.uint64, out=out)
     parts = product.astype("<u8", copy=False).view("<u4")  # low, high of each product
@@ -348,12 +348,11 @@ def rewire(graph: MobilityGraph, seed: int, swaps_per_edge: int = 100) -> Mobili
 # runs): blocks past 200 chains gain 3-8% more for half as much memory
 # again.  _swap_draws' words and products do not grow with the block
 # (see _DRAW_CHAINS).  An ensemble runs as the fewest even blocks that
-# fit.  Where those blocks would hold fewer than BATCH_MIN_ENSEMBLE
-# chains, rewire runs once per sample instead: at E = 3n, from 459
-# nodes for ensembles of 100 or 1000, and from 474 for 16.  A batched
-# ensemble also draws sample 0 with rewire (below); counting that draw,
-# one block overtakes rewire at 14 chains on a 117-node Top-3 graph and
-# at 16 on a Top-1 graph (100 swaps per edge, 2-vCPU Xeon host).
+# fit, but of BATCH_MIN_ENSEMBLE chains at least, past the budget where
+# it holds fewer (a 676-node graph's bitmap takes 457 KB a chain).
+# Counting the sample-0 rewire draw (below), one block overtakes rewire
+# at 14 chains on a 117-node Top-3 graph and at 16 on a Top-1 graph (100
+# swaps per edge, 2-vCPU Xeon host), so smaller ensembles run rewire.
 BATCH_MIN_ENSEMBLE = 16
 _BLOCK_BYTES = 7 << 19  # 3.5 MiB
 _STEP_WINDOW = 16
@@ -445,26 +444,25 @@ def _null_counts(
     """Row g holds the CONNECTED_TRIADS counts of ``graphs[g]``'s null samples, in order.
 
     Sample i of graph g uses ``derive_seed(seeds[g], i)``.  The graphs
-    share their node and arc counts.  Blocks of chains, each holding the
-    same share of every graph's ensemble, are rewired by
-    ``_rewire_chains`` and counted by ``_census_counts`` one after
+    share their node and arc counts.  Below BATCH_MIN_ENSEMBLE samples,
+    ``rewire`` draws each one.  Other ensembles run in blocks of at least
+    BATCH_MIN_ENSEMBLE chains, each an even share of every graph's, which
+    ``_rewire_chains`` rewires and ``_census_counts`` counts one after
     another, so at most one block's samples are held at a time.
     """
     graph = graphs[0]
     n, edge_count = len(graph.nodes), graph.edge_count
-    capacity = _BLOCK_BYTES // _chain_bytes(n, edge_count)
-    blocks = -(-ensemble_size // max(capacity // len(graphs), 1))
-    if ensemble_size // blocks < BATCH_MIN_ENSEMBLE:
-        if len(graphs) > 1:
-            # Too few chains of each graph a block; alone, each may still batch.
-            return np.concatenate([_null_counts([g], ensemble_size, [seed], swaps_per_edge)
-                                   for g, seed in zip(graphs, seeds)])
+    if ensemble_size < BATCH_MIN_ENSEMBLE:
         # Rewiring keeps every out-degree, so the sorted arcs of a sample
         # run from the same sources as the graph's.
-        sources = graph.arcs[0]
         return np.array([[
-            _census_counts(n, sources, rewire(graph, derive_seed(seeds[0], i), swaps_per_edge).arcs[1])[3:]
-            for i in range(ensemble_size)]])
+            _census_counts(n, g.arcs[0], rewire(g, derive_seed(seed, i), swaps_per_edge).arcs[1])[3:]
+            for i in range(ensemble_size)] for g, seed in zip(graphs, seeds)], dtype=np.int64)
+    capacity = _BLOCK_BYTES // _chain_bytes(n, edge_count)
+    # As few blocks as fit the budget, but each graph keeps at least
+    # ceil(BATCH_MIN_ENSEMBLE / len(graphs)) chains of every block.
+    blocks = min(-(-ensemble_size // max(capacity // len(graphs), 1)),
+                 ensemble_size // -(-BATCH_MIN_ENSEMBLE // len(graphs)))
     # Sample 0 of each graph is drawn by rewire as well, and a mismatch
     # stops the run: both take the same draws, so this guards the
     # kernel's swap logic against rewire's.  It is also a batched

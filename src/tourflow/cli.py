@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .census import (
-    BATCH_MIN_ENSEMBLE, MotifZScores, _null_counts, motif_zscores, triad_census, z_percent_diff,
+    MotifZScores, _null_counts, motif_zscores, triad_census, z_percent_diff,
     z_percent_diff_csv)
 from .clustering import average_linkage, distance_matrix, filter_singletons
 from .compare import (
@@ -363,9 +363,8 @@ def _topk_unit(
     """Every report of the Top-k unit of ``direction`` and ``k``, staged through ``bundle``.
 
     Each dataset's reports run in turn, on its Top-k subgraph.  Where the
-    two datasets' subgraphs share their node and arc counts and the
-    ensemble is large enough to batch (``BATCH_MIN_ENSEMBLE``), dataset
-    a's null model draws both ensembles as one ``_null_counts`` block.
+    two datasets' subgraphs share their node and arc counts, dataset a's
+    null model draws both ensembles with one ``_null_counts`` call.
     Returns, for each dataset, the subgraph's motif z-scores; for k in
     ``averaged_k`` (the averaged distances' inputs), its feature matrix;
     and for the largest k, whose subgraph the regional reports read, its
@@ -376,7 +375,7 @@ def _topk_unit(
     seeds = {name: derive_seed(derive_seed(config.seed, "census"), name, direction, k)
              for name in graphs}
     shapes = {(sg.node_count, sg.edge_count) for sg in subgraphs.values()}
-    joint = len(graphs) > 1 and len(shapes) == 1 and config.ensemble_size >= BATCH_MIN_ENSEMBLE
+    joint = len(graphs) > 1 and len(shapes) == 1
     nulls: dict[str, np.ndarray] = {}
     results = {}
     for name, sg in subgraphs.items():

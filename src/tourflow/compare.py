@@ -131,7 +131,7 @@ class CorrelationReport:
     """Per-country Pearson correlation between two datasets.
 
     ``rho`` is a read-only array in ``countries`` order, NaN for
-    countries whose distance rows are too short or constant; each is
+    countries whose distance rows are constant; each is
     taken over the ``common_count - 1`` off-diagonal entries of the
     country's row.
     """
@@ -148,8 +148,6 @@ class CorrelationReport:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if len(x) < 3:
-        return math.nan
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt((dx * dx).sum()))
@@ -164,11 +162,12 @@ def country_correlations(a: AveragedDistances, b: AveragedDistances) -> Correlat
 
     Rows are restricted to the common countries and the diagonal
     (self-distance, zero in both) is excluded before correlating.
-    Requires at least 3 common countries.
+    Requires at least 4 common countries, so that each row keeps the 3
+    entries a correlation needs.
     """
     common = sorted(set(a.countries) & set(b.countries))
-    if len(common) < 3:
-        raise ValueError(f"need >= 3 common countries, got {len(common)}")
+    if len(common) < 4:
+        raise ValueError(f"need >= 4 common countries, got {len(common)}")
     index_a = {code: i for i, code in enumerate(a.countries)}
     index_b = {code: i for i, code in enumerate(b.countries)}
     rows_a = np.array([index_a[code] for code in common], dtype=np.intp)

@@ -46,9 +46,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class MobilityGraph:
     """A weighted directed graph over country codes, stored as its sorted arcs.
 
-    ``nodes`` is sorted lexicographically and may include isolated
-    countries.  ``arcs`` holds the node positions (sources, destinations)
-    of the arcs, sorted by endpoint pair, and ``arc_weights`` their int64
+    ``nodes`` holds sorted two-letter upper-case codes, isolated ones
+    too: at most 676 nodes, as the null model's chain kernel needs.
+    ``arcs`` holds the node positions (sources, destinations) of the
+    arcs, sorted by endpoint pair, and ``arc_weights`` their int64
     weights, each >= 1; all three arrays are read-only.  The constructor
     takes these arrays, as :func:`tourflow.ingest.parse_flow_matrix` and
     Top-k extraction give them; :meth:`build` makes a graph from a
@@ -81,6 +82,8 @@ class MobilityGraph:
                 raise ValueError(f"k must be >= 1, got {self.k}")
         if list(self.nodes) != sorted(set(self.nodes)):
             raise ValueError("nodes must be sorted and free of duplicates")
+        if bad := [code for code in self.nodes if code not in _COUNTRY_CODES]:
+            raise ValueError(f"node {bad[0]!r} is not a two-letter upper-case code")
         n = len(self.nodes)
         src, dst = (_read_only(np.asarray(end, dtype=np.intp)) for end in self.arcs)
         weights = _read_only(np.asarray(self.arc_weights, dtype=np.int64))

@@ -544,7 +544,8 @@ def build_mobility_graph(
     home is ``home`` and who has at least one check-in in ``visited``.
     Users whose home country is not in ``allowed`` contribute nothing,
     and visited countries outside ``allowed`` are ignored.  The node set
-    is exactly ``allowed`` (isolated countries included).  Each visit
+    is exactly ``allowed`` (isolated countries included), two-letter
+    codes as :func:`filter_countries` gives them.  Each visit
     row is one traveller, so one ``bincount`` over home x visited gives
     the arcs.
     """
@@ -555,9 +556,7 @@ def build_mobility_graph(
     nodes = tuple(sorted(set(allowed)))
     # Each code's node, -1 outside ``allowed``.
     code_node = np.full(len(_CODES), -1, np.intp)
-    for i, code in enumerate(nodes):
-        if is_country_code(code):
-            code_node[_COUNTRY_CODES[code]] = i
+    code_node[[_COUNTRY_CODES[code] for code in nodes]] = np.arange(len(nodes))
     user, country = table.visits
     src, dst = code_node[homes][user], code_node[country]
     travelled = (src >= 0) & (dst >= 0) & (src != dst)

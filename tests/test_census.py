@@ -524,42 +524,57 @@ class TestBatchedEnsemble:
         assert expected[0] != unshifted
         assert sample_arcs(g, chain_samples) == expected
 
-    def test_graphs_too_large_for_a_block_fall_back_to_rewire(
-        self, scalar_calls: list, monkeypatch
+    def test_blocks_pass_a_budget_below_the_floor(
+        self, scalar_calls: list, chain_seeds: list, monkeypatch
     ) -> None:
+        # The budget holds 15 chains, so 32 run as two blocks of 16.
         g = SWAP_GRAPHS["hub-heavy"]
         monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, BATCH_MIN_ENSEMBLE) - 1)
         size = 2 * BATCH_MIN_ENSEMBLE
         counts = census._null_counts([g], size, [13], 2)[0]
-        assert scalar_calls == [(g, derive_seed(13, i), 2) for i in range(size)]
+        assert chain_seeds == [[derive_seed(13, i) for i in range(lo, lo + BATCH_MIN_ENSEMBLE)]
+                               for lo in (0, BATCH_MIN_ENSEMBLE)]
+        assert scalar_calls == [(g, derive_seed(13, 0), 2)]
         assert counts.tolist() == rewired_counts(g, 13, size, 2)
 
-    def test_blocks_split_below_the_floor_fall_back_to_rewire(
+    def test_blocks_that_would_split_below_the_floor_run_fewer(
         self, scalar_calls: list, chain_seeds: list
     ) -> None:
         # A block of a 459-node graph with 3 arcs a node holds 16 chains,
-        # but 100 chains split evenly into 7 blocks of 14 or 15.
+        # so 100 chains need 7 blocks of 14 or 15; they run as 6 of 16 or 17.
         n = 459
         codes = codes_for(n)
         g = MobilityGraph.build({(codes[i], codes[(i + step) % n]): 1
                                  for i in range(n) for step in (1, 2, 3)}, codes)
         assert census._BLOCK_BYTES // census._chain_bytes(n, len(g.edges)) == BATCH_MIN_ENSEMBLE
         counts = census._null_counts([g], 100, [18], 1)[0]
-        assert chain_seeds == []
-        assert scalar_calls == [(g, derive_seed(18, i), 1) for i in range(100)]
+        assert [len(seeds) for seeds in chain_seeds] == [16, 17, 17, 16, 17, 17]
+        assert sum(chain_seeds, []) == [derive_seed(18, i) for i in range(100)]
+        assert scalar_calls == [(g, derive_seed(18, 0), 1)]
         assert counts.tolist() == rewired_counts(g, 18, 100, 1)
 
-    def test_batched_and_fallback_ensembles_give_the_same_scores(
-        self, scalar_calls: list, monkeypatch
+    def test_a_676_node_graph_runs_one_block_past_the_budget(self, chain_seeds: list) -> None:
+        # One node per two-letter code: a chain's bitmap alone takes 457 KB.
+        codes = codes_for(676)
+        g = MobilityGraph.build({(codes[i], codes[(i + 1) % 676]): 1 for i in range(676)}, codes)
+        assert BATCH_MIN_ENSEMBLE * census._chain_bytes(676, len(g.edges)) > census._BLOCK_BYTES
+        counts = census._null_counts([g], BATCH_MIN_ENSEMBLE, [20], 1)[0]
+        assert chain_seeds == [[derive_seed(20, i) for i in range(BATCH_MIN_ENSEMBLE)]]
+        assert counts.tolist() == rewired_counts(g, 20, BATCH_MIN_ENSEMBLE, 1)
+
+    def test_blocks_within_and_past_the_budget_give_the_same_scores(
+        self, scalar_calls: list, chain_seeds: list, monkeypatch
     ) -> None:
         g = SWAP_GRAPHS["hub-heavy"]
         size = BATCH_MIN_ENSEMBLE + 5
-        batched = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
-        assert len(scalar_calls) == 1
+        expected = score_fields(motif_zscores(
+            g, ensemble_size=size, null=np.array(rewired_counts(g, 15, size, 4))))
+        within = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
         monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, BATCH_MIN_ENSEMBLE) - 1)
-        fallback = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
-        assert len(scalar_calls) == 1 + size
-        assert score_fields(fallback) == score_fields(batched)
+        past = motif_zscores(g, ensemble_size=size, seed=15, swaps_per_edge=4)
+        assert [len(seeds) for seeds in chain_seeds] == [size, size]
+        assert len(scalar_calls) == 2
+        assert score_fields(within) == score_fields(past) == expected
 
     def test_chains_match_rewire_over_several_windows(self) -> None:
         g = hub_heavy_digraph(61)
@@ -681,17 +696,49 @@ class TestJointBlock:
                                for lo, hi in ((0, half), (half, size))]
         assert counts.tolist() == [rewired_counts(g, 26, size, 2), rewired_counts(h, 27, size, 2)]
 
-    def test_a_joint_block_below_the_floor_runs_each_graph_alone(
+    def test_a_joint_block_below_the_floor_splits_into_joint_halves(
         self, scalar_calls: list, chain_seeds: list, monkeypatch
     ) -> None:
-        # One block holds 31 chains: 15 of each graph jointly, 16 alone.
+        # One block holds 31 chains, 15 of each graph, so 16 of each run
+        # as two joint blocks of 8 of each.
         g, h = JOINT_PAIRS["rings"]
         size = BATCH_MIN_ENSEMBLE
         monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, 2 * size) - 1)
         counts = census._null_counts([g, h], size, [28, 29], 3)
-        assert chain_seeds == [[derive_seed(seed, i) for i in range(size)] for seed in (28, 29)]
+        half = size // 2
+        assert chain_seeds == [[derive_seed(seed, i) for seed in (28, 29) for i in range(lo, hi)]
+                               for lo, hi in ((0, half), (half, size))]
         assert len(scalar_calls) == 2
         assert counts.tolist() == [rewired_counts(g, 28, size, 3), rewired_counts(h, 29, size, 3)]
+
+    def test_joint_blocks_keep_the_floor_past_the_budget(
+        self, scalar_calls: list, chain_seeds: list, monkeypatch
+    ) -> None:
+        # The budget holds 5 chains, 2 of each graph; 20 of each run as two
+        # joint blocks of 10 of each.
+        g, h = JOINT_PAIRS["top-3 out"]
+        size = BATCH_MIN_ENSEMBLE + 4
+        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, 5))
+        counts = census._null_counts([g, h], size, [30, 31], 2)
+        half = size // 2
+        assert chain_seeds == [[derive_seed(seed, i) for seed in (30, 31) for i in range(lo, hi)]
+                               for lo, hi in ((0, half), (half, size))]
+        assert all(len(seeds) >= BATCH_MIN_ENSEMBLE for seeds in chain_seeds)
+        assert len(scalar_calls) == 2
+        assert counts.tolist() == [rewired_counts(g, 30, size, 2), rewired_counts(h, 31, size, 2)]
+
+    def test_a_pair_below_the_floor_equals_each_graph_alone(
+        self, scalar_calls: list, chain_seeds: list
+    ) -> None:
+        g, h = JOINT_PAIRS["top-1 out"]
+        size = BATCH_MIN_ENSEMBLE - 1
+        counts = census._null_counts([g, h], size, [32, 33], 3)
+        assert chain_seeds == []
+        assert scalar_calls == [(graph, derive_seed(seed, i), 3)
+                                for graph, seed in ((g, 32), (h, 33)) for i in range(size)]
+        alone = [census._null_counts([graph], size, [seed], 3)[0] for graph, seed in ((g, 32), (h, 33))]
+        assert counts.tolist() == [rows.tolist() for rows in alone]
+        assert counts.tolist() == [rewired_counts(g, 32, size, 3), rewired_counts(h, 33, size, 3)]
 
 
 def stream_windows(seeds: list[int], edge_count: int, steps: int) -> list[np.ndarray]:
@@ -837,9 +884,9 @@ class TestSwapStream:
         monkeypatch.setattr(np.random, "default_rng", refused)
         assert np.array_equal(census._null_counts([g], size, [22], 3)[0], batched)
         assert rewire(g, derive_seed(22, 0), 3).edges == sample
-        monkeypatch.setattr(census, "_BLOCK_BYTES", block_budget(g, size) - 1)
-        assert np.array_equal(census._null_counts([g], size, [22], 3)[0], batched)
-        assert len(scalar_calls) == 2 + size
+        # Below the floor rewire draws every sample.
+        assert np.array_equal(census._null_counts([g], size - 1, [22], 3)[0], batched[:-1])
+        assert len(scalar_calls) == 2 + size - 1
 
 
 class TestPooledEnsemble:

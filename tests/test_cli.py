@@ -1069,9 +1069,20 @@ class TestJointNulls:
         assert main(["build", *base]) == EXIT_OK
         assert main(["analyze", *base]) == EXIT_OK
         assert logged_blocks(log) == [self.size] * 12
-        # Below the batching floor no unit is paired.
+        # Below the batching floor rewire draws every sample.
         assert main(["analyze", *base, "--set", f"ensemble_size={self.size - 1}"]) == EXIT_OK
         assert logged_blocks(log) == []
+
+    @pytest.mark.parametrize("size", [1, 0, -1])
+    def test_a_pair_of_one_shape_still_needs_two_samples(
+        self, tmp_path: Path, size: int, capsys
+    ) -> None:
+        base = bundle_args(tmp_path, "ab")
+        assert main(["build", *base]) == EXIT_OK
+        before = snapshot(tmp_path / "out")
+        assert main(["analyze", *base, "--set", f"ensemble_size={size}"]) == EXIT_DOMAIN
+        assert f"ensemble_size must be >= 2, got {size}" in capsys.readouterr().err
+        assert snapshot(tmp_path / "out") == before
 
     def test_three_lanes_keep_each_pair_in_one_lane(
         self, tmp_path: Path, monkeypatch, two_cpus: list

@@ -179,10 +179,12 @@ class TestCountryCorrelations:
             assert rho[code] == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_common_countries_rejected(self) -> None:
-        a = AveragedDistances(("AA", "AB"), np.zeros((2, 2)))
-        b = AveragedDistances(("AA", "AB"), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="common countries"):
-            country_correlations(a, b)
+        # 3 common countries leave rows of 2 entries, too short to correlate.
+        rng = np.random.default_rng(18)
+        for common in (2, 3):
+            a, b = (AveragedDistances(codes_for(common), rng.random((common, common))) for _ in "ab")
+            with pytest.raises(ValueError, match=f">= 4 common countries, got {common}"):
+                country_correlations(a, b)
 
     def test_constant_rows_flagged_undefined(self) -> None:
         a = AveragedDistances(codes_for(4), np.zeros((4, 4)))
@@ -234,13 +236,12 @@ class TestCountryCorrelations:
             assert cross_rho[code] == pytest.approx(base_rho[code], abs=1e-9)
 
     @given(seed=st.integers(0, 100_000), levels=st.sampled_from([1, 2, 3, 1000]),
-           only_a=st.integers(0, 2), only_b=st.integers(0, 2), common=st.integers(3, 7))
+           only_a=st.integers(0, 2), only_b=st.integers(0, 2), common=st.integers(4, 7))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_dict_loop(
         self, seed: int, levels: int, only_a: int, only_b: int, common: int
     ) -> None:
-        # Few distance levels make constant rows, and 3 common countries
-        # rows too short to correlate: both undefined.
+        # Few distance levels make constant rows, which are undefined.
         rng = np.random.default_rng(seed)
         codes = codes_for(only_a + common + only_b)
         codes_a, codes_b = codes[:only_a + common], codes[only_a:]

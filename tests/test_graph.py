@@ -50,6 +50,17 @@ class TestMobilityGraph:
             with pytest.raises(ValueError, match=r"total more than 2\*\*53"):
                 MobilityGraph.build(edges)
 
+    @pytest.mark.parametrize("code", ["us", "USA", "U", "U1", "A-", ""])
+    def test_rejects_a_node_that_is_not_a_two_letter_code(self, code: str) -> None:
+        # At most the 676 two-letter codes, which the null model's chain kernel needs.
+        nodes = tuple(sorted(("AA", code)))
+        with pytest.raises(ValueError, match=f"node {code!r} is not a two-letter"):
+            MobilityGraph(nodes, ([], []), [])
+        with pytest.raises(ValueError, match=f"node {code!r} is not a two-letter"):
+            MobilityGraph.build({("AA", code): 1})
+        with pytest.raises(ValueError, match=f"node {code!r} is not a two-letter"):
+            MobilityGraph.build({}, ("AA", code))
+
     def test_rejects_unsorted_nodes(self) -> None:
         with pytest.raises(ValueError, match="sorted"):
             MobilityGraph(("US", "BR"), ([], []), [])

@@ -26,22 +26,23 @@ from tourflow import (
     topk_out,
 )
 from tourflow.cli import EXIT_OK, main
+from tourflow.metrics import sig6
 
 CODES = [a + b for a in "ABC" for b in "ABCDE"]
 CODE = re.compile(r"\b[A-C][A-E]\b")
 META_PREFIXES = ("# tool:", "# config:", "# seed:")
 
 
-def write_inputs(work: Path, relabel=lambda code: code) -> tuple[Path, Path, Path]:
+def write_inputs(work: Path, relabel=lambda code: code, scale: int = 1) -> tuple[Path, Path, Path]:
     """Two random 15-country flow matrices and a two-region map, with each
-    code renamed by ``relabel``."""
+    code renamed by ``relabel`` and each flow multiplied by ``scale``."""
     work.mkdir()
     rng = np.random.default_rng(12)
     flows = []
     for name in ("a", "b"):
         counts = rng.integers(0, 400, (len(CODES), len(CODES)))
         lines = ["origin,destination,count"] + [
-            f"{relabel(o)},{relabel(d)},{counts[i, j]}" for i, o in enumerate(CODES)
+            f"{relabel(o)},{relabel(d)},{scale * counts[i, j]}" for i, o in enumerate(CODES)
             for j, d in enumerate(CODES) if i != j and counts[i, j]]
         flows.append(work / f"{name}.csv")
         flows[-1].write_text("\n".join(lines) + "\n")
@@ -88,6 +89,39 @@ def base(tmp_path_factory) -> tuple[Path, dict[str, str]]:
 
 def cells(body: str) -> list[list[str]]:
     return [line.split(",") for line in body.splitlines()]
+
+
+def test_r2_doubling_every_flow_doubles_only_the_weights(base, tmp_path) -> None:
+    # c = 2 scales every float step exactly; c = 3 would not.
+    _, bodies = base
+    doubled = run(tmp_path / "out", *write_inputs(tmp_path / "in", scale=2))
+    assert sorted(doubled) == sorted(bodies)
+    tags = [f"{name}_{direction}_{k}" for name in "ab" for direction in ("in", "out")
+            for k in (1, 2, 3)]
+    weighted = [f"graph_{name}.csv" for name in "ab"] + [
+        f"regional_{name}_{direction}_raw.csv" for name in "ab" for direction in ("in", "out")]
+    strengths = [f"centrality_{tag}_{end}_strength.csv" for tag in tags for end in ("in", "out")]
+    structural = [f"structural_{tag}.{suffix}" for tag in tags for suffix in ("csv", "json")]
+    changed = [name for name in bodies if doubled[name] != bodies[name]]
+    assert sorted(changed) == sorted(weighted + strengths + structural)
+    assert len(changed) == 54
+    for name in weighted:
+        # Labels stay, every count doubles.
+        for row, doubled_row in zip(cells(bodies[name]), cells(doubled[name]), strict=True):
+            assert [str(2 * int(cell)) if cell.isdigit() else cell for cell in row] == doubled_row
+    for name in strengths:
+        (header, *rows), (doubled_header, *doubled_rows) = cells(bodies[name]), cells(doubled[name])
+        assert doubled_header == header == ["rank", "country", "value"]
+        assert [row[:2] for row in doubled_rows] == [row[:2] for row in rows]
+        assert [int(row[2]) for row in doubled_rows] == [2 * int(row[2]) for row in rows]
+    for tag in tags:
+        report = json.loads(bodies[f"structural_{tag}.json"])
+        strength = 2 * report["avg_strength"]
+        assert json.loads(doubled[f"structural_{tag}.json"]) == {**report, "avg_strength": strength}
+        rows = cells(bodies[f"structural_{tag}.csv"])
+        assert cells(doubled[f"structural_{tag}.csv"]) == [
+            [metric, sig6(strength)] if metric == "avg_strength" else [metric, value]
+            for metric, value in rows]
 
 
 def test_r4_swapping_the_datasets_negates_share_differences(base, tmp_path) -> None:
